@@ -396,6 +396,24 @@ def _histogram_rows(layer: int, tensor: str, teacher_vals, student_vals, chash, 
     ]
 
 
+def _inspect_tokens(text: str, cfg) -> np.ndarray | None:
+    """Token ids of ``--tokens``; None, after one line on stderr, if unusable."""
+    try:
+        ids = [int(v) for v in text.split(",")]
+    except ValueError:
+        problem = f"must be comma-separated integers, got {text!r}"
+    else:
+        bad = [i for i in ids if not 0 <= i < cfg.vocab]
+        if not 1 <= len(ids) <= cfg.seq_len:
+            problem = f"gives {len(ids)} ids; the model reads 1 to {cfg.seq_len}"
+        elif bad:
+            problem = f"id {bad[0]} is outside the vocabulary [0, {cfg.vocab})"
+        else:
+            return np.array(ids, dtype=np.int64)
+    print(f"inspect: --tokens {problem}", file=sys.stderr)
+    return None
+
+
 def cmd_inspect(args) -> int:
     ckpt_path = args.checkpoint
     if ckpt_path is None:
@@ -405,8 +423,10 @@ def cmd_inspect(args) -> int:
     rc = _run_config_from_echo(ckpt.config)
     cfg = rc.model
     chash = rc.config_hash()
-    if args.tokens:
-        tokens = np.array([int(v) for v in args.tokens.split(",")], dtype=np.int64)
+    if args.tokens is not None:
+        tokens = _inspect_tokens(args.tokens, cfg)
+        if tokens is None:
+            return 2
     else:
         corpus = _load_corpus(rc)
         _, heldout = split_corpus(corpus, rc.heldout_fraction)

@@ -28,10 +28,8 @@ __all__ = [
     "exp",
     "gather_rows",
     "gelu",
-    "gelu_forward",
     "kl_divergence",
     "layernorm",
-    "layernorm_forward",
     "log",
     "matmul",
     "mean_all",
@@ -280,12 +278,8 @@ def sqrt(x: Tensor) -> Tensor:
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
-def gelu_forward(x: np.ndarray) -> np.ndarray:
-    """tanh-approximate GELU, shared by the tape op and the integer path."""
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x * x * x)))
-
-
 def gelu(x: Tensor) -> Tensor:
+    """tanh-approximate GELU."""
     a = x.array
     inner = _GELU_C * (a + 0.044715 * a * a * a)
     t = np.tanh(inner)
@@ -443,16 +437,6 @@ def softmax_rows(x: Tensor, causal: bool = False) -> Tensor:
         return ((g - (g * y).sum(axis=-1, keepdims=True)) * y,)
 
     return Tensor(x.tape, y, (x,), vjp, name="softmax")
-
-
-def layernorm_forward(
-    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
-) -> np.ndarray:
-    # mirrors the tape op operation-for-operation so the two paths round alike
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
-    return gain * ((x - mu) * inv) + bias
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

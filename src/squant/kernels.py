@@ -115,15 +115,7 @@ def unpack_int4(wp: PackedInt4Matrix) -> np.ndarray:
     return out[: wp.logical_rows]
 
 
-def _row_blocks(rows: int, row_block: int | None):
-    step = rows if not row_block else row_block
-    for start in range(0, rows, step):
-        yield start, min(start + step, rows)
-
-
-def gemm_i8(
-    w: np.ndarray, x: np.ndarray, cost: CostCounter, row_block: int | None = None
-) -> np.ndarray:
+def gemm_i8(w: np.ndarray, x: np.ndarray, cost: CostCounter) -> np.ndarray:
     """Byte-level kernel: int32 out = int8 w [M,K] @ int8 x [K,N]."""
     w = _check_int8(w, "w")
     x = _check_int8(x, "x")
@@ -132,18 +124,13 @@ def gemm_i8(
         raise ValueError(f"inner dims differ: {w.shape} x {x.shape}")
     _check_depth(k, 8)
     n = x.shape[1]
-    x32 = x.astype(np.int32)
-    out = np.empty((m, n), dtype=np.int32)
-    for lo_r, hi_r in _row_blocks(m, row_block):
-        out[lo_r:hi_r] = w[lo_r:hi_r].astype(np.int32) @ x32
+    out = w.astype(np.int32) @ x.astype(np.int32)
     cost.mul_count += m * k * n
     cost.add_count += m * k * n
     return out
 
 
-def gemm_i4_packed(
-    wp: PackedInt4Matrix, x: np.ndarray, cost: CostCounter, row_block: int | None = None
-) -> np.ndarray:
+def gemm_i4_packed(wp: PackedInt4Matrix, x: np.ndarray, cost: CostCounter) -> np.ndarray:
     """Packed kernel: one multiply per row pair, exact split of the product.
 
     For each unit u = w_hi * 2^16 + w_lo and activation a, the single product
@@ -156,14 +143,15 @@ def gemm_i4_packed(
         raise ValueError(f"inner dims differ: packed {wp.logical_rows}x{wp.cols} x {x.shape}")
     _check_depth(k, 4)
     m = wp.logical_rows
-    x32 = x.astype(np.int32)
+    p = wp.packed[:, :, None] * x.astype(np.int32)[None, :, :]
+    low = p & 0xFFFF
+    low ^= 0x8000
+    low -= 0x8000
+    p -= low
+    p >>= 16  # p now holds the high lane
     out = np.empty((2 * wp.pair_rows, n), dtype=np.int32)
-    for lo_r, hi_r in _row_blocks(wp.pair_rows, row_block):
-        p = wp.packed[lo_r:hi_r, :, None] * x32[None, :, :]
-        low = ((p & 0xFFFF) ^ 0x8000) - 0x8000
-        high = (p - low) >> 16
-        out[2 * lo_r : 2 * hi_r : 2] = low.sum(axis=1, dtype=np.int32)
-        out[2 * lo_r + 1 : 2 * hi_r : 2] = high.sum(axis=1, dtype=np.int32)
+    out[0::2] = low.sum(axis=1, dtype=np.int32)
+    out[1::2] = p.sum(axis=1, dtype=np.int32)
     cost.mul_count += wp.pair_rows * k * n
     cost.add_count += 3 * wp.pair_rows * k * n
     return out[:m]
@@ -174,7 +162,6 @@ def gemm_mixed(
     x_groups: dict,
     scales: dict,
     cost: CostCounter,
-    row_block: int | None = None,
 ) -> np.ndarray:
     """Two-kernel dispatch over token groups sharing one packed weight matrix.
 
@@ -196,10 +183,10 @@ def gemm_mixed(
     out = np.empty((m, x_hi.shape[1] + x_lo.shape[1]), dtype=np.float32)
     a_w = np.float32(scales["alpha_w"])
     if x_hi.shape[1]:
-        acc = gemm_i8(unpack_int4(wp), x_hi, cost, row_block)
+        acc = gemm_i8(unpack_int4(wp), x_hi, cost)
         out[:, : x_hi.shape[1]] = acc.astype(np.float32) * (a_w * np.float32(scales["alpha_hi"]))
     if x_lo.shape[1]:
-        acc = gemm_i4_packed(wp, x_lo, cost, row_block)
+        acc = gemm_i4_packed(wp, x_lo, cost)
         out[:, x_hi.shape[1] :] = acc.astype(np.float32) * (a_w * np.float32(scales["alpha_lo"]))
     return out
 

@@ -9,8 +9,13 @@ residual adds, embeddings, and the tied head stay in float.
 
 Activation bit widths follow a per-token plan: uniform 4 or 8, or adaptive
 where layer l > 0 plans from layer l-1's attention map in the same pass.
-The integer inference path replaces each projection's matmul with the
-kernel dispatch and reports its instruction cost.
+Each activation site is quantized once per pass by ``group_quantize``.
+
+The architecture is written once. ``forward_tape`` and ``forward_int`` run
+the same forward and differ only in the six projections: the fake-quant path
+multiplies fake-quantized activations and weights on the tape, the integer
+path runs the kernel dispatch on the activation's group codes, on a constant
+tape, and reports its instruction cost.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ import numpy as np
 
 from . import gradtape as gt
 from .kernels import CostCounter, gemm_i8, gemm_mixed, pack_int4
-from .quant import EmaState, QuantSpec, calibrate_scale, clip_surrogate, dequantize, fake_quant, quantize
+from .quant import EmaState, QuantSpec, calibrate_scale, clip_surrogate, fake_quant, quantize
 from .seeding import substream
 from .token_bits import (
     TokenBitPlan,
-    fake_quant_grouped,
+    fake_quant_node,
     group_quantize,
     plan_for_layer,
     scatter_tokens,
@@ -195,6 +200,19 @@ def forward_tape(
     both exist so gradient checks can hold the quantization grid fixed.
     ``surrogate`` swaps rounding for the clip-only forward.
     """
+    return _forward(tape, tp, tokens, cfg, quantized, training, calib, plans_override, scale_overrides, surrogate)
+
+
+def _forward(
+    tape, tp, tokens, cfg, quantized=False, training=False, calib=None,
+    plans_override=None, scale_overrides=None, surrogate=False, cost=None,
+) -> ForwardResult:
+    """The architecture, written once.
+
+    Projections fake-quantize their operands and multiply on the tape or,
+    given a ``cost`` counter, run the integer kernels on the activation's
+    group codes and enter the product as a constant.
+    """
     tokens = np.asarray(tokens, dtype=np.int64)
     t_len = tokens.size
     if not 1 <= t_len <= cfg.seq_len:
@@ -202,20 +220,17 @@ def forward_tape(
     overrides = scale_overrides or {}
     scales_used: dict = {}
 
-    def fq_weight(name):
-        node = tp[name]
-        if not quantized:
-            return node
+    def weight_scale(name):
         scale = overrides.get(name)
         if scale is None:
-            scale = calibrate_scale(node.array, cfg.weight_bits)
+            scale = calibrate_scale(tp[name].array, cfg.weight_bits)
         scales_used[name] = scale
-        spec = QuantSpec(bits=cfg.weight_bits, scale=scale, target="weight")
-        return (clip_surrogate if surrogate else fake_quant)(node, spec)
+        return scale
 
     def fq_act(node, layer, site, plan):
+        """Fake-quant node of one activation site and the group codes behind it."""
         if not quantized:
-            return node
+            return node, None
         key = f"l{layer}.{site}"
         kw = {}
         for group in ("hi", "lo"):
@@ -224,24 +239,22 @@ def forward_tape(
                 kw[f"scale_{group}"] = overrides[gkey]
             elif calib is not None:
                 kw[f"ema_{group}"] = calib.get(gkey)
-        out = fake_quant_grouped(node, plan, training=training, surrogate=surrogate, **kw)
-        for group, idx in (("hi", plan.bits == 8), ("lo", plan.bits == 4)):
-            if idx.any():
-                rows = node.array[idx]
-                gkey = f"{key}.{group}"
-                if gkey in overrides:
-                    scales_used[gkey] = overrides[gkey]
-                else:
-                    bits = 8 if group == "hi" else 4
-                    ema = calib.get(gkey) if calib is not None else None
-                    if ema is not None:
-                        frozen = ema.running_max
-                        scales_used[gkey] = (
-                            frozen / ((1 << (bits - 1)) - 1) if frozen > 0 else 1.0
-                        )
-                    else:
-                        scales_used[gkey] = calibrate_scale(rows, bits)
-        return out
+        gq = group_quantize(node.array, plan, training=training, **kw)
+        for group, idx, q in (("hi", gq.groups.hi_indices, gq.q_hi), ("lo", gq.groups.lo_indices, gq.q_lo)):
+            if idx.size:
+                scales_used[f"{key}.{group}"] = q.scale
+        return fake_quant_node(node, gq, surrogate), gq
+
+    def linear(act, name, bias):
+        xq, gq = act
+        if not quantized:
+            y = gt.matmul(xq, tp[name])
+        elif cost is None:
+            spec = QuantSpec(bits=cfg.weight_bits, scale=weight_scale(name), target="weight")
+            y = gt.matmul(xq, (clip_surrogate if surrogate else fake_quant)(tp[name], spec))
+        else:
+            y = tape.constant(_linear_int(gq, tp[name].array, weight_scale(name), cfg.weight_bits, cost))
+        return gt.add_bias(y, tp[bias])
 
     dh = cfg.head_dim
     pos_ids = np.arange(t_len)
@@ -254,11 +267,11 @@ def forward_tape(
         plan = _plan_for(cfg, l, maps_so_far, t_len, plans_override) if quantized else None
         plans.append(plan)
         qx = fq_act(h1, l, "attn_in", plan)
-        q = gt.add_bias(gt.matmul(qx, fq_weight(p + "attn.wq")), tp[p + "attn.bq"])
-        k = gt.add_bias(gt.matmul(qx, fq_weight(p + "attn.wk")), tp[p + "attn.bk"])
-        v = gt.add_bias(gt.matmul(qx, fq_weight(p + "attn.wv")), tp[p + "attn.bv"])
-        q = fq_act(q, l, "q_post", plan)
-        k = fq_act(k, l, "k_post", plan)
+        q = linear(qx, p + "attn.wq", p + "attn.bq")
+        k = linear(qx, p + "attn.wk", p + "attn.bk")
+        v = linear(qx, p + "attn.wv", p + "attn.bv")
+        q, _ = fq_act(q, l, "q_post", plan)
+        k, _ = fq_act(k, l, "k_post", plan)
         q_nodes.append(q)
         k_nodes.append(k)
         heads, ctx_parts = [], []
@@ -272,14 +285,11 @@ def forward_tape(
             ctx_parts.append(gt.matmul(probs, vh))
         attn_nodes.append(heads)
         maps_so_far.append(np.stack([pr.array for pr in heads]))
-        ctx = gt.concat_cols(ctx_parts)
-        ctx = fq_act(ctx, l, "attn_out", plan)
-        x = gt.add(x, gt.add_bias(gt.matmul(ctx, fq_weight(p + "attn.wo")), tp[p + "attn.bo"]))
+        ctx = fq_act(gt.concat_cols(ctx_parts), l, "attn_out", plan)
+        x = gt.add(x, linear(ctx, p + "attn.wo", p + "attn.bo"))
         h2 = gt.layernorm(x, tp[p + "ln2.g"], tp[p + "ln2.b"])
-        mx = fq_act(h2, l, "mlp_in", plan)
-        hid = gt.gelu(gt.add_bias(gt.matmul(mx, fq_weight(p + "mlp.w1")), tp[p + "mlp.b1"]))
-        hq = fq_act(hid, l, "mlp_hidden", plan)
-        x = gt.add(x, gt.add_bias(gt.matmul(hq, fq_weight(p + "mlp.w2")), tp[p + "mlp.b2"]))
+        hid = gt.gelu(linear(fq_act(h2, l, "mlp_in", plan), p + "mlp.w1", p + "mlp.b1"))
+        x = gt.add(x, linear(fq_act(hid, l, "mlp_hidden", plan), p + "mlp.w2", p + "mlp.b2"))
     xf = gt.layernorm(x, tp["lnf.g"], tp["lnf.b"])
     logits = gt.matmul(xf, gt.transpose(tp["tok_emb"]))
     return ForwardResult(
@@ -300,25 +310,13 @@ def forward_teacher(cfg: MicroTransformerConfig, params: dict, tokens) -> Forwar
     return forward_tape(tape, tp, tokens, cfg, quantized=False)
 
 
-# ---------------------------------------------------------------------------
-# integer inference path
-
-
-def _linear_int(x, w, b, cfg, plan, calib, key, cost):
-    """Quantized projection via the integer kernels, float bias after."""
-    gq = group_quantize(
-        x,
-        plan,
-        ema_hi=calib.get(f"{key}.hi") if calib else None,
-        ema_lo=calib.get(f"{key}.lo") if calib else None,
-        training=False,
-    )
-    w_scale = calibrate_scale(w, cfg.weight_bits)
-    w_ints = quantize(w, QuantSpec(bits=cfg.weight_bits, scale=w_scale)).ints
+def _linear_int(gq, w, w_scale, weight_bits, cost) -> np.ndarray:
+    """Integer-kernel product of group codes and quantized weights, in token order."""
+    w_ints = quantize(w, QuantSpec(bits=weight_bits, scale=w_scale)).ints
     x_hi = gq.q_hi.ints.T  # kernel layout: [K, tokens]
     x_lo = gq.q_lo.ints.T
     wk = w_ints.T  # [out_dim, K]
-    if cfg.weight_bits == 4:
+    if weight_bits == 4:
         out_grouped = gemm_mixed(
             pack_int4(wk),
             {"hi": x_hi, "lo": x_lo},
@@ -336,19 +334,7 @@ def _linear_int(x, w, b, cfg, plan, calib, key, cost):
                 parts.append(np.zeros((wk.shape[0], 0), dtype=np.float32))
         out_grouped = np.concatenate(parts, axis=1)
     n_hi = x_hi.shape[1]
-    out = scatter_tokens(out_grouped.T[:n_hi], out_grouped.T[n_hi:], gq.groups)
-    return out + b
-
-
-def _dequant_rows(x, plan, calib, key):
-    gq = group_quantize(
-        x,
-        plan,
-        ema_hi=calib.get(f"{key}.hi") if calib else None,
-        ema_lo=calib.get(f"{key}.lo") if calib else None,
-        training=False,
-    )
-    return scatter_tokens(dequantize(gq.q_hi), dequantize(gq.q_lo), gq.groups)
+    return scatter_tokens(out_grouped.T[:n_hi], out_grouped.T[n_hi:], gq.groups)
 
 
 def forward_int(
@@ -360,47 +346,18 @@ def forward_int(
 ) -> tuple[np.ndarray, list]:
     """Integer-kernel forward; returns (logits, per-layer bit plans).
 
-    Float everywhere except the six projections, which run on quantized
-    operands through the kernel dispatch. Uses frozen calibration scales.
+    The forward of ``forward_tape`` on a constant tape, with the six
+    projections run on quantized operands through the kernel dispatch.
+    Uses frozen calibration scales.
     """
+    tape = gt.Tape(dtype=np.float32)
+    tp = params_to_tape(tape, params, trainable=False)
     cost = cost if cost is not None else CostCounter()
-    tokens = np.asarray(tokens, dtype=np.int64)
-    t_len = tokens.size
-    if not 1 <= t_len <= cfg.seq_len:
-        raise ValueError(f"sequence length {t_len} outside [1, {cfg.seq_len}]")
-    if tokens.min() < 0 or tokens.max() >= cfg.vocab:
-        raise IndexError("token id out of range")
-    dh = cfg.head_dim
-    x = params["tok_emb"][tokens] + params["pos_emb"][:t_len]
-    maps_so_far: list = []
-    plans = []
-    for l in range(cfg.layers):
-        p = f"l{l}."
-        h1 = gt.layernorm_forward(x, params[p + "ln1.g"], params[p + "ln1.b"]).astype(np.float32)
-        plan = _plan_for(cfg, l, maps_so_far, t_len, None)
-        plans.append(plan)
-        q = _linear_int(h1, params[p + "attn.wq"], params[p + "attn.bq"], cfg, plan, calib, f"l{l}.attn_in", cost)
-        k = _linear_int(h1, params[p + "attn.wk"], params[p + "attn.bk"], cfg, plan, calib, f"l{l}.attn_in", cost)
-        v = _linear_int(h1, params[p + "attn.wv"], params[p + "attn.bv"], cfg, plan, calib, f"l{l}.attn_in", cost)
-        q = _dequant_rows(q, plan, calib, f"l{l}.q_post")
-        k = _dequant_rows(k, plan, calib, f"l{l}.k_post")
-        head_maps, ctx_parts = [], []
-        for h in range(cfg.heads):
-            qh, kh = q[:, h * dh : (h + 1) * dh], k[:, h * dh : (h + 1) * dh]
-            scores = (qh @ kh.T) * np.float32(1.0 / math.sqrt(dh))
-            probs = gt.softmax_forward(scores, causal=True).astype(np.float32)
-            head_maps.append(probs)
-            ctx_parts.append(probs @ v[:, h * dh : (h + 1) * dh])
-        maps_so_far.append(np.stack(head_maps))
-        ctx = np.concatenate(ctx_parts, axis=1).astype(np.float32)
-        x = x + _linear_int(ctx, params[p + "attn.wo"], params[p + "attn.bo"], cfg, plan, calib, f"l{l}.attn_out", cost)
-        h2 = gt.layernorm_forward(x, params[p + "ln2.g"], params[p + "ln2.b"]).astype(np.float32)
-        hid = gt.gelu_forward(
-            _linear_int(h2, params[p + "mlp.w1"], params[p + "mlp.b1"], cfg, plan, calib, f"l{l}.mlp_in", cost)
-        ).astype(np.float32)
-        x = x + _linear_int(hid, params[p + "mlp.w2"], params[p + "mlp.b2"], cfg, plan, calib, f"l{l}.mlp_hidden", cost)
-    xf = gt.layernorm_forward(x, params["lnf.g"], params["lnf.b"]).astype(np.float32)
-    return xf @ params["tok_emb"].T, plans
+    res = _forward(tape, tp, tokens, cfg, quantized=True, calib=calib, cost=cost)
+    # each node points back at the tape; emptying its record breaks that
+    # cycle so the window's arrays are freed now, not by a later gc pass
+    tape.nodes.clear()
+    return res.logits.array, res.plans
 
 
 def perplexity_eval(

@@ -157,8 +157,14 @@ def clip_surrogate(x: gt.Tensor, spec: QuantSpec) -> gt.Tensor:
     Drop-in stand-in for fake_quant when a differentiable-almost-everywhere
     forward is needed, e.g. finite-difference checks of the STE backward.
     """
+    y, mask = _clip(x.array, spec)
+    return x.tape.record(y, (x,), lambda g: (g * mask,), name=f"clip{spec.bits}")
+
+
+def _clip(x: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Clip-only forward values and their in-range mask, in the dtype of x."""
     lo = spec.qmin * spec.scale
     hi = spec.qmax * spec.scale
-    y = np.clip(x.array, x.tape.dtype.type(lo), x.tape.dtype.type(hi))
-    mask = ((x.array >= lo) & (x.array <= hi)).astype(x.tape.dtype)
-    return x.tape.record(y, (x,), lambda g: (g * mask,), name=f"clip{spec.bits}")
+    y = np.clip(x, x.dtype.type(lo), x.dtype.type(hi))
+    mask = ((x >= lo) & (x <= hi)).astype(x.dtype)
+    return y, mask

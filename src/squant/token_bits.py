@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradtape as gt
-from .quant import EmaState, QuantSpec, QuantizedTensor, calibrate_scale, fake_quant, quantize
+from .quant import EmaState, QuantSpec, QuantizedTensor, _clip, _ste_mask, calibrate_scale, dequantize, quantize
 
 __all__ = [
     "AttentionMap",
@@ -26,6 +26,7 @@ __all__ = [
     "TokenGroups",
     "assign_bits",
     "fake_quant_grouped",
+    "fake_quant_node",
     "gather_tokens",
     "group_quantize",
     "heap_topk",
@@ -263,31 +264,38 @@ def fake_quant_grouped(
     training: bool = True,
     surrogate: bool = False,
 ) -> gt.Tensor:
-    """Tape version of group_quantize: fake-quant each group, restore order.
+    """Tape version of group_quantize: one node over its group codes.
 
-    With ``surrogate`` the rounding is replaced by the clip-only stand-in
-    (used for finite-difference checks); gradients flow through the gathers
-    with the per-group straight-through masks either way.
+    Scales follow group_quantize's precedence; see fake_quant_node for the
+    forward and the straight-through backward.
     """
-    from .quant import clip_surrogate
+    gq = group_quantize(x.array, plan, ema_hi, ema_lo, scale_hi, scale_lo, training)
+    return fake_quant_node(x, gq, surrogate)
 
-    n = plan.bits.size
-    if x.shape[0] != n:
-        raise ValueError(f"x has {x.shape[0]} rows, plan covers {n}")
-    groups = _groups_from_plan(plan)
-    quantizer = clip_surrogate if surrogate else fake_quant
-    parts = []
-    for idx, bits, ema, fixed in (
-        (groups.hi_indices, 8, ema_hi, scale_hi),
-        (groups.lo_indices, 4, ema_lo, scale_lo),
-    ):
-        if idx.size == 0:
-            continue
-        rows = gt.gather_rows(x, idx)
-        scale = _group_scale(rows.array, bits, ema, fixed, training)
-        parts.append(quantizer(rows, QuantSpec(bits=bits, scale=scale, target="activation")))
-    if len(parts) == 1:
-        stacked = parts[0]
+
+def fake_quant_node(x: gt.Tensor, gq: GroupQuant, surrogate: bool = False) -> gt.Tensor:
+    """Tape node whose forward is gq's dequantized codes in token order.
+
+    ``gq`` must come from ``group_quantize(x.array, ...)``. With ``surrogate``
+    the forward clips each group to its representable interval instead of
+    rounding (used for finite-difference checks). The backward passes the
+    gradient where the group's straight-through mask is 1 and +0.0 elsewhere.
+    """
+    groups = gq.groups
+    spec_hi, spec_lo = (QuantSpec(bits=q.bits, scale=q.scale, target="activation") for q in (gq.q_hi, gq.q_lo))
+    if surrogate:
+        x_hi, x_lo = gather_tokens(x.array, groups)
+        (y_hi, m_hi), (y_lo, m_lo) = _clip(x_hi, spec_hi), _clip(x_lo, spec_lo)
+        y, mask = scatter_tokens(y_hi, y_lo, groups), scatter_tokens(m_hi, m_lo, groups)
     else:
-        stacked = gt.concat_rows(parts)
-    return gt.gather_rows(stacked, groups.inverse)
+        y = scatter_tokens(dequantize(gq.q_hi, x.tape.dtype), dequantize(gq.q_lo, x.tape.dtype), groups)
+        mask = None
+
+    def vjp(g):
+        m = mask
+        if m is None:  # the rounding mask is built only when a backward pass needs it
+            x_hi, x_lo = gather_tokens(x.array, groups)
+            m = scatter_tokens(_ste_mask(x_hi, spec_hi), _ste_mask(x_lo, spec_lo), groups)
+        return (g * m + 0.0,)  # + 0.0 turns g * 0 for negative g into +0.0
+
+    return x.tape.record(y, (x,), vjp, name="fake_quant_grouped")

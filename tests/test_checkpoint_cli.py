@@ -365,6 +365,26 @@ class TestInspectCommand:
             rows = list(csv.DictReader(f))
         assert {r["token_index"] for r in rows} == {str(i) for i in range(8)}
 
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            "0,1,999",  # past the vocabulary of 64
+            "-1,2",
+            "a,b",
+            "1.5",
+            "",
+            ",".join(["1"] * 40),  # longer than seq_len 32
+        ],
+    )
+    def test_bad_tokens_usage_error(self, tiny_run, tmp_path, capsys, tokens):
+        _, out = tiny_run
+        capsys.readouterr()
+        argv = ["inspect", "--checkpoint", str(out / "student.ckpt"), f"--tokens={tokens}", "--out", str(tmp_path)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("inspect: --tokens"), err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_checkpoint_usage_error(self, tmp_path):
         assert cli_main(["inspect", "--checkpoint", str(tmp_path / "nope.ckpt"), "--out", str(tmp_path)]) == 2
 

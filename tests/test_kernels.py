@@ -162,20 +162,6 @@ class TestGemmI4Packed:
         assert cp.mul_count * 2 == cb.mul_count
 
 
-class TestRowBlocking:
-    def test_identical_across_block_sizes(self):
-        rng = substream(3, "blocks")
-        w, x = random_case(rng, max_dim=33)
-        wp = pack_int4(w)
-        base_b = gemm_i8(w, x, CostCounter())
-        base_p = gemm_i4_packed(wp, x, CostCounter())
-        for block in (1, 2, 3, 7, 64):
-            np.testing.assert_array_equal(gemm_i8(w, x, CostCounter(), row_block=block), base_b)
-            np.testing.assert_array_equal(
-                gemm_i4_packed(wp, x, CostCounter(), row_block=block), base_p
-            )
-
-
 class TestGemmMixed:
     def scales(self):
         return {"alpha_w": 0.05, "alpha_hi": 0.02, "alpha_lo": 0.3}

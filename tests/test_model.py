@@ -136,6 +136,23 @@ class TestStudentForward:
             assert f"l0.{site}.hi" in calib.ema  # layer 0 runs all-8
         assert "l1.attn_in.lo" in calib.ema  # layer 1 has a 4-bit group at rho=0.5
 
+    def test_training_scales_follow_updated_ema(self):
+        cfg = small_cfg(act_bits="adaptive", rho=0.5)
+        calib = Calibration()
+        tape = gt.Tape(dtype=np.float32)
+        tp = params_to_tape(tape, init_params(cfg))
+        res = forward_tape(tape, tp, tokens_for(cfg), cfg, quantized=True, training=True, calib=calib)
+        expected = {}
+        for l, plan in enumerate(res.plans):
+            for group, bits in (("hi", 8), ("lo", 4)):
+                if (plan.bits == bits).any():
+                    for site in ACT_SITES:
+                        key = f"l{l}.{site}.{group}"
+                        expected[key] = calib.ema[key].running_max / ((1 << (bits - 1)) - 1)
+        assert any(key.endswith(".lo") for key in expected)
+        got = {key: res.scales_used[key] for key in res.scales_used if key.endswith((".hi", ".lo"))}
+        assert got == expected
+
     def test_scale_and_plan_overrides_pin_the_grid(self):
         cfg = small_cfg(weight_bits=8, act_bits=8)
         params = init_params(cfg)
@@ -199,6 +216,30 @@ class TestIntegerPath:
             forward_int(cfg, params, toks, calib=None, cost=cost)
             counts[name] = cost.mul_count
         assert counts["a4"] < counts["mixed"] < counts["a8"]
+
+    def test_one_group_quantize_per_site(self, monkeypatch):
+        # attn_in feeds q, k and v from one set of group codes
+        import squant.model
+        import squant.token_bits
+
+        calls = []
+        original = squant.token_bits.group_quantize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (squant.model, squant.token_bits):
+            if getattr(module, "group_quantize", None) is original:
+                monkeypatch.setattr(module, "group_quantize", counting)
+        cfg = small_cfg(act_bits="adaptive", rho=0.5)
+        calib = Calibration()
+        forward_int(cfg, init_params(cfg), tokens_for(cfg), calib=calib)
+        assert len(calls) == len(ACT_SITES) * cfg.layers
+        assert set(calib.ema) == {
+            f"l{l}.{site}.{group}" for l in range(cfg.layers) for site in ACT_SITES for group in ("hi", "lo")
+        }
+        assert not any(ema.initialized for ema in calib.ema.values())
 
     def test_int_path_token_validation(self):
         cfg = small_cfg()

@@ -296,6 +296,29 @@ class TestFakeQuantGrouped:
         # and the gradient is exactly w routed back through the permutation
         np.testing.assert_array_equal(t.grad, w)
 
+    def test_gradient_is_group_ste_mask_in_token_order(self):
+        rng = substream(5, "fqg-clip")
+        x = rng.normal(size=(8, 4))
+        g = rng.normal(size=(8, 4))
+        plan = assign_bits(rng.uniform(size=8), 0.5)
+        scales = {8: 0.006, 4: 0.15}  # small enough that both groups clip
+        tape = gt.Tape(dtype=np.float64)
+        t = tape.parameter(x)
+        y = fake_quant_grouped(t, plan, scale_hi=scales[8], scale_lo=scales[4], training=False)
+        tape.backward(gt.sum_all(gt.mul(y, tape.constant(g))))
+        mask = np.zeros_like(x)
+        for bits, scale in scales.items():
+            idx = np.flatnonzero(plan.bits == bits)
+            ref_tape = gt.Tape(dtype=np.float64)
+            rows = ref_tape.parameter(x[idx])
+            ref_tape.backward(gt.sum_all(fake_quant(rows, QuantSpec(bits=bits, scale=scale, target="activation"))))
+            assert 0 < rows.grad.sum() < rows.grad.size  # this group clips somewhere
+            mask[idx] = rows.grad
+        np.testing.assert_array_equal(t.grad, np.where(mask == 1.0, g, 0.0))
+        clipped = mask == 0.0
+        assert (clipped & (g < 0)).any()
+        assert not np.signbit(t.grad[clipped]).any()  # +0.0, never -0.0
+
     def test_fixed_scales_bypass_calibration(self):
         x = np.ones((4, 2)) * 3.0
         tape = gt.Tape(dtype=np.float64)
