@@ -53,6 +53,7 @@ from . import gradtape as gt
 DEFAULT_BENCH_SHAPES = ((8, 8, 8), (16, 16, 16), (32, 32, 32), (64, 64, 64), (64, 32, 8), (32, 8, 64))
 
 _MODEL_KEYS = {f.name for f in fields(MicroTransformerConfig)}
+_SIZES = {"layers", "heads", "dim", "vocab", "seq_len"}  # integers >= 1; other integers >= 0
 
 
 class RunConfigError(ValueError):
@@ -104,6 +105,11 @@ def load_run_config(path: str | None) -> RunConfig:
             run_kwargs[key] = value
         else:
             raise RunConfigError(f"unknown config key {key!r}")
+    for f in fields(MicroTransformerConfig) + fields(RunConfig):
+        if f.type in (int, "int") and f.name in raw:
+            value, least = raw[f.name], int(f.name in _SIZES)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise RunConfigError(f"{f.name} must be an integer >= {least}, got {value!r}")
     if "bench_shapes" in run_kwargs:
         run_kwargs["bench_shapes"] = tuple(tuple(int(v) for v in s) for s in run_kwargs["bench_shapes"])
     if "act_bits" in model_kwargs and isinstance(model_kwargs["act_bits"], str) and model_kwargs["act_bits"].isdigit():
@@ -128,9 +134,14 @@ def _load_corpus(rc: RunConfig) -> np.ndarray:
     if rc.corpus is not None:
         try:
             tokens = np.load(rc.corpus)
-        except OSError as e:
+        except (OSError, ValueError) as e:
             raise RunConfigError(f"cannot read corpus {rc.corpus}: {e}") from e
-        return np.asarray(tokens, dtype=np.int64)
+        vocab = rc.model.vocab
+        if not isinstance(tokens, np.ndarray) or tokens.ndim != 1 or tokens.dtype.kind not in "iu":
+            raise RunConfigError(f"corpus {rc.corpus} is not a 1-D integer token array")
+        if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab):
+            raise RunConfigError(f"corpus {rc.corpus} has token ids outside [0, {vocab})")
+        return tokens.astype(np.int64)
     return make_corpus(rc.model.seed, rc.model.vocab, rc.corpus_length)
 
 

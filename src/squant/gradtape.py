@@ -1,12 +1,16 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-Deliberately small: 2-D matmul, row softmax with causal masking, layernorm,
+Deliberately small: matmul, row softmax with causal masking, layernorm,
 cross entropy, temperature-scaled KL, and the elementwise/reduction glue a
-micro decoder-only transformer needs. Values are float32 by default; a tape
-can be built in float64 when tight finite-difference checks are wanted.
+micro decoder-only transformer needs. Matmul, transpose and softmax also take
+leading batch axes, so attention runs over all heads as one op on an
+[H, T, T] node. Values are float32 by default; a tape can be built in float64
+when tight finite-difference checks are wanted.
 
 Nodes append to the tape in creation order, so the record is topologically
 sorted by construction and the backward sweep is a single reverse pass.
+Constants are folded: a node whose parents are all constants is a constant
+itself, and the tape records neither, so a tape of constants holds no nodes.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ __all__ = [
     "add",
     "add_bias",
     "add_scalar",
-    "concat_cols",
-    "concat_rows",
+    "clamp_max",
+    "concat",
     "cross_entropy",
     "div",
     "exp",
@@ -33,17 +37,20 @@ __all__ = [
     "log",
     "matmul",
     "mean_all",
+    "merge_heads",
     "mul",
     "mul_scalar",
     "neg",
     "softmax_rows",
     "softmax_forward",
-    "slice_cols",
+    "split_heads",
     "sqrt",
     "sub",
     "sum_all",
+    "sum_in_order",
+    "sum_per",
     "transpose",
-    "variance_all",
+    "variance_per",
 ]
 
 
@@ -54,6 +61,7 @@ class Tensor:
     a vector-Jacobian callback). Arrays are immutable once recorded: every op
     allocates its output, nothing writes in place. Construction rejects NaN
     and Inf so numerical blowups surface at the op that produced them.
+    A constant, leaf or folded, keeps no parents and is not recorded.
     """
 
     __slots__ = ("tape", "index", "array", "parents", "vjp", "grad", "name", "constant")
@@ -72,6 +80,8 @@ class Tensor:
         array = np.asarray(array, dtype=tape.dtype, order="C")
         if not np.all(np.isfinite(array)):
             raise ValueError(f"non-finite values in tensor {name or '<anon>'}")
+        if parents and all(p.constant for p in parents):
+            constant, parents, vjp = True, (), None
         self.tape = tape
         self.array = array
         self.parents = tuple(parents)
@@ -79,8 +89,10 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.name = name
         self.constant = constant
-        self.index = len(tape.nodes)
-        tape.nodes.append(self)
+        self.index = -1
+        if not constant:
+            self.index = len(tape.nodes)
+            tape.nodes.append(self)
 
     @property
     def shape(self) -> tuple:
@@ -149,7 +161,7 @@ class Tape:
         return Tensor(self, array, name=name)
 
     def constant(self, array, name: str | None = None) -> Tensor:
-        """Record a leaf excluded from gradient accumulation."""
+        """A leaf excluded from gradient accumulation (not recorded)."""
         return Tensor(self, array, name=name, constant=True)
 
     def record(
@@ -316,81 +328,118 @@ def mean_all(x: Tensor) -> Tensor:
     )
 
 
-def variance_all(x: Tensor) -> Tensor:
-    """Population variance over all elements."""
-    a = x.array
-    n = a.size
-    mu = a.mean(dtype=x.tape.dtype)
-    out = np.asarray(((a - mu) ** 2).mean(dtype=x.tape.dtype))
-    return Tensor(x.tape, out, (x,), lambda g: (g * 2.0 * (a - mu) / n,), name="variance")
+def sum_in_order(x: Tensor) -> Tensor:
+    """Left-to-right sum of a 1-D tensor, as a chain of ``add`` rounds it
+    (numpy's pairwise ``sum`` rounds differently from 8 elements on)."""
+    if x.array.ndim != 1:
+        raise ValueError(f"sum_in_order needs a 1-D tensor, got {x.shape}")
+    out = np.cumsum(x.array)[-1]
+    return Tensor(x.tape, out, (x,), lambda g: (np.broadcast_to(g, x.shape),), name="sum_in_order")
+
+
+def sum_per(x: Tensor) -> Tensor:
+    """[B, ...] -> [B]: the sum over all trailing axes, per leading index."""
+    flat = x.array.reshape(len(x.array), -1)
+
+    def vjp(g):
+        return (np.broadcast_to(g[:, None], flat.shape).reshape(x.shape),)
+
+    return Tensor(x.tape, flat.sum(axis=1, dtype=x.tape.dtype), (x,), vjp, name="sum_per")
+
+
+def variance_per(x: Tensor) -> Tensor:
+    """[B, ...] -> [B]: population variance over all trailing axes, per leading index."""
+    a = x.array.reshape(len(x.array), -1)
+    mu = a.mean(axis=1, dtype=x.tape.dtype, keepdims=True)
+    out = ((a - mu) ** 2).mean(axis=1, dtype=x.tape.dtype)
+
+    def vjp(g):
+        return ((g[:, None] * 2.0 * (a - mu) / a.shape[1]).reshape(x.shape),)
+
+    return Tensor(x.tape, out, (x,), vjp, name="variance")
+
+
+def clamp_max(x: Tensor, ceiling) -> Tensor:
+    """min(x, ceiling) for a constant ceiling of x's shape; no gradient at or above it."""
+    c = np.asarray(ceiling)
+    if c.shape != x.shape:
+        raise ValueError(f"ceiling shape {c.shape} does not match {x.shape}")
+    below = x.array < c
+    out = np.where(below, x.array, c)
+    return Tensor(x.tape, out, (x,), lambda g: (np.where(below, g, 0.0),), name="clamp_max")
 
 
 # ---------------------------------------------------------------------------
 # linear algebra and indexing
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """View with the last two axes swapped (``a.T`` for 2-D arrays)."""
+    return np.swapaxes(a, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard 2-D product; dA = g @ B^T, dB = A^T @ g."""
+    """Product over the last two axes, batched over equal leading axes.
+
+    dA = g @ B^T, dB = A^T @ g. Each batch entry runs the BLAS call the 2-D
+    product of that entry runs, so batching does not change the bits.
+    """
     tape = _same_tape(a, b)
-    if a.array.ndim != 2 or b.array.ndim != 2:
-        raise ValueError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.array.ndim < 2 or a.array.ndim != b.array.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"matmul needs 2-D operands or equal batch axes, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner dims differ: {a.shape} x {b.shape}")
 
     def vjp(g):
-        return (g @ b.array.T, a.array.T @ g)
+        return (g @ _t(b.array), _t(a.array) @ g)
 
     return Tensor(tape, a.array @ b.array, (a, b), vjp, name="matmul")
 
 
 def transpose(x: Tensor) -> Tensor:
-    if x.array.ndim != 2:
+    """Swap the last two axes."""
+    if x.array.ndim < 2:
         raise ValueError(f"transpose needs a 2-D tensor, got {x.shape}")
-    return Tensor(x.tape, x.array.T.copy(), (x,), lambda g: (g.T,), name="transpose")
+    return Tensor(x.tape, _t(x.array).copy(), (x,), lambda g: (_t(g),), name="transpose")
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.array.ndim != 2:
-        raise ValueError(f"slice_cols needs a 2-D tensor, got {x.shape}")
-    if not (0 <= start <= stop <= x.shape[1]):
-        raise ValueError(f"column slice [{start}:{stop}] out of range for {x.shape}")
-
-    def vjp(g):
-        full = np.zeros(x.shape, dtype=x.tape.dtype)
-        full[:, start:stop] = g
-        return (full,)
-
-    return Tensor(x.tape, x.array[:, start:stop].copy(), (x,), vjp, name="slice_cols")
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    tape = _same_tape(*parts)
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.array.ndim != 2 or p.shape[0] != rows:
-            raise ValueError("concat_cols needs 2-D tensors with equal row counts")
-    widths = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    """[T, D] -> [H, T, D/H]: head h owns the column block [h*dh, (h+1)*dh)."""
+    if x.array.ndim != 2 or x.shape[1] % heads:
+        raise ValueError(f"width of {x.shape} not divisible by {heads} heads")
+    t, d = x.shape
 
     def vjp(g):
-        return tuple(g[:, offsets[i] : offsets[i + 1]] for i in range(len(parts)))
+        # C order, as downstream BLAS products round by layout
+        return (np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(t, d),)
 
-    return Tensor(tape, np.concatenate([p.array for p in parts], axis=1), tuple(parts), vjp, name="concat_cols")
+    return Tensor(x.tape, x.array.reshape(t, heads, d // heads).transpose(1, 0, 2), (x,), vjp, name="split_heads")
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+def merge_heads(x: Tensor) -> Tensor:
+    """[H, T, dh] -> [T, H*dh], the inverse of ``split_heads``."""
+    if x.array.ndim != 3:
+        raise ValueError(f"merge_heads needs an [H, T, dh] tensor, got {x.shape}")
+    h, t, dh = x.shape
+
+    def vjp(g):
+        return (np.ascontiguousarray(g.reshape(t, h, dh).transpose(1, 0, 2)),)
+
+    return Tensor(x.tape, x.array.transpose(1, 0, 2).reshape(t, h * dh), (x,), vjp, name="merge_heads")
+
+
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join tensors of equal trailing shape along the leading axis."""
     tape = _same_tape(*parts)
-    cols = parts[0].shape[-1]
     for p in parts:
-        if p.array.ndim != 2 or p.shape[1] != cols:
-            raise ValueError("concat_rows needs 2-D tensors with equal column counts")
-    heights = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + heights)
+        if p.array.ndim == 0 or p.shape[1:] != parts[0].shape[1:]:
+            raise ValueError("concat needs tensors with equal trailing shapes")
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
 
     def vjp(g):
         return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(parts)))
 
-    return Tensor(tape, np.concatenate([p.array for p in parts], axis=0), tuple(parts), vjp, name="concat_rows")
+    return Tensor(tape, np.concatenate([p.array for p in parts]), tuple(parts), vjp, name="concat")
 
 
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -416,7 +465,7 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
 def softmax_forward(x: np.ndarray, causal: bool = False) -> np.ndarray:
     """Numerically stabilized row softmax; causal masks j > i to exact zero."""
     if causal:
-        mask = np.tril(np.ones(x.shape, dtype=bool))
+        mask = np.tril(np.ones(x.shape[-2:], dtype=bool))
         shifted = np.where(mask, x, -np.inf)
         e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
         e = np.where(mask, e, 0.0)
@@ -426,9 +475,10 @@ def softmax_forward(x: np.ndarray, causal: bool = False) -> np.ndarray:
 
 
 def softmax_rows(x: Tensor, causal: bool = False) -> Tensor:
-    if x.array.ndim != 2:
+    """Softmax over the last axis; causal maps must be square in the last two."""
+    if x.array.ndim < 2:
         raise ValueError(f"softmax_rows needs a 2-D tensor, got {x.shape}")
-    if causal and x.shape[0] != x.shape[1]:
+    if causal and x.shape[-1] != x.shape[-2]:
         raise ValueError(f"causal softmax needs a square tensor, got {x.shape}")
     y = softmax_forward(x.array, causal).astype(x.tape.dtype)
 

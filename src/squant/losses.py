@@ -167,7 +167,8 @@ def entropy_loss_node(
     """Entropy term over per-layer [N, d] quantized q/k tape tensors.
 
     Head h owns the column block [h*dh, (h+1)*dh); variances are taken over
-    that whole block. Also returns the detached variance values.
+    that whole block, one per (layer, head) over the stacked heads. Also
+    returns the detached variance values.
 
     ``ceiling`` ([L, H], see ``entropy_ceiling``) anchors each head: where
     its log(1 + var_q * var_k) reaches the ceiling, the head contributes the
@@ -178,29 +179,17 @@ def entropy_loss_node(
         raise ValueError("need matching non-empty q and k node lists")
 
     def build():
-        var_q, var_k = [], []
-        inner = None
-        for l, (ql, kl) in enumerate(zip(q_nodes, k_nodes)):
-            d = ql.shape[1]
-            if d % heads:
-                raise ValueError(f"width {d} not divisible by {heads} heads")
-            dh = d // heads
-            vq_row, vk_row = [], []
-            for h in range(heads):
-                vq = gt.variance_all(gt.slice_cols(ql, h * dh, (h + 1) * dh))
-                vk = gt.variance_all(gt.slice_cols(kl, h * dh, (h + 1) * dh))
-                vq_row.append(float(vq.array))
-                vk_row.append(float(vk.array))
-                term = gt.log(gt.add_scalar(gt.mul(vq, vk), 1.0))
-                if ceiling is not None and float(term.array) >= ceiling[l][h]:
-                    term = term.tape.constant(
-                        np.asarray(ceiling[l][h]), name=f"entropy_ceiling_{l}_{h}"
-                    )
-                inner = term if inner is None else gt.add(inner, term)
-            var_q.append(vq_row)
-            var_k.append(vk_row)
-        node = gt.neg(gt.log(gt.add_scalar(inner, eps)))
-        return node, GaussianStats(var_q=np.array(var_q), var_k=np.array(var_k))
+        var_q, var_k = (
+            gt.variance_per(gt.concat([gt.split_heads(n, heads) for n in nodes]))
+            for nodes in (q_nodes, k_nodes)
+        )
+        terms = gt.log(gt.add_scalar(gt.mul(var_q, var_k), 1.0))
+        if ceiling is not None:
+            terms = gt.clamp_max(terms, np.reshape(ceiling, terms.shape))
+        # summed left to right over (layer, head)
+        node = gt.neg(gt.log(gt.add_scalar(gt.sum_in_order(terms), eps)))
+        shape = (len(q_nodes), heads)
+        return node, GaussianStats(var_q=var_q.array.reshape(shape), var_k=var_k.array.reshape(shape))
 
     return _wrap_term("entropy", build)
 
@@ -211,7 +200,7 @@ def distribution_loss_node(
     eps: float = EPS,
     literal_sign: bool = False,
 ) -> tuple[gt.Tensor, float]:
-    """Alignment term over per-layer lists of [N, N] student attention nodes.
+    """Alignment term over per-layer [H, N, N] student attention nodes.
 
     ``teacher_probs`` is the detached [L, H, N, N] teacher map stack. Returns
     the loss node and the detached cosine sum.
@@ -219,25 +208,20 @@ def distribution_loss_node(
     teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
 
     def build():
-        total = None
-        for l, layer_nodes in enumerate(attn_nodes):
-            for h, node in enumerate(layer_nodes):
-                tape = node.tape
-                target = teacher_probs[l, h].astype(tape.dtype)
-                if node.shape != target.shape:
-                    raise ValueError(
-                        f"map shape {node.shape} differs from teacher {target.shape}"
-                    )
-                t_const = tape.constant(target, name=f"teacher_map_{l}_{h}")
-                num = gt.sum_all(gt.mul(node, t_const))
-                qq = gt.sqrt(gt.sum_all(gt.mul(node, node)))
-                t_norm = tape.constant(
-                    np.asarray(np.linalg.norm(target)), name=f"teacher_norm_{l}_{h}"
-                )
-                cos = gt.div(num, gt.mul(qq, t_norm))
-                total = cos if total is None else gt.add(total, cos)
-        if total is None:
+        if not attn_nodes:
             raise ValueError("no attention nodes given")
+        maps = gt.concat(attn_nodes)
+        tape = maps.tape
+        if teacher_probs.shape != (len(attn_nodes),) + attn_nodes[0].shape:
+            raise ValueError(f"map shape {attn_nodes[0].shape} differs from teacher {teacher_probs.shape}")
+        target = teacher_probs.reshape(maps.shape).astype(tape.dtype)
+        flat = target.reshape(len(target), 1, -1)
+        # per-map BLAS dot, the one np.linalg.norm takes
+        t_norm = np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(-1)
+        num = gt.sum_per(gt.mul(maps, tape.constant(target, name="teacher_maps")))
+        qq = gt.sqrt(gt.sum_per(gt.mul(maps, maps)))
+        cos = gt.div(num, gt.mul(qq, tape.constant(t_norm, name="teacher_norms")))
+        total = gt.sum_in_order(cos)
         alignment = float(total.array)
         node = gt.log(gt.add_scalar(total, eps))
         if not literal_sign:

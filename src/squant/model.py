@@ -11,11 +11,15 @@ Activation bit widths follow a per-token plan: uniform 4 or 8, or adaptive
 where layer l > 0 plans from layer l-1's attention map in the same pass.
 Each activation site is quantized once per pass by ``group_quantize``.
 
+Attention runs over all heads at once: q, k and v split into [H, T, dh]
+once per layer, and each layer's probabilities are one [H, T, T] node.
+
 The architecture is written once. ``forward_tape`` and ``forward_int`` run
 the same forward and differ only in the six projections: the fake-quant path
 multiplies fake-quantized activations and weights on the tape, the integer
 path runs the kernel dispatch on the activation's group codes, on a constant
-tape, and reports its instruction cost.
+tape, and reports its instruction cost. A tape of constants records no nodes,
+so the teacher and integer forwards leave nothing behind for the collector.
 """
 
 from __future__ import annotations
@@ -160,7 +164,7 @@ class Calibration:
 @dataclass
 class ForwardResult:
     logits: gt.Tensor
-    attn_nodes: list  # [L][H] attention probability nodes
+    attn_nodes: list  # per-layer [H,T,T] attention probability nodes
     attn_probs: np.ndarray  # [L,H,T,T] detached
     q_nodes: list  # per-layer [T,d] post-projection q (quantized when enabled)
     k_nodes: list
@@ -274,18 +278,12 @@ def _forward(
         k, _ = fq_act(k, l, "k_post", plan)
         q_nodes.append(q)
         k_nodes.append(k)
-        heads, ctx_parts = [], []
-        for h in range(cfg.heads):
-            qh = gt.slice_cols(q, h * dh, (h + 1) * dh)
-            kh = gt.slice_cols(k, h * dh, (h + 1) * dh)
-            vh = gt.slice_cols(v, h * dh, (h + 1) * dh)
-            scores = gt.mul_scalar(gt.matmul(qh, gt.transpose(kh)), 1.0 / math.sqrt(dh))
-            probs = gt.softmax_rows(scores, causal=True)
-            heads.append(probs)
-            ctx_parts.append(gt.matmul(probs, vh))
-        attn_nodes.append(heads)
-        maps_so_far.append(np.stack([pr.array for pr in heads]))
-        ctx = fq_act(gt.concat_cols(ctx_parts), l, "attn_out", plan)
+        qh, kh, vh = (gt.split_heads(t, cfg.heads) for t in (q, k, v))
+        scores = gt.mul_scalar(gt.matmul(qh, gt.transpose(kh)), 1.0 / math.sqrt(dh))
+        probs = gt.softmax_rows(scores, causal=True)
+        attn_nodes.append(probs)
+        maps_so_far.append(probs.array)
+        ctx = fq_act(gt.merge_heads(gt.matmul(probs, vh)), l, "attn_out", plan)
         x = gt.add(x, linear(ctx, p + "attn.wo", p + "attn.bo"))
         h2 = gt.layernorm(x, tp[p + "ln2.g"], tp[p + "ln2.b"])
         hid = gt.gelu(linear(fq_act(h2, l, "mlp_in", plan), p + "mlp.w1", p + "mlp.b1"))
@@ -354,9 +352,6 @@ def forward_int(
     tp = params_to_tape(tape, params, trainable=False)
     cost = cost if cost is not None else CostCounter()
     res = _forward(tape, tp, tokens, cfg, quantized=True, calib=calib, cost=cost)
-    # each node points back at the tape; emptying its record breaks that
-    # cycle so the window's arrays are freed now, not by a later gc pass
-    tape.nodes.clear()
     return res.logits.array, res.plans
 
 

@@ -10,7 +10,6 @@ to the uniform 4-bit path everywhere).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -25,11 +24,9 @@ __all__ = [
     "TokenBitPlan",
     "TokenGroups",
     "assign_bits",
-    "fake_quant_grouped",
     "fake_quant_node",
     "gather_tokens",
     "group_quantize",
-    "heap_topk",
     "plan_for_layer",
     "plan_source",
     "scatter_tokens",
@@ -125,30 +122,6 @@ def token_importance(attn: AttentionMap, layer: int) -> np.ndarray:
     return attn.probs[layer, :, :, 0].mean(axis=0)
 
 
-def heap_topk(scores: np.ndarray, k: int) -> tuple[float, np.ndarray]:
-    """k largest scores via a size-k min-heap; ties prefer the lower index.
-
-    Returns (threshold, indices ascending); threshold is the smallest selected
-    score, +inf when k = 0 so that "score >= threshold" selects nothing.
-    """
-    values = scores.tolist() if isinstance(scores, np.ndarray) else list(scores)
-    n = len(values)
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside [0, {n}]")
-    if k == 0:
-        return math.inf, np.empty(0, dtype=np.int64)
-    heap: list = []
-    for i, s in enumerate(values):
-        entry = (s, -i)
-        if len(heap) < k:
-            heapq.heappush(heap, entry)
-        elif entry > heap[0]:
-            heapq.heapreplace(heap, entry)
-    threshold = float(heap[0][0])
-    idx = np.sort(np.array([-neg for _, neg in heap], dtype=np.int64))
-    return threshold, idx
-
-
 def assign_bits(scores: np.ndarray, rho: float) -> TokenBitPlan:
     """8 bits for the top floor(rho * N) tokens, 4 for the rest."""
     if not 0.0 <= rho <= 1.0:
@@ -156,7 +129,8 @@ def assign_bits(scores: np.ndarray, rho: float) -> TokenBitPlan:
     n = np.asarray(scores).size
     # tiny nudge so float products like 0.3 * 10 = 2.999... floor correctly
     k = int(math.floor(rho * n + 1e-9))
-    _, idx = heap_topk(scores, k)
+    # a stable sort keeps ties in index order, so the lower index wins
+    idx = np.argsort(-np.asarray(scores), kind="stable")[:k]
     bits = np.full(n, 4, dtype=np.int64)
     bits[idx] = 8
     return TokenBitPlan(bits=bits, rho=rho, k=k)
@@ -252,25 +226,6 @@ def group_quantize(
     q_hi = quantize(x_hi, QuantSpec(bits=8, scale=s_hi, target="activation"))
     q_lo = quantize(x_lo, QuantSpec(bits=4, scale=s_lo, target="activation"))
     return GroupQuant(groups=groups, q_hi=q_hi, q_lo=q_lo)
-
-
-def fake_quant_grouped(
-    x: gt.Tensor,
-    plan: TokenBitPlan,
-    ema_hi: EmaState | None = None,
-    ema_lo: EmaState | None = None,
-    scale_hi: float | None = None,
-    scale_lo: float | None = None,
-    training: bool = True,
-    surrogate: bool = False,
-) -> gt.Tensor:
-    """Tape version of group_quantize: one node over its group codes.
-
-    Scales follow group_quantize's precedence; see fake_quant_node for the
-    forward and the straight-through backward.
-    """
-    gq = group_quantize(x.array, plan, ema_hi, ema_lo, scale_hi, scale_lo, training)
-    return fake_quant_node(x, gq, surrogate)
 
 
 def fake_quant_node(x: gt.Tensor, gq: GroupQuant, surrogate: bool = False) -> gt.Tensor:

@@ -294,6 +294,7 @@ def protocol_runs():
     return rows
 
 
+@pytest.mark.protocol
 def test_both_aux_losses_match_baseline_across_seeds(protocol_runs):
     wins = 0
     lines = []
@@ -307,6 +308,7 @@ def test_both_aux_losses_match_baseline_across_seeds(protocol_runs):
     )
 
 
+@pytest.mark.protocol
 def test_adaptive_bits_cost_between_uniforms_and_ppl_no_worse_than_a4(protocol_runs):
     cost_ok, ppl_wins = True, 0
     lines = []

@@ -142,6 +142,31 @@ class TestRunConfig:
         with pytest.raises(RunConfigError, match="JSON"):
             load_run_config(path)
 
+    @pytest.mark.parametrize(
+        "config,corpus",
+        [
+            ({"steps": "ten"}, None),
+            ({"teacher_steps": -5}, None),
+            ({"steps": True}, None),  # bools are not integers here
+            ({"seed": 1.5}, None),
+            ({"heads": 0}, None),
+            ({"corpus_length": None}, None),
+            ({}, [0, 1, 64]),  # id past the vocabulary of 64
+            ({}, [0, -1, 2]),
+            ({}, [0.0, 1.0, 2.0]),
+        ],
+    )
+    def test_train_rejects_bad_input_with_one_line(self, tmp_path, capsys, config, corpus):
+        if corpus is not None:
+            np.save(tmp_path / "corpus.npy", np.array(corpus * 200))
+            config = {**config, "corpus": str(tmp_path / "corpus.npy")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "teacher_steps": config.get("teacher_steps", 1)}))
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+
     def test_hash_stable_and_sensitive(self, tmp_path):
         a = tmp_path / "a.json"
         a.write_text(json.dumps({"steps": 3}))

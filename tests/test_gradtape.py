@@ -101,15 +101,49 @@ class TestReductions:
         a = substream(7, "gt-mean").normal(size=(4, 4))
         check(lambda tape, x: gt.mul_scalar(gt.mean_all(x), 3.0), a)
 
-    def test_variance_all(self):
-        a = substream(7, "gt-var").normal(size=(6, 2))
-        check(lambda tape, x: gt.variance_all(x), a)
+    def test_variance_all(self):  # over all trailing elements, per leading index
+        a = substream(7, "gt-var").normal(size=(3, 6, 2))
+        w = substream(7, "gt-varw").normal(size=(3,))
+        check(lambda tape, x: gt.sum_all(gt.mul(gt.variance_per(x), tape.constant(w))), a)
 
     def test_variance_value_is_population(self):
-        a = np.array([1.0, 3.0])
+        a = np.array([[1.0, 3.0], [2.0, 2.0]])
         tape = gt.Tape(dtype=np.float64)
-        v = gt.variance_all(tape.parameter(a))
-        assert v.item() == pytest.approx(1.0)  # population, not sample (2.0)
+        v = gt.variance_per(tape.parameter(a))
+        np.testing.assert_array_equal(v.data, [1.0, 0.0])  # population, not sample (2.0)
+
+    def test_sum_per_index(self):
+        a = substream(7, "gt-sumper").normal(size=(4, 3, 2))
+        w = substream(7, "gt-sumperw").normal(size=(4,))
+        check(lambda tape, x: gt.sum_all(gt.mul(gt.sum_per(x), tape.constant(w))), a)
+        np.testing.assert_allclose(gt.sum_per(gt.Tape(np.float64).parameter(a)).data, a.sum(axis=(1, 2)))
+
+    def test_sum_in_order_is_a_chain_of_adds(self):
+        rng = substream(7, "gt-sumord")
+        check(lambda tape, x: gt.sum_in_order(gt.mul(x, x)), rng.normal(size=(5,)))
+        mismatched = 0
+        for _ in range(200):  # pairwise summation rounds differently at these lengths
+            a = rng.normal(size=(int(rng.integers(8, 17)),)).astype(np.float32)
+            tape = gt.Tape()
+            chain = tape.parameter(a[:1].reshape(()))
+            for v in a[1:]:
+                chain = gt.add(chain, tape.parameter(np.asarray(v)))
+            assert gt.sum_in_order(tape.parameter(a)).item() == chain.item()
+            mismatched += a.sum() != chain.item()
+        assert mismatched > 0
+
+    def test_clamp_max_grad_and_ceiling(self):
+        a = np.array([0.5, -1.0, 2.0, 3.0])
+        ceiling = np.array([1.0, -1.0, 1.5, np.inf])
+        check(lambda tape, x: gt.sum_all(gt.mul(gt.clamp_max(x, ceiling), tape.constant(a + 1.0))), a)
+        tape = gt.Tape(dtype=np.float64)
+        x = tape.parameter(a)
+        y = gt.clamp_max(x, ceiling)
+        tape.backward(gt.sum_all(gt.mul(y, tape.constant(np.full(4, -2.0)))))
+        np.testing.assert_array_equal(y.data, [0.5, -1.0, 1.5, 3.0])
+        np.testing.assert_array_equal(x.grad, [-2.0, 0.0, 0.0, -2.0])  # zero at and above the ceiling
+        with pytest.raises(ValueError, match="ceiling shape"):
+            gt.clamp_max(x, ceiling[:2])
 
 
 class TestLinAlg:
@@ -136,20 +170,42 @@ class TestLinAlg:
 
         check(build, a)
 
-    def test_slice_concat_roundtrip(self):
-        a = substream(7, "gt-slc").normal(size=(4, 6))
+    def test_slice_concat_roundtrip(self):  # heads are column slices, merged by concatenation
+        a = substream(7, "gt-heads").normal(size=(4, 6))
+        w = substream(7, "gt-headsw").normal(size=(3, 4, 2))
 
-        def build(tape, x):
-            left = gt.slice_cols(x, 0, 2)
-            right = gt.slice_cols(x, 2, 6)
-            back = gt.concat_cols([left, right])
+        def build_split(tape, x):
+            return gt.sum_all(gt.mul(gt.split_heads(x, 3), tape.constant(w)))
+
+        def build_merge(tape, x):
+            back = gt.merge_heads(x)
             return gt.sum_all(gt.mul(back, back))
 
-        check(build, a)
+        check(build_split, a)
+        check(build_merge, w)
         tape = gt.Tape(dtype=np.float64)
-        x = tape.parameter(a)
-        y = gt.concat_cols([gt.slice_cols(x, 0, 3), gt.slice_cols(x, 3, 6)])
-        np.testing.assert_array_equal(y.data, a)
+        heads = gt.split_heads(tape.parameter(a), 3)
+        np.testing.assert_array_equal(heads.data[1], a[:, 2:4])  # head h owns columns [2h, 2h+2)
+        np.testing.assert_array_equal(gt.merge_heads(heads).data, a)
+        with pytest.raises(ValueError, match="divisible"):
+            gt.split_heads(tape.parameter(a), 4)
+
+    def test_split_heads_gradient_is_c_contiguous(self):
+        tape = gt.Tape()
+        x = tape.parameter(np.ones((5, 4), dtype=np.float32))
+        tape.backward(gt.sum_all(gt.transpose(gt.split_heads(x, 2))))
+        assert x.grad.flags.c_contiguous
+
+    def test_concat_leading_axis(self):
+        rng = substream(7, "gt-cat")
+        a, b = rng.normal(size=(2, 3)), rng.normal(size=(1, 3))
+        w = np.arange(15.0).reshape(5, 3)
+        check(lambda tape, x: gt.sum_all(gt.mul(gt.concat([x, tape.constant(b), x]), tape.constant(w))), a)
+        tape = gt.Tape(dtype=np.float64)
+        joined = gt.concat([tape.parameter(a), tape.parameter(b)])
+        np.testing.assert_array_equal(joined.data, np.concatenate([a, b]))
+        with pytest.raises(ValueError, match="trailing"):
+            gt.concat([tape.parameter(a), tape.parameter(np.ones((2, 2)))])
 
     def test_gather_rows_scatter_adds(self):
         table = substream(7, "gt-gr").normal(size=(5, 3))
@@ -169,6 +225,59 @@ class TestLinAlg:
         t = tape.parameter(np.zeros((3, 2)))
         with pytest.raises(IndexError):
             gt.gather_rows(t, np.array([0, 3]))
+
+
+class TestBatchedOps:
+    def test_matmul_transpose_grads(self):
+        rng = substream(7, "gt-bmm")
+        a = rng.normal(size=(2, 3, 4))
+        b = rng.normal(size=(2, 3, 4))
+
+        def build_a(tape, x):
+            scores = gt.matmul(x, gt.transpose(tape.parameter(b)))
+            return gt.sum_all(gt.mul(scores, tape.constant(np.full((2, 3, 3), 0.5))))
+
+        check(build_a, a)
+        check(lambda tape, x: gt.sum_all(gt.matmul(tape.parameter(a), gt.transpose(x))), b)
+        tape = gt.Tape(dtype=np.float64)
+        with pytest.raises(ValueError, match="batch"):
+            gt.matmul(tape.parameter(a), tape.parameter(b[0].T))
+
+    def test_causal_softmax_grad(self):
+        a = substream(7, "gt-bsm").normal(size=(3, 4, 4))
+        w = substream(7, "gt-bsmw").normal(size=(3, 4, 4))
+        check(lambda tape, x: gt.sum_all(gt.mul(gt.softmax_rows(x, causal=True), tape.constant(w))), a)
+        y = gt.softmax_rows(gt.Tape(np.float64).parameter(a), causal=True)
+        for h in range(3):
+            np.testing.assert_array_equal(y.data[h], gt.softmax_forward(a[h], causal=True))
+
+    @pytest.mark.parametrize("heads,t_len,dh", [(2, 32, 16), (4, 128, 32)])  # default and width-128 models
+    def test_batched_products_bit_identical_to_per_head(self, heads, t_len, dh):
+        rng = substream(7, f"gt-pin-{heads}")
+        q, k, v = (rng.normal(size=(t_len, heads * dh)).astype(np.float32) for _ in range(3))
+        g_ctx = rng.normal(size=(t_len, heads * dh)).astype(np.float32)
+        g_probs = rng.normal(size=(heads, t_len, t_len)).astype(np.float32)
+        tape = gt.Tape()
+        qn, kn, vn = (tape.parameter(a) for a in (q, k, v))
+        qh, kh, vh = (gt.split_heads(n, heads) for n in (qn, kn, vn))
+        probs = gt.softmax_rows(gt.matmul(qh, gt.transpose(kh)), causal=True)
+        ctx = gt.merge_heads(gt.matmul(probs, vh))
+        loss = gt.add(gt.sum_all(gt.mul(ctx, tape.constant(g_ctx))), gt.sum_all(gt.mul(probs, tape.constant(g_probs))))
+        tape.backward(loss)
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            qb, kb, vb = q[:, cols].copy(), k[:, cols].copy(), v[:, cols].copy()
+            kt = kb.T.copy()
+            scores = qb @ kt
+            p = gt.softmax_forward(scores, causal=True).astype(np.float32)
+            np.testing.assert_array_equal(probs.data[h], p)
+            np.testing.assert_array_equal(ctx.data[:, cols], p @ vb)
+            gc = g_ctx[:, cols].copy()
+            np.testing.assert_array_equal(vn.grad[:, cols], p.T @ gc)
+            gp = gc @ vb.T + g_probs[h]
+            gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p
+            np.testing.assert_array_equal(qn.grad[:, cols], gs @ kt.T)
+            np.testing.assert_array_equal(kn.grad[:, cols], (qb.T @ gs).T)
 
 
 class TestFusedOps:
@@ -325,6 +434,18 @@ class TestTapeMechanics:
 
         g1, g2 = run(), run()
         np.testing.assert_array_equal(g1, g2)
+
+    def test_constants_fold_and_stay_off_the_tape(self):
+        tape = gt.Tape(dtype=np.float64)
+        c = gt.mul_scalar(gt.add(tape.constant(np.ones(2)), tape.constant(np.ones(2))), 3.0)
+        assert c.constant and c.parents == () and tape.nodes == []
+        np.testing.assert_array_equal(c.data, [6.0, 6.0])
+        x = tape.parameter(np.array([1.0, 2.0]))
+        y = gt.sum_all(gt.mul(x, c))
+        assert [n.name for n in tape.nodes] == [None, "mul", "sum"]
+        tape.backward(y)
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+        assert c.grad is None
 
     def test_record_custom_op(self):
         tape = gt.Tape(dtype=np.float64)

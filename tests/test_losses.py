@@ -95,6 +95,21 @@ class TestEntropyLoss:
         want = qk_stats(q.reshape(1, 1, 6, 8)[:, :, :, :4].reshape(1, 1, 6, 4), k.reshape(1, 1, 6, 8)[:, :, :, :4].reshape(1, 1, 6, 4))
         assert stats.var_q[0][0] == pytest.approx(want.var_q[0, 0], abs=1e-9)
 
+    def test_node_bits_match_per_head_chain(self):
+        rng = substream(9, "ent-bits")
+        qs = [rng.normal(size=(32, 64)).astype(np.float32) for _ in range(2)]
+        ks = [rng.normal(scale=0.5, size=(32, 64)).astype(np.float32) for _ in range(2)]
+        tape = gt.Tape()
+        node, stats = entropy_loss_node([tape.parameter(q) for q in qs], [tape.parameter(k) for k in ks], heads=4)
+        total = None
+        for q, k in zip(qs, ks):
+            for h in range(4):
+                qb, kb = (a[:, 16 * h : 16 * (h + 1)].copy() for a in (q, k))
+                vq, vk = (((b - b.mean(dtype=np.float32)) ** 2).mean(dtype=np.float32) for b in (qb, kb))
+                term = np.log(vq * vk + np.float32(1.0))
+                total = term if total is None else total + term
+        assert node.item() == float(-np.log(total + np.float32(EPS)))
+
     def test_node_gradient_vs_fd(self):
         rng = substream(9, "ent-fd")
         q0 = rng.normal(size=(5, 4))
@@ -214,9 +229,7 @@ class TestDistributionLoss:
         student = causal_softmax(rng.normal(size=(2, 2, 4, 4)))
         teacher = causal_softmax(rng.normal(size=(2, 2, 4, 4)))
         tape = gt.Tape(dtype=np.float64)
-        nodes = [
-            [tape.parameter(student[l, h]) for h in range(2)] for l in range(2)
-        ]
+        nodes = [tape.parameter(student[l]) for l in range(2)]
         node, s = distribution_loss_node(nodes, teacher)
         assert s == pytest.approx(attention_alignment(student, teacher), abs=1e-9)
         assert node.item() == pytest.approx(distribution_loss(student, teacher), abs=1e-9)
@@ -224,6 +237,21 @@ class TestDistributionLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             attention_alignment(np.zeros((1, 1, 2, 2)), np.zeros((1, 2, 2, 2)))
+
+    def test_node_bits_match_per_head_chain(self):
+        # 2 layers x 4 heads: 8 cosines, where numpy's pairwise sum would round differently
+        rng = substream(9, "dist-bits")
+        for _ in range(10):
+            student = causal_softmax(rng.normal(size=(2, 4, 16, 16))).astype(np.float32)
+            teacher = causal_softmax(rng.normal(size=(2, 4, 16, 16))).astype(np.float32)
+            tape = gt.Tape()
+            node, s = distribution_loss_node([tape.parameter(student[l]) for l in range(2)], teacher)
+            total = None
+            for a, t in zip(student.reshape(8, 16, 16), teacher.reshape(8, 16, 16)):
+                cos = (a * t).sum(dtype=np.float32) / (np.sqrt((a * a).sum(dtype=np.float32)) * np.linalg.norm(t))
+                total = cos if total is None else total + cos
+            assert s == float(total)
+            assert node.item() == float(-np.log(total + np.float32(EPS)))
 
 
 class TestDistillLoss:
@@ -285,7 +313,7 @@ class TestTotalLoss:
         teacher_maps = causal_softmax(rng.normal(size=(1, 1, 5, 5)))
         distill, ce, kl = distill_loss_node(s, t, targets, gamma=0.5, tau=2.0)
         ent, _ = entropy_loss_node([q], [k], heads=1)
-        dist, _ = distribution_loss_node([[tape.parameter(student_maps[0, 0])]], teacher_maps)
+        dist, _ = distribution_loss_node([tape.parameter(student_maps[0])], teacher_maps)
         return total_loss_node(distill, ce, kl, ent, dist, r_E, r_D, 0.5, 2.0)
 
     def test_zero_weights_reduce_to_distill(self):
@@ -338,18 +366,12 @@ class TestOptimizationDirections:
             prev = None
             for _ in range(50):
                 tape = gt.Tape(dtype=np.float64)
-                nodes, params = [], []
-                for l in range(2):
-                    row = []
-                    for h in range(3):
-                        p = tape.parameter(logits[l, h])
-                        params.append((l, h, p))
-                        row.append(gt.softmax_rows(p, causal=True))
-                    nodes.append(row)
+                params = [tape.parameter(logits[l]) for l in range(2)]
+                nodes = [gt.softmax_rows(p, causal=True) for p in params]
                 node, s = distribution_loss_node(nodes, teacher)
                 if prev is not None:
                     assert s > prev
                 prev = s
                 tape.backward(node)
-                for l, h, p in params:
-                    logits[l, h] = logits[l, h] - 1e-2 * p.grad
+                for l, p in enumerate(params):
+                    logits[l] = logits[l] - 1e-2 * p.grad

@@ -1,5 +1,8 @@
 """Forward-path contracts: teacher/student agreement, plan degeneracy, dual mode."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,24 @@ class TestTeacherForward:
         cfg = small_cfg()
         with pytest.raises(ValueError):
             forward_teacher(cfg, init_params(cfg), np.zeros(cfg.seq_len + 1, dtype=np.int64))
+
+    def test_tape_freed_without_the_collector(self):
+        cfg = small_cfg()
+        res = forward_teacher(cfg, init_params(cfg), tokens_for(cfg))
+        tape = weakref.ref(res.logits.tape)
+        assert tape().nodes == []  # every node of a constant tape folds
+        gc.disable()
+        try:
+            del res
+            assert tape() is None
+        finally:
+            gc.enable()
+
+    def test_one_attention_node_per_layer(self):
+        cfg = small_cfg(heads=4)
+        res = forward_teacher(cfg, init_params(cfg), tokens_for(cfg, length=7))
+        assert [n.shape for n in res.attn_nodes] == [(4, 7, 7)] * cfg.layers
+        np.testing.assert_array_equal(np.stack([n.data for n in res.attn_nodes]), res.attn_probs)
 
     def test_attention_rows_stochastic_and_causal(self):
         cfg = small_cfg()

@@ -13,10 +13,9 @@ from squant.token_bits import (
     TokenBitPlan,
     TokenGroups,
     assign_bits,
-    fake_quant_grouped,
+    fake_quant_node,
     gather_tokens,
     group_quantize,
-    heap_topk,
     plan_for_layer,
     plan_source,
     scatter_tokens,
@@ -28,9 +27,17 @@ from squant.token_bits import (
 def sorted_topk_oracle(scores, k):
     """Exhaustive reference: sort by (-score, index), take the first k."""
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    idx = sorted(order[:k])
-    threshold = min((scores[i] for i in idx), default=math.inf)
-    return threshold, idx
+    return sorted(order[:k])
+
+
+def hi_tokens(scores, rho):
+    return np.flatnonzero(assign_bits(np.asarray(scores), rho).bits == 8)
+
+
+def fq_grouped(x, plan, scale_hi=None, scale_lo=None, training=True):
+    """One grouped fake-quant node over ``group_quantize``'s codes of x."""
+    gq = group_quantize(x.array, plan, scale_hi=scale_hi, scale_lo=scale_lo, training=training)
+    return fake_quant_node(x, gq)
 
 
 def random_causal_map(rng, layers, heads, n):
@@ -71,24 +78,26 @@ class TestImportance:
             AttentionMap(np.tril(np.full((1, 1, 3, 3), 0.9)))
 
 
-class TestHeapTopk:
-    def test_k_zero(self):
-        thr, idx = heap_topk(np.array([0.3, 0.1]), 0)
-        assert thr == math.inf and idx.size == 0
+class TestAssignBits:
+    def test_rho_boundaries(self):
+        scores = np.array([0.5, 0.4, 0.3])
+        assert np.all(assign_bits(scores, 1.0).bits == 8)
+        assert np.all(assign_bits(scores, 0.0).bits == 4)
 
     def test_worked_example(self):
-        thr, idx = heap_topk(np.array([0.9, 0.1, 0.5, 0.3]), 2)
-        assert thr == 0.5
-        np.testing.assert_array_equal(idx, [0, 2])
+        plan = assign_bits(np.array([0.9, 0.1, 0.5, 0.3]), 0.5)
+        np.testing.assert_array_equal(plan.bits, [8, 4, 8, 4])
+        assert plan.k == 2
+
+    def test_k_zero(self):
+        assert hi_tokens([0.3, 0.1], 0.4).size == 0  # floor(0.4 * 2) = 0
 
     def test_all_equal_prefers_low_index(self):
-        thr, idx = heap_topk(np.full(5, 0.2), 2)
-        np.testing.assert_array_equal(idx, [0, 1])
-        assert thr == 0.2
+        np.testing.assert_array_equal(hi_tokens(np.full(5, 0.2), 0.4), [0, 1])
+        np.testing.assert_array_equal(hi_tokens([0.0, -0.0, 0.0, -0.0], 0.5), [0, 1])  # +0.0 ties -0.0
 
-    def test_k_above_n_rejected(self):
-        with pytest.raises(ValueError):
-            heap_topk(np.ones(3), 4)
+    def test_k_equals_n(self):
+        np.testing.assert_array_equal(hi_tokens([0.2, 0.9, 0.1], 1.0), [0, 1, 2])
 
     def test_matches_sort_oracle(self):
         rng = substream(5, "topk-oracle")
@@ -100,49 +109,9 @@ class TestHeapTopk:
             else:
                 scores = rng.uniform(size=n)
             k = int(rng.integers(0, n + 1))
-            thr, idx = heap_topk(scores, k)
-            want_thr, want_idx = sorted_topk_oracle(scores.tolist(), k)
-            assert thr == want_thr
-            np.testing.assert_array_equal(idx, want_idx)
-
-    def test_comparison_budget(self):
-        # the size-k heap must stay O(N log k), not O(N log N)
-        counter = {"n": 0}
-
-        class Counted(float):
-            def __lt__(self, other):
-                counter["n"] += 1
-                return float.__lt__(self, other)
-
-            def __gt__(self, other):
-                counter["n"] += 1
-                return float.__gt__(self, other)
-
-            def __eq__(self, other):
-                counter["n"] += 1
-                return float.__eq__(self, other)
-
-            __hash__ = float.__hash__
-
-        rng = substream(5, "topk-count")
-        n, k = 4096, 8
-        scores = [Counted(v) for v in rng.uniform(size=n)]
-        counter["n"] = 0
-        _, idx = heap_topk(scores, k)
-        assert idx.size == k
-        assert counter["n"] <= 6 * n * (math.log2(k) + 2)
-
-
-class TestAssignBits:
-    def test_rho_boundaries(self):
-        scores = np.array([0.5, 0.4, 0.3])
-        assert np.all(assign_bits(scores, 1.0).bits == 8)
-        assert np.all(assign_bits(scores, 0.0).bits == 4)
-
-    def test_worked_example(self):
-        plan = assign_bits(np.array([0.9, 0.1, 0.5, 0.3]), 0.5)
-        np.testing.assert_array_equal(plan.bits, [8, 4, 8, 4])
-        assert plan.k == 2
+            plan = assign_bits(scores, k / n)
+            assert plan.k == k
+            np.testing.assert_array_equal(np.flatnonzero(plan.bits == 8), sorted_topk_oracle(scores.tolist(), k))
 
     def test_count_is_floor_rho_n(self):
         rng = substream(5, "bits-count")
@@ -264,7 +233,7 @@ class TestFakeQuantGrouped:
         x = rng.normal(size=(8, 6))
         plan = assign_bits(rng.uniform(size=8), 0.5)
         tape = gt.Tape(dtype=np.float64)
-        y = fake_quant_grouped(tape.parameter(x), plan)
+        y = fq_grouped(tape.parameter(x), plan)
         gq = group_quantize(x, plan)
         want = scatter_tokens(
             dequantize(gq.q_hi, np.float64), dequantize(gq.q_lo, np.float64), gq.groups
@@ -278,7 +247,7 @@ class TestFakeQuantGrouped:
 
         for bits in (4, 8):
             tape = gt.Tape(dtype=np.float64)
-            y = fake_quant_grouped(tape.parameter(x), uniform_plan(5, bits))
+            y = fq_grouped(tape.parameter(x), uniform_plan(5, bits))
             tape2 = gt.Tape(dtype=np.float64)
             spec = QuantSpec(bits=bits, scale=calibrate_scale(x, bits), target="activation")
             want = fake_quant(tape2.parameter(x), spec)
@@ -291,7 +260,7 @@ class TestFakeQuantGrouped:
         w = rng.normal(size=(6, 4))
         tape = gt.Tape(dtype=np.float64)
         t = tape.parameter(x)
-        tape.backward(gt.sum_all(gt.mul(fake_quant_grouped(t, plan), tape.parameter(w))))
+        tape.backward(gt.sum_all(gt.mul(fq_grouped(t, plan), tape.parameter(w))))
         # all values are far from clipping here, so the STE mask is all-ones
         # and the gradient is exactly w routed back through the permutation
         np.testing.assert_array_equal(t.grad, w)
@@ -304,7 +273,7 @@ class TestFakeQuantGrouped:
         scales = {8: 0.006, 4: 0.15}  # small enough that both groups clip
         tape = gt.Tape(dtype=np.float64)
         t = tape.parameter(x)
-        y = fake_quant_grouped(t, plan, scale_hi=scales[8], scale_lo=scales[4], training=False)
+        y = fq_grouped(t, plan, scale_hi=scales[8], scale_lo=scales[4], training=False)
         tape.backward(gt.sum_all(gt.mul(y, tape.constant(g))))
         mask = np.zeros_like(x)
         for bits, scale in scales.items():
@@ -322,7 +291,7 @@ class TestFakeQuantGrouped:
     def test_fixed_scales_bypass_calibration(self):
         x = np.ones((4, 2)) * 3.0
         tape = gt.Tape(dtype=np.float64)
-        y = fake_quant_grouped(
+        y = fq_grouped(
             tape.parameter(x), uniform_plan(4, 8), scale_hi=1.0, training=False
         )
         np.testing.assert_array_equal(y.data, x)  # 3.0 / 1.0 rounds to 3 exactly

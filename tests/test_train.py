@@ -117,6 +117,20 @@ class TestQatTrainer:
             runs.append([r.to_dict() for r in trainer.reports])
         assert runs[0] == runs[1]
 
+    def test_tape_nodes_per_step(self, monkeypatch):
+        cfg, teacher, train, _ = tiny_setup()
+        counts = []
+        backward = train_mod.gt.Tape.backward
+
+        def counting(tape, root):
+            counts.append(len(tape.nodes))
+            return backward(tape, root)
+
+        monkeypatch.setattr(train_mod.gt.Tape, "backward", counting)
+        QatTrainer(cfg, teacher, train).run(2)
+        # heads run as one batched op, and constants are not recorded
+        assert len(counts) == 2 and max(counts) <= 160
+
     def test_student_initialized_from_teacher(self):
         cfg, teacher, train, _ = tiny_setup()
         trainer = QatTrainer(cfg, teacher, train)
