@@ -89,6 +89,14 @@ class TestAssignBits:
         np.testing.assert_array_equal(plan.bits, [8, 4, 8, 4])
         assert plan.k == 2
 
+    def test_worked_example_threshold(self):
+        scores = np.array([0.9, 0.1, 0.5, 0.3])
+        hi = hi_tokens(scores, 0.5)
+        np.testing.assert_array_equal(hi, [0, 2])
+        # the k-th largest score is the cut: every 8-bit token is at or above it, every 4-bit one below
+        assert scores[hi].min() == 0.5
+        assert np.all(np.delete(scores, hi) < 0.5)
+
     def test_k_zero(self):
         assert hi_tokens([0.3, 0.1], 0.4).size == 0  # floor(0.4 * 2) = 0
 
