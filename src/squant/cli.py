@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import statistics
 import sys
 import time
@@ -54,6 +55,17 @@ DEFAULT_BENCH_SHAPES = ((8, 8, 8), (16, 16, 16), (32, 32, 32), (64, 64, 64), (64
 
 _MODEL_KEYS = {f.name for f in fields(MicroTransformerConfig)}
 _SIZES = {"layers", "heads", "dim", "vocab", "seq_len"}  # integers >= 1; other integers >= 0
+
+
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _is_shape_list(shapes) -> bool:
+    """True for a non-empty list of (M, K, N) triples of integers >= 1."""
+    return isinstance(shapes, (list, tuple)) and len(shapes) > 0 and all(
+        isinstance(s, (list, tuple)) and len(s) == 3 and all(_is_int(v, 1) for v in s) for s in shapes
+    )
 
 
 class RunConfigError(ValueError):
@@ -106,12 +118,21 @@ def load_run_config(path: str | None) -> RunConfig:
         else:
             raise RunConfigError(f"unknown config key {key!r}")
     for f in fields(MicroTransformerConfig) + fields(RunConfig):
-        if f.type in (int, "int") and f.name in raw:
-            value, least = raw[f.name], int(f.name in _SIZES)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        if f.name not in raw:
+            continue
+        value = raw[f.name]
+        if f.type in (int, "int"):
+            least = int(f.name in _SIZES)
+            if not _is_int(value, least):
                 raise RunConfigError(f"{f.name} must be an integer >= {least}, got {value!r}")
+        elif f.type in (float, "float"):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise RunConfigError(f"{f.name} must be a finite number, got {value!r}")
     if "bench_shapes" in run_kwargs:
-        run_kwargs["bench_shapes"] = tuple(tuple(int(v) for v in s) for s in run_kwargs["bench_shapes"])
+        shapes = run_kwargs["bench_shapes"]
+        if not _is_shape_list(shapes):
+            raise RunConfigError(f"bench_shapes must be a list of [M, K, N] integer triples >= 1, got {shapes!r}")
+        run_kwargs["bench_shapes"] = tuple(tuple(s) for s in shapes)
     if "act_bits" in model_kwargs and isinstance(model_kwargs["act_bits"], str) and model_kwargs["act_bits"].isdigit():
         model_kwargs["act_bits"] = int(model_kwargs["act_bits"])
     try:
@@ -119,6 +140,20 @@ def load_run_config(path: str | None) -> RunConfig:
         return RunConfig(model=model, **run_kwargs)
     except (TypeError, ValueError) as e:
         raise RunConfigError(str(e)) from e
+
+
+def _check_splits(rc: RunConfig, n_tokens: int) -> None:
+    """Training draws windows of seq_len + 1 tokens at a random start; eval reads whole ones."""
+    if not 0.0 < rc.heldout_fraction < 1.0:
+        raise RunConfigError(f"heldout_fraction must be in (0, 1), got {rc.heldout_fraction!r}")
+    train, heldout = split_corpus(range(n_tokens), rc.heldout_fraction)  # lengths only, no tokens
+    seq = rc.model.seq_len
+    for name, have, need in (("training", len(train), seq + 2), ("held-out", len(heldout), seq + 1)):
+        if have < need:
+            raise RunConfigError(
+                f"a {n_tokens}-token corpus leaves {have} {name} tokens at heldout_fraction "
+                f"{rc.heldout_fraction}; seq_len {seq} needs at least {need}"
+            )
 
 
 def _run_config_from_echo(config: dict) -> RunConfig:
@@ -141,7 +176,9 @@ def _load_corpus(rc: RunConfig) -> np.ndarray:
             raise RunConfigError(f"corpus {rc.corpus} is not a 1-D integer token array")
         if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab):
             raise RunConfigError(f"corpus {rc.corpus} has token ids outside [0, {vocab})")
+        _check_splits(rc, tokens.size)
         return tokens.astype(np.int64)
+    _check_splits(rc, rc.corpus_length)
     return make_corpus(rc.model.seed, rc.model.vocab, rc.corpus_length)
 
 
@@ -208,16 +245,13 @@ def cmd_verify_kernels(args) -> int:
 
 
 def _parse_shapes(text: str):
-    shapes = []
     try:
-        for part in text.split(";"):
-            m, k, n = (int(v) for v in part.strip().split("x"))
-            if min(m, k, n) < 1:
-                raise ValueError
-            shapes.append((m, k, n))
+        shapes = tuple(tuple(int(v) for v in part.strip().split("x")) for part in text.split(";"))
     except ValueError:
+        shapes = None
+    if not _is_shape_list(shapes):
         raise RunConfigError(f"malformed shape spec {text!r}; expected 'MxKxN;MxKxN'")
-    return tuple(shapes)
+    return shapes
 
 
 def _bench_operands(seed: int, m: int, k: int, n: int):
@@ -258,7 +292,7 @@ def cmd_gemm_bench(args) -> int:
     chash = rc.config_hash()
     kernels = ("byte", "packed", "mixed")
     reps = max(args.reps, 1)
-    rows = []
+    rows, json_rows = [], []
     for m, k, n in rc.bench_shapes:
         w, x8, x4 = _bench_operands(rc.model.seed, m, k, n)
         for kernel in kernels:
@@ -275,11 +309,13 @@ def cmd_gemm_bench(args) -> int:
                     times.append(time.perf_counter_ns() - t0)
                 median_ns = int(statistics.median(times))
             rows.append([m, k, n, kernel, cost.mul_count, cost.add_count, median_ns, reps, chash])
+            # wall time per modelled multiply, JSON only: the CSV header is fixed
+            json_rows.append(rows[-1] + [median_ns / cost.mul_count])
     header = ["m", "k", "n", "kernel", "mul_count", "add_count", "median_wall_ns", "reps", "config_hash"]
     _write_csv(out_dir / "gemm_bench.csv", header, rows)
     _write_json(
         out_dir / "gemm_bench.json",
-        {"header": header, "rows": rows, "config_hash": chash},
+        {"header": header + ["ns_per_mul"], "rows": json_rows, "config_hash": chash},
     )
     print(f"gemm-bench: {len(rows)} rows -> {out_dir / 'gemm_bench.csv'}")
     return 0
@@ -364,6 +400,7 @@ def cmd_ablate(args) -> int:
     rc = load_run_config(args.config)
     if args.seed is not None:
         rc = replace(rc, model=replace(rc.model, seed=args.seed))
+    _check_splits(rc, rc.corpus_length)
     out_dir = Path(args.out or rc.report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = rc.config_hash()
@@ -372,6 +409,7 @@ def cmd_ablate(args) -> int:
         teacher_steps=rc.teacher_steps,
         teacher_lr=rc.teacher_lr,
         corpus_length=rc.corpus_length,
+        heldout_fraction=rc.heldout_fraction,
     )
     rows = ablation_run(rc.model, settings)
     n_seeds = len(settings.seeds)

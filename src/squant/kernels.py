@@ -1,6 +1,6 @@
 """Integer GeMM kernels with an instruction cost model.
 
-Three multiply paths over int8 operands with exact 32-bit accumulation:
+Three multiply paths over int8 operands, each bit-exact to the int32 sum:
 
 - ``gemm_i8``: plain byte-level kernel, one multiply per MAC.
 - ``gemm_i4_packed``: weights from adjacent rows are packed into one 32-bit
@@ -11,10 +11,25 @@ Three multiply paths over int8 operands with exact 32-bit accumulation:
   the byte kernel and 4-bit columns through the packed kernel, each group
   dequantized by its own scale pair.
 
+Both kernels run as float BLAS products of the integer codes. That is exact
+for the reason behind the Ozaki scheme (Ozaki, Ogita, Oishi & Rump, Numer.
+Algorithms 2012): every product and every partial sum, in whatever order BLAS
+adds them, is an integer below the float format's 2^p, so nothing rounds.
+
+- The byte kernel's sums are bounded by K * 128 * 128, which is at most 2^24
+  for K <= 1024; it runs float32 there and float64 above. The choice depends
+  on K and the int8 range only, never on the data.
+- The packed kernel keeps one multiply per row pair. It re-spaces each unit's
+  lanes to ``hi * 2^24 + lo`` in float64 and runs one product per K-chunk of
+  at most 8191 rows, so the low-lane sum stays below 8191 * 1024 < 2^23 and
+  the whole sum below 2^53. Each chunk's sums split like one product does:
+  ``lo`` sign-extends the low 24 bits and ``hi = (S - lo) >> 24``.
+
 Cost convention: one accumulate-add per partial product. The packed split
 additionally charges one subtract per unit product, giving
 add_count = 3 * ceil(M/2) * K * N versus M * K * N for the byte kernel.
-Shifts and masks are not counted.
+Shifts and masks are not counted. The counts model the target SIMD
+instruction, not the numpy calls that compute the same result.
 
 Packing stores ``unit = hi * 2^16 + lo`` arithmetically rather than OR-ing
 masked lanes: with a negative low lane the OR form leaves a +1 borrow in the
@@ -67,10 +82,16 @@ class PackedInt4Matrix:
         return self.packed.shape[0]
 
 
+# K up to which K * 128 * 128 <= 2^24, the largest integer span float32 holds exactly
+_F32_EXACT_DEPTH = (1 << 24) // (128 * 128)
+# packed-kernel K-chunk: 8191 * 1024 < 2^23 keeps the low lane inside 24 bits
+_PACKED_CHUNK = 8191
+
+
 def accumulation_depth_limit(weight_bits: int, act_bits: int) -> int:
     """Largest K for which int32 accumulation cannot overflow."""
     per_product = (1 << (weight_bits - 1)) * (1 << (act_bits - 1))
-    return (1 << 31) // per_product
+    return ((1 << 31) - 1) // per_product
 
 
 def _check_int8(x: np.ndarray, name: str) -> np.ndarray:
@@ -104,11 +125,25 @@ def pack_int4(w: np.ndarray) -> PackedInt4Matrix:
     return PackedInt4Matrix(m, k, hi * 65536 + lo, pad)
 
 
+def _split_lanes(v: np.ndarray, bits: int):
+    """(lo, hi) with v = hi * 2^bits + lo and lo sign-extended from the low bits."""
+    half = 1 << (bits - 1)
+    lo = ((v & ((1 << bits) - 1)) ^ half) - half
+    return lo, (v - lo) >> bits
+
+
+def _exact_product(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
+    """BLAS ``a @ b`` in ``dtype`` on integer-valued operands.
+
+    Exact whenever every partial sum is an integer that ``dtype`` holds; the
+    callers pick ``dtype`` and the depth from the operand ranges to make it so.
+    """
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+
+
 def unpack_int4(wp: PackedInt4Matrix) -> np.ndarray:
     """Exact inverse of pack_int4, pad row dropped."""
-    unit = wp.packed
-    lo = ((unit & 0xFFFF) ^ 0x8000) - 0x8000
-    hi = (unit - lo) >> 16
+    lo, hi = _split_lanes(wp.packed, 16)
     out = np.empty((2 * wp.pair_rows, wp.cols), dtype=np.int8)
     out[0::2] = lo
     out[1::2] = hi
@@ -124,7 +159,8 @@ def gemm_i8(w: np.ndarray, x: np.ndarray, cost: CostCounter) -> np.ndarray:
         raise ValueError(f"inner dims differ: {w.shape} x {x.shape}")
     _check_depth(k, 8)
     n = x.shape[1]
-    out = w.astype(np.int32) @ x.astype(np.int32)
+    dtype = np.float32 if k <= _F32_EXACT_DEPTH else np.float64
+    out = _exact_product(w, x, dtype).astype(np.int32)
     cost.mul_count += m * k * n
     cost.add_count += m * k * n
     return out
@@ -133,9 +169,10 @@ def gemm_i8(w: np.ndarray, x: np.ndarray, cost: CostCounter) -> np.ndarray:
 def gemm_i4_packed(wp: PackedInt4Matrix, x: np.ndarray, cost: CostCounter) -> np.ndarray:
     """Packed kernel: one multiply per row pair, exact split of the product.
 
-    For each unit u = w_hi * 2^16 + w_lo and activation a, the single product
-    p = u * a is split as low = sign_extend_16(p & 0xFFFF) (= w_lo * a) and
-    hi = (p - low) >> 16 (= w_hi * a), both exact under the 4x8-bit bound.
+    Each unit u = w_hi * 2^16 + w_lo is re-spaced to u24 = w_hi * 2^24 + w_lo,
+    and one float64 product per K-chunk gives S = sum(u24 * a) for both rows
+    at once. The split lo = sign_extend_24(S) (= sum w_lo * a) and
+    hi = (S - lo) >> 24 (= sum w_hi * a) is exact under the chunk bound.
     """
     x = _check_int8(x, "x")
     k, n = x.shape
@@ -143,15 +180,17 @@ def gemm_i4_packed(wp: PackedInt4Matrix, x: np.ndarray, cost: CostCounter) -> np
         raise ValueError(f"inner dims differ: packed {wp.logical_rows}x{wp.cols} x {x.shape}")
     _check_depth(k, 4)
     m = wp.logical_rows
-    p = wp.packed[:, :, None] * x.astype(np.int32)[None, :, :]
-    low = p & 0xFFFF
-    low ^= 0x8000
-    low -= 0x8000
-    p -= low
-    p >>= 16  # p now holds the high lane
+    lo, hi = _split_lanes(wp.packed, 16)
+    u24 = (hi * (1 << 24) + lo).astype(np.float64)
+    low = high = 0  # int64 sums over the K-chunks
+    for start in range(0, k, _PACKED_CHUNK):
+        chunk = slice(start, start + _PACKED_CHUNK)
+        sums = _exact_product(u24[:, chunk], x[chunk], np.float64).astype(np.int64)
+        lo_sum, hi_sum = _split_lanes(sums, 24)
+        low, high = low + lo_sum, high + hi_sum
     out = np.empty((2 * wp.pair_rows, n), dtype=np.int32)
-    out[0::2] = low.sum(axis=1, dtype=np.int32)
-    out[1::2] = p.sum(axis=1, dtype=np.int32)
+    out[0::2] = low
+    out[1::2] = high
     cost.mul_count += wp.pair_rows * k * n
     cost.add_count += 3 * wp.pair_rows * k * n
     return out[:m]

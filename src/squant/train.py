@@ -230,6 +230,7 @@ class AblationSettings:
     teacher_steps: int = 8000
     teacher_lr: float = 0.3
     corpus_length: int = 32768
+    heldout_fraction: float = 0.125
     loss_cells: tuple = LOSS_CELLS
     quant_cells: tuple = QUANT_CELLS
     progress: object = None  # callable(str) for per-cell notes
@@ -260,7 +261,7 @@ def ablation_run(cfg: MicroTransformerConfig, settings: AblationSettings | None 
                 run_cfg = _cell_config(replace(cfg, seed=seed), loss_cell, quant_cell)
                 if seed not in corpora:
                     corpora[seed] = split_corpus(
-                        make_corpus(seed, cfg.vocab, settings.corpus_length)
+                        make_corpus(seed, cfg.vocab, settings.corpus_length), settings.heldout_fraction
                     )
                 train, heldout = corpora[seed]
                 teacher = settings.teacher_for(run_cfg, train)

@@ -154,6 +154,15 @@ class TestRunConfig:
             ({}, [0, 1, 64]),  # id past the vocabulary of 64
             ({}, [0, -1, 2]),
             ({}, [0.0, 1.0, 2.0]),
+            ({"lr": "fast"}, None),
+            ({"teacher_lr": "x"}, None),
+            ({"heldout_fraction": "x"}, None),
+            ({"heldout_fraction": 1.5}, None),
+            ({"lr": float("inf")}, None),
+            ({"bench_shapes": [["a", 1, 2]]}, None),
+            ({"corpus_length": 20}, None),  # training split shorter than one window
+            ({"corpus_length": 40}, None),  # held-out split shorter than one window
+            ({"seq_len": 600}, [0, 1, 2]),  # a file corpus too short to train on
         ],
     )
     def test_train_rejects_bad_input_with_one_line(self, tmp_path, capsys, config, corpus):
@@ -166,6 +175,15 @@ class TestRunConfig:
         assert cli_main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+
+    def test_ablate_rejects_short_corpus_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"corpus_length": 20}))
+        capsys.readouterr()
+        assert cli_main(["ablate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+        assert not (tmp_path / "out").exists()
 
     def test_hash_stable_and_sensitive(self, tmp_path):
         a = tmp_path / "a.json"
@@ -227,12 +245,32 @@ class TestGemmBenchCommand:
     def test_malformed_shapes_exit_two(self, tmp_path):
         assert cli_main(["gemm-bench", "--shapes", "8x8", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("shapes", [[[8, 8]], "8x8x8", [[0, 8, 8]], [[8.5, 8, 8]], []])
+    def test_malformed_config_shapes_exit_two(self, tmp_path, capsys, shapes):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"bench_shapes": shapes}))
+        capsys.readouterr()
+        assert cli_main(["gemm-bench", "--config", str(path), "--no-time", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+        assert not (tmp_path / "out").exists()
+
     def test_timed_run_reports_positive_median(self, tmp_path):
         assert cli_main(["gemm-bench", "--shapes", "8x8x8", "--reps", "100", "--out", str(tmp_path)]) == 0
         with open(tmp_path / "gemm_bench.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert all(int(r["median_wall_ns"]) > 0 for r in rows)
         assert all(int(r["reps"]) == 100 for r in rows)
+
+    def test_json_reports_ns_per_modelled_multiply(self, tmp_path):
+        for sub, flags in (("timed", ["--reps", "20"]), ("untimed", ["--no-time"])):
+            assert cli_main(["gemm-bench", "--shapes", "8x8x8", *flags, "--out", str(tmp_path / sub)]) == 0
+        for sub in ("timed", "untimed"):
+            report = json.loads((tmp_path / sub / "gemm_bench.json").read_text())
+            rows = [dict(zip(report["header"], r)) for r in report["rows"]]
+            for r in rows:
+                assert r["ns_per_mul"] == r["median_wall_ns"] / r["mul_count"]
+                assert (r["ns_per_mul"] > 0) == (sub == "timed")
 
 
 TINY = {

@@ -162,6 +162,67 @@ class TestGemmI4Packed:
         assert cp.mul_count * 2 == cb.mul_count
 
 
+def extreme_operands(m, k, n, w_lo, w_hi):
+    """Operands at the int8 extremes, so each sum is near the largest K allows.
+
+    Even rows end in an odd product (odd * 127), which makes their sums odd:
+    a float format too narrow for such a sum must round it.
+    """
+    w = np.full((m, k), w_lo, dtype=np.int8)
+    x = np.full((k, n), -128, dtype=np.int8)
+    w[::2, -1] = w_hi  # odd * 127 is odd
+    x[-1] = 127
+    x[:-1, 1::2] = 127  # mixed-sign columns
+    return w, x
+
+
+class TestExactnessBoundaries:
+    """Worst-case operands on each side of each float exactness switch."""
+
+    @pytest.mark.parametrize("k", [1024, 1025])
+    def test_byte_kernel_float32_switch(self, k):
+        w, x = extreme_operands(3, k, 2, -128, 127)
+        want = scalar_reference_gemm(w, x)
+        assert (int(np.abs(want).max()) > 1 << 24) == (k > 1024)  # past float32's exact integers
+        np.testing.assert_array_equal(gemm_i8(w, x, CostCounter()), want)
+
+    @pytest.mark.parametrize("k", [8191, 8192, 8193])
+    def test_packed_kernel_chunk_boundary(self, k):
+        w, x = extreme_operands(4, k, 2, -8, 7)
+        np.testing.assert_array_equal(
+            gemm_i4_packed(pack_int4(w), x, CostCounter()), scalar_reference_gemm(w, x)
+        )
+
+    def test_packed_kernel_odd_rows_across_chunks(self):
+        rng = substream(3, "i4-odd-chunks")
+        w = rng.choice(np.array([-8, 7], dtype=np.int8), size=(5, 8193))
+        x = rng.choice(np.array([-128, 127], dtype=np.int8), size=(8193, 3))
+        got = gemm_i4_packed(pack_int4(w), x, CostCounter())
+        assert got.shape == (5, 3)
+        np.testing.assert_array_equal(got, scalar_reference_gemm(w, x))
+
+
+class TestDepthLimit:
+    def test_byte_kernel_exact_at_limit(self):
+        k = accumulation_depth_limit(8, 8)
+        w = np.full((1, k), -128, dtype=np.int8)
+        x = np.full((k, 1), -128, dtype=np.int8)
+        assert int(gemm_i8(w, x, CostCounter())[0, 0]) == k * 128 * 128
+
+    def test_packed_kernel_exact_at_limit(self):
+        k = accumulation_depth_limit(4, 8)
+        w = np.full((2, k), -8, dtype=np.int8)
+        x = np.full((k, 1), -128, dtype=np.int8)
+        got = gemm_i4_packed(pack_int4(w), x, CostCounter())
+        assert got[:, 0].tolist() == [k * 8 * 128] * 2
+
+    def test_packed_kernel_limit_plus_one_raises(self):
+        k = accumulation_depth_limit(4, 8) + 1
+        wp = pack_int4(np.zeros((2, k), dtype=np.int8))
+        with pytest.raises(ValueError, match="accumulation bound"):
+            gemm_i4_packed(wp, np.zeros((k, 1), dtype=np.int8), CostCounter())
+
+
 class TestGemmMixed:
     def scales(self):
         return {"alpha_w": 0.05, "alpha_hi": 0.02, "alpha_lo": 0.3}
