@@ -29,6 +29,23 @@ class Checkpoint:
     extra: dict = field(default_factory=dict)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _index_entry(entry) -> tuple:
+    """(name, shape, byte offset) of one tensor index entry."""
+    if not (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(_is_count(d) for d in entry["shape"])
+        and _is_count(entry.get("offset"))
+    ):
+        raise CheckpointError(f"malformed tensor index entry {entry!r}")
+    return entry["name"], tuple(entry["shape"]), entry["offset"]
+
+
 def _tensor_index(params: dict) -> list:
     index = []
     offset = 0
@@ -66,6 +83,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
     if raw[:4] != MAGIC:
         raise CheckpointError(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
+    if len(raw) < 12:
+        raise CheckpointError("truncated header")
     version = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
@@ -77,16 +96,18 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(raw[12:body].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"unreadable header: {e}") from e
+    if not (isinstance(header, dict) and isinstance(header.get("config"), dict) and isinstance(header.get("tensors"), list)):
+        raise CheckpointError("header needs a 'config' object and a 'tensors' list")
     params = {}
     for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
+        name, shape, offset = _index_entry(entry)
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = body + entry["offset"]
+        start = body + offset
         end = start + count * 4
         if len(raw) < end:
-            raise CheckpointError(f"truncated payload for tensor {entry['name']!r}")
+            raise CheckpointError(f"truncated payload for tensor {name!r}")
         flat = np.frombuffer(raw[start:end], dtype="<f4").astype(np.float32)
-        params[entry["name"]] = flat.reshape(shape)
+        params[name] = flat.reshape(shape)
     return Checkpoint(
         config=header["config"],
         params=params,

@@ -35,6 +35,7 @@ from .model import (
     MicroTransformerConfig,
     forward_tape,
     forward_teacher,
+    init_params,
     params_to_tape,
     perplexity_eval,
 )
@@ -97,6 +98,9 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+_RUN_KEYS = {f.name for f in fields(RunConfig)} - {"model"}
+
+
 def load_run_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
@@ -106,14 +110,18 @@ def load_run_config(path: str | None) -> RunConfig:
         raise RunConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise RunConfigError(f"config {path} is not valid JSON: {e}") from e
+    return _run_config_from_dict(raw)
+
+
+def _run_config_from_dict(raw) -> RunConfig:
+    """A RunConfig from one flat object of model and run keys, every value checked."""
     if not isinstance(raw, dict):
         raise RunConfigError("config root must be a JSON object")
-    run_keys = {f.name for f in fields(RunConfig)} - {"model"}
     model_kwargs, run_kwargs = {}, {}
     for key, value in raw.items():
         if key in _MODEL_KEYS:
             model_kwargs[key] = value
-        elif key in run_keys:
+        elif key in _RUN_KEYS:
             run_kwargs[key] = value
         else:
             raise RunConfigError(f"unknown config key {key!r}")
@@ -157,12 +165,38 @@ def _check_splits(rc: RunConfig, n_tokens: int) -> None:
 
 
 def _run_config_from_echo(config: dict) -> RunConfig:
-    """Rebuild a RunConfig from a checkpoint's config echo."""
-    model = MicroTransformerConfig(**config.get("model", {}))
-    run_kwargs = {k: v for k, v in config.items() if k != "model"}
-    if "bench_shapes" in run_kwargs:
-        run_kwargs["bench_shapes"] = tuple(tuple(s) for s in run_kwargs["bench_shapes"])
-    return RunConfig(model=model, **run_kwargs)
+    """Rebuild a RunConfig from a checkpoint's config echo, checked like a config file."""
+    model = config.get("model", {})
+    if not isinstance(model, dict):
+        raise CheckpointError("config echo has no 'model' object")
+    run = {k: v for k, v in config.items() if k != "model"}
+    stray = sorted(set(model) - _MODEL_KEYS) + sorted(set(run) - _RUN_KEYS)
+    if stray:
+        raise CheckpointError(f"config echo has unknown key {stray[0]!r}")
+    try:
+        return _run_config_from_dict({**run, **model})
+    except RunConfigError as e:
+        raise CheckpointError(f"config echo: {e}") from e
+
+
+def _check_tensors(cfg: MicroTransformerConfig, params: dict) -> None:
+    """Checkpoint tensors must be exactly the configured model's parameters."""
+    want = {name: arr.shape for name, arr in init_params(cfg).items()}
+    for name in sorted(want.keys() | params.keys()):
+        if name not in params:
+            raise CheckpointError(f"checkpoint has no tensor {name!r}")
+        if name not in want:
+            raise CheckpointError(f"checkpoint tensor {name!r} is not a parameter of the configured model")
+        if params[name].shape != want[name]:
+            raise CheckpointError(f"tensor {name!r} has shape {params[name].shape}, the config needs {want[name]}")
+
+
+def _load_model_checkpoint(path) -> tuple[Checkpoint, RunConfig]:
+    """A checkpoint and the run config it echoes, its tensors checked against that config."""
+    ckpt = load_checkpoint(path)
+    rc = _run_config_from_echo(ckpt.config)
+    _check_tensors(rc.model, ckpt.params)
+    return ckpt, rc
 
 
 def _load_corpus(rc: RunConfig) -> np.ndarray:
@@ -224,9 +258,10 @@ def cmd_verify_kernels(args) -> int:
             )
             return 1
         if args.corrupt and i == 0:
-            # fault injection for the harness itself: flip one packed unit
+            # fault injection for the harness itself: bump one packed unit's
+            # low lane (row 0, always a real row) in the form the kernel reads
             wp = pack_int4(w)
-            wp.packed[0, 0] += 1 << 16
+            wp.lanes[0, 0] += 1
             bad = gemm_i4_packed(wp, x, CostCounter())
             if np.array_equal(bad, ref):
                 print(f"MISMATCH case={i} seed={seed}: corruption went undetected")
@@ -378,8 +413,7 @@ def cmd_eval(args) -> int:
     if ckpt_path is None:
         print("eval requires --checkpoint or a checkpoint path in the config", file=sys.stderr)
         return 2
-    ckpt = load_checkpoint(ckpt_path)
-    rc = _run_config_from_echo(ckpt.config)
+    ckpt, rc = _load_model_checkpoint(ckpt_path)
     cfg = rc.model
     corpus = _load_corpus(rc)
     _, heldout = split_corpus(corpus, rc.heldout_fraction)
@@ -400,6 +434,10 @@ def cmd_ablate(args) -> int:
     rc = load_run_config(args.config)
     if args.seed is not None:
         rc = replace(rc, model=replace(rc.model, seed=args.seed))
+    if rc.corpus is not None:
+        raise RunConfigError(
+            f"ablate synthesizes one corpus per seed from corpus_length and cannot read corpus {rc.corpus!r}"
+        )
     _check_splits(rc, rc.corpus_length)
     out_dir = Path(args.out or rc.report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -468,8 +506,7 @@ def cmd_inspect(args) -> int:
     if ckpt_path is None:
         print("inspect requires --checkpoint", file=sys.stderr)
         return 2
-    ckpt = load_checkpoint(ckpt_path)
-    rc = _run_config_from_echo(ckpt.config)
+    ckpt, rc = _load_model_checkpoint(ckpt_path)
     cfg = rc.model
     chash = rc.config_hash()
     if args.tokens is not None:
@@ -483,6 +520,7 @@ def cmd_inspect(args) -> int:
     teacher_params = ckpt.params
     if args.teacher:
         teacher_params = load_checkpoint(args.teacher).params
+        _check_tensors(cfg, teacher_params)
     teacher_res = forward_teacher(cfg, teacher_params, tokens)
     calib = Calibration.from_state_dict(ckpt.calibration) if ckpt.calibration else None
     tape = gt.Tape(dtype=np.float32)

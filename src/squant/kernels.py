@@ -19,11 +19,19 @@ adds them, is an integer below the float format's 2^p, so nothing rounds.
 - The byte kernel's sums are bounded by K * 128 * 128, which is at most 2^24
   for K <= 1024; it runs float32 there and float64 above. The choice depends
   on K and the int8 range only, never on the data.
-- The packed kernel keeps one multiply per row pair. It re-spaces each unit's
-  lanes to ``hi * 2^24 + lo`` in float64 and runs one product per K-chunk of
-  at most 8191 rows, so the low-lane sum stays below 8191 * 1024 < 2^23 and
-  the whole sum below 2^53. Each chunk's sums split like one product does:
-  ``lo`` sign-extends the low 24 bits and ``hi = (S - lo) >> 24``.
+- The packed kernel keeps one multiply per row pair. It reads each unit's
+  lanes re-spaced to ``hi * 2^24 + lo`` in float64 and runs one product per
+  K-chunk of at most 8191 rows, so the low-lane sum stays below
+  8191 * 1024 < 2^23 and the whole sum below 2^53. Each chunk's sums split
+  like one product does: ``lo`` sign-extends the low 24 bits and
+  ``hi = (S - lo) >> 24``.
+
+``pack_int4`` builds, next to the int32 units, the two forms these products
+read: the float64 lanes for the packed kernel and the int8 codes (pad row
+dropped) that ``gemm_mixed`` hands the byte kernel. A weight matrix packed
+once is multiplied any number of times with no per-call unpacking or lane
+split; ``unpack_int4`` still derives the codes from the units, as the inverse
+the tests hold those stored forms to.
 
 Cost convention: one accumulate-add per partial product. The packed split
 additionally charges one subtract per unit product, giving
@@ -70,12 +78,18 @@ class CostCounter:
 
 @dataclass
 class PackedInt4Matrix:
-    """Row-pair packed 4-bit weights, one int32 unit per (pair, column)."""
+    """Row-pair packed 4-bit weights, one int32 unit per (pair, column).
+
+    ``codes`` and ``lanes`` are what the kernels multiply; ``pack_int4``
+    builds them from the same rows as ``packed``.
+    """
 
     logical_rows: int
     cols: int
     packed: np.ndarray  # int32 [ceil(rows/2), cols]
     pad_row: bool
+    codes: np.ndarray  # int8 [rows, cols], the byte kernel's operand
+    lanes: np.ndarray  # float64 [ceil(rows/2), cols], each unit as hi * 2^24 + lo
 
     @property
     def pair_rows(self) -> int:
@@ -112,17 +126,21 @@ def _check_depth(k: int, weight_bits: int) -> None:
 def pack_int4(w: np.ndarray) -> PackedInt4Matrix:
     """Pack an int8 matrix with 4-bit values; odd row counts get a zero pad row."""
     w = _check_int8(w, "w")
-    bad = np.argwhere((w < -8) | (w > 7))
-    if bad.size:
-        i, j = bad[0]
+    if w.size and (w.min() < -8 or w.max() > 7):
+        i, j = np.argwhere((w < -8) | (w > 7))[0]
         raise ValueError(f"value {int(w[i, j])} at ({int(i)}, {int(j)}) outside [-8, 7]")
     m, k = w.shape
+    codes = w.copy(order="K")  # a transposed view stays a plain copy, not a strided gather
     pad = m % 2 == 1
     if pad:
         w = np.vstack([w, np.zeros((1, k), dtype=np.int8)])
     lo = w[0::2].astype(np.int32)
     hi = w[1::2].astype(np.int32)
-    return PackedInt4Matrix(m, k, hi * 65536 + lo, pad)
+    lanes = hi * float(1 << 24)  # float64; hi * 2^24 + lo is exact below 2^28
+    lanes += lo
+    packed = hi * 65536
+    packed += lo
+    return PackedInt4Matrix(m, k, packed, pad, codes, lanes)
 
 
 def _split_lanes(v: np.ndarray, bits: int):
@@ -169,10 +187,11 @@ def gemm_i8(w: np.ndarray, x: np.ndarray, cost: CostCounter) -> np.ndarray:
 def gemm_i4_packed(wp: PackedInt4Matrix, x: np.ndarray, cost: CostCounter) -> np.ndarray:
     """Packed kernel: one multiply per row pair, exact split of the product.
 
-    Each unit u = w_hi * 2^16 + w_lo is re-spaced to u24 = w_hi * 2^24 + w_lo,
-    and one float64 product per K-chunk gives S = sum(u24 * a) for both rows
-    at once. The split lo = sign_extend_24(S) (= sum w_lo * a) and
-    hi = (S - lo) >> 24 (= sum w_hi * a) is exact under the chunk bound.
+    Each unit u = w_hi * 2^16 + w_lo is read re-spaced as its lanes,
+    u24 = w_hi * 2^24 + w_lo, and one float64 product per K-chunk gives
+    S = sum(u24 * a) for both rows at once. The split lo = sign_extend_24(S)
+    (= sum w_lo * a) and hi = (S - lo) >> 24 (= sum w_hi * a) is exact under
+    the chunk bound.
     """
     x = _check_int8(x, "x")
     k, n = x.shape
@@ -180,12 +199,10 @@ def gemm_i4_packed(wp: PackedInt4Matrix, x: np.ndarray, cost: CostCounter) -> np
         raise ValueError(f"inner dims differ: packed {wp.logical_rows}x{wp.cols} x {x.shape}")
     _check_depth(k, 4)
     m = wp.logical_rows
-    lo, hi = _split_lanes(wp.packed, 16)
-    u24 = (hi * (1 << 24) + lo).astype(np.float64)
     low = high = 0  # int64 sums over the K-chunks
     for start in range(0, k, _PACKED_CHUNK):
         chunk = slice(start, start + _PACKED_CHUNK)
-        sums = _exact_product(u24[:, chunk], x[chunk], np.float64).astype(np.int64)
+        sums = _exact_product(wp.lanes[:, chunk], x[chunk], np.float64).astype(np.int64)
         lo_sum, hi_sum = _split_lanes(sums, 24)
         low, high = low + lo_sum, high + hi_sum
     out = np.empty((2 * wp.pair_rows, n), dtype=np.int32)
@@ -205,7 +222,7 @@ def gemm_mixed(
     """Two-kernel dispatch over token groups sharing one packed weight matrix.
 
     ``x_groups['hi']`` holds the 8-bit token columns (byte kernel on the
-    unpacked weights), ``x_groups['lo']`` the 4-bit token columns (packed
+    matrix's int8 codes), ``x_groups['lo']`` the 4-bit token columns (packed
     kernel, values must fit 4 bits). Returns float32 [M, N_hi + N_lo] with
     the hi block first; callers restore token order. Scales multiply per
     group as alpha_w * alpha_x.
@@ -222,7 +239,7 @@ def gemm_mixed(
     out = np.empty((m, x_hi.shape[1] + x_lo.shape[1]), dtype=np.float32)
     a_w = np.float32(scales["alpha_w"])
     if x_hi.shape[1]:
-        acc = gemm_i8(unpack_int4(wp), x_hi, cost)
+        acc = gemm_i8(wp.codes, x_hi, cost)
         out[:, : x_hi.shape[1]] = acc.astype(np.float32) * (a_w * np.float32(scales["alpha_hi"]))
     if x_lo.shape[1]:
         acc = gemm_i4_packed(wp, x_lo, cost)

@@ -20,6 +20,13 @@ multiplies fake-quantized activations and weights on the tape, the integer
 path runs the kernel dispatch on the activation's group codes, on a constant
 tape, and reports its instruction cost. A tape of constants records no nodes,
 so the teacher and integer forwards leave nothing behind for the collector.
+
+The integer student follows compile once, run many: ``compile_int``
+quantizes every projection weight and lays it out for the kernels (int8
+codes, and for 4-bit weights the packed units with their float64 lanes) in an
+``IntModel``. ``forward_int`` runs an ``IntModel`` as it is; given float
+parameters it compiles them first, so a per-call caller pays the quantize and
+pack steps and nothing more.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import gradtape as gt
-from .kernels import CostCounter, gemm_i8, gemm_mixed, pack_int4
+from .kernels import CostCounter, PackedInt4Matrix, gemm_i8, gemm_mixed, pack_int4
 from .quant import EmaState, QuantSpec, calibrate_scale, clip_surrogate, fake_quant, quantize
 from .seeding import substream
 from .token_bits import (
@@ -38,7 +45,6 @@ from .token_bits import (
     fake_quant_node,
     group_quantize,
     plan_for_layer,
-    scatter_tokens,
     uniform_plan,
 )
 
@@ -48,7 +54,10 @@ __all__ = [
     "ACT_SITES",
     "Calibration",
     "ForwardResult",
+    "IntModel",
+    "IntProjection",
     "MicroTransformerConfig",
+    "compile_int",
     "forward_int",
     "forward_tape",
     "forward_teacher",
@@ -209,13 +218,13 @@ def forward_tape(
 
 def _forward(
     tape, tp, tokens, cfg, quantized=False, training=False, calib=None,
-    plans_override=None, scale_overrides=None, surrogate=False, cost=None,
+    plans_override=None, scale_overrides=None, surrogate=False, project=None,
 ) -> ForwardResult:
     """The architecture, written once.
 
     Projections fake-quantize their operands and multiply on the tape or,
-    given a ``cost`` counter, run the integer kernels on the activation's
-    group codes and enter the product as a constant.
+    given ``project(gq, weight_name)``, enter the integer product of the
+    activation's group codes and the named weight as a constant.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     t_len = tokens.size
@@ -247,17 +256,19 @@ def _forward(
         for group, idx, q in (("hi", gq.groups.hi_indices, gq.q_hi), ("lo", gq.groups.lo_indices, gq.q_lo)):
             if idx.size:
                 scales_used[f"{key}.{group}"] = q.scale
+        if project is not None and site not in ("q_post", "k_post"):
+            return None, gq  # the integer projections read the codes, never the dequantized node
         return fake_quant_node(node, gq, surrogate), gq
 
     def linear(act, name, bias):
         xq, gq = act
         if not quantized:
             y = gt.matmul(xq, tp[name])
-        elif cost is None:
+        elif project is None:
             spec = QuantSpec(bits=cfg.weight_bits, scale=weight_scale(name), target="weight")
             y = gt.matmul(xq, (clip_surrogate if surrogate else fake_quant)(tp[name], spec))
         else:
-            y = tape.constant(_linear_int(gq, tp[name].array, weight_scale(name), cfg.weight_bits, cost))
+            y = tape.constant(project(gq, name))
         return gt.add_bias(y, tp[bias])
 
     dh = cfg.head_dim
@@ -308,36 +319,83 @@ def forward_teacher(cfg: MicroTransformerConfig, params: dict, tokens) -> Forwar
     return forward_tape(tape, tp, tokens, cfg, quantized=False)
 
 
-def _linear_int(gq, w, w_scale, weight_bits, cost) -> np.ndarray:
-    """Integer-kernel product of group codes and quantized weights, in token order."""
-    w_ints = quantize(w, QuantSpec(bits=weight_bits, scale=w_scale)).ints
+@dataclass(frozen=True)
+class IntProjection:
+    """One projection weight as the integer kernels read it."""
+
+    scale: float  # max-abs weight scale
+    codes: np.ndarray  # int8 [out_dim, K], kernel layout
+    packed: PackedInt4Matrix | None  # 4-bit weights only; its codes are ``codes``
+
+
+@dataclass(frozen=True)
+class IntModel:
+    """A student compiled for ``forward_int``.
+
+    ``projections`` maps each projection weight name to its ``IntProjection``;
+    ``params`` holds the float32 tensors that stay float (embeddings,
+    layernorms, biases).
+    """
+
+    weight_bits: int
+    params: dict
+    projections: dict
+
+
+def compile_int(cfg: MicroTransformerConfig, params: dict) -> IntModel:
+    """Quantize and lay out every projection weight once, for any number of windows.
+
+    Each weight takes its max-abs scale at ``cfg.weight_bits``, as the
+    fake-quant path's weights do. A non-finite weight raises ValueError.
+    """
+    projections = {}
+    for l in range(cfg.layers):
+        for w in WEIGHT_NAMES:
+            name = f"l{l}.{w}"
+            projections[name] = _compile_projection(name, params[name], cfg.weight_bits)
+    rest = {name: arr for name, arr in params.items() if name not in projections}
+    return IntModel(cfg.weight_bits, rest, projections)
+
+
+def _compile_projection(name: str, w: np.ndarray, bits: int) -> IntProjection:
+    w = np.asarray(w, dtype=np.float32)  # the values a tape would hold
+    scale = calibrate_scale(w, bits)
+    if not math.isfinite(scale):  # a NaN or Inf weight makes the max-abs scale non-finite
+        raise ValueError(f"non-finite values in weight {name}")
+    codes = quantize(w, QuantSpec(bits=bits, scale=scale)).ints.T  # kernel layout: [out_dim, K]
+    if bits == 4:
+        packed = pack_int4(codes)
+        return IntProjection(scale, packed.codes, packed)
+    return IntProjection(scale, codes, None)
+
+
+def _linear_int(gq, proj: IntProjection, cost) -> np.ndarray:
+    """Integer-kernel product of group codes and a compiled weight, in token order."""
     x_hi = gq.q_hi.ints.T  # kernel layout: [K, tokens]
     x_lo = gq.q_lo.ints.T
-    wk = w_ints.T  # [out_dim, K]
-    if weight_bits == 4:
+    if proj.packed is not None:
         out_grouped = gemm_mixed(
-            pack_int4(wk),
+            proj.packed,
             {"hi": x_hi, "lo": x_lo},
-            {"alpha_w": w_scale, "alpha_hi": gq.q_hi.scale, "alpha_lo": gq.q_lo.scale},
+            {"alpha_w": proj.scale, "alpha_hi": gq.q_hi.scale, "alpha_lo": gq.q_lo.scale},
             cost,
         )
     else:
         # no packed path exists for 8-bit weights; both groups take the byte kernel
-        parts = []
-        for xg, scale in ((x_hi, gq.q_hi.scale), (x_lo, gq.q_lo.scale)):
-            if xg.shape[1]:
-                acc = gemm_i8(wk, xg, cost)
-                parts.append(acc.astype(np.float32) * (np.float32(w_scale) * np.float32(scale)))
-            else:
-                parts.append(np.zeros((wk.shape[0], 0), dtype=np.float32))
-        out_grouped = np.concatenate(parts, axis=1)
-    n_hi = x_hi.shape[1]
-    return scatter_tokens(out_grouped.T[:n_hi], out_grouped.T[n_hi:], gq.groups)
+        out_grouped = np.concatenate(
+            [
+                gemm_i8(proj.codes, xg, cost).astype(np.float32) * (np.float32(proj.scale) * np.float32(scale))
+                for xg, scale in ((x_hi, gq.q_hi.scale), (x_lo, gq.q_lo.scale))
+                if xg.shape[1]
+            ],
+            axis=1,
+        )
+    return out_grouped.T[gq.groups.inverse]  # rows in hi-then-lo order back to token order
 
 
 def forward_int(
     cfg: MicroTransformerConfig,
-    params: dict,
+    params: dict | IntModel,
     tokens,
     calib: Calibration | None,
     cost: CostCounter | None = None,
@@ -346,12 +404,20 @@ def forward_int(
 
     The forward of ``forward_tape`` on a constant tape, with the six
     projections run on quantized operands through the kernel dispatch.
-    Uses frozen calibration scales.
+    ``params`` is an ``IntModel`` from ``compile_int``, or float parameters,
+    which are compiled first. Uses frozen calibration scales.
     """
+    model = params if isinstance(params, IntModel) else compile_int(cfg, params)
+    if model.weight_bits != cfg.weight_bits:
+        raise ValueError(f"model compiled for {model.weight_bits}-bit weights, config has {cfg.weight_bits}")
     tape = gt.Tape(dtype=np.float32)
-    tp = params_to_tape(tape, params, trainable=False)
+    tp = params_to_tape(tape, model.params, trainable=False)
     cost = cost if cost is not None else CostCounter()
-    res = _forward(tape, tp, tokens, cfg, quantized=True, calib=calib, cost=cost)
+
+    def project(gq, name):
+        return _linear_int(gq, model.projections[name], cost)
+
+    res = _forward(tape, tp, tokens, cfg, quantized=True, calib=calib, project=project)
     return res.logits.array, res.plans
 
 

@@ -29,7 +29,15 @@ __all__ = [
 def round_half_away(t: np.ndarray) -> np.ndarray:
     """Round to nearest, ties away from zero (np.round ties to even)."""
     t = np.asarray(t)
-    return np.sign(t) * np.floor(np.abs(t) + 0.5)
+    r = np.abs(t, out=np.empty(t.shape, np.result_type(t, 0.5)))
+    return _round_magnitude(r, t)
+
+
+def _round_magnitude(r: np.ndarray, sign) -> np.ndarray:
+    """Round the magnitudes in ``r`` half up, in place, and give them the signs of ``sign``."""
+    r += 0.5
+    np.floor(r, out=r)
+    return np.copysign(r, sign, out=r)
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,8 @@ def calibrate_scale(x: np.ndarray, bits: int, ema: EmaState | None = None) -> fl
     """
     if bits not in (4, 8):
         raise ValueError(f"bits must be 4 or 8, got {bits}")
-    m = float(np.max(np.abs(x))) if np.asarray(x).size else 0.0
+    x = np.asarray(x)
+    m = float(max(abs(x.max()), abs(x.min()))) if x.size else 0.0  # max |x|, without an |x| array
     if ema is not None:
         m = ema.update(m)
     if m == 0.0:
@@ -125,8 +134,11 @@ def calibrate_scale(x: np.ndarray, bits: int, ema: EmaState | None = None) -> fl
 
 
 def quantize(x: np.ndarray, spec: QuantSpec) -> QuantizedTensor:
-    ints = round_half_away(np.asarray(x, dtype=np.float64) / spec.scale)
-    ints = np.clip(ints, spec.qmin, spec.qmax)
+    x = np.asarray(x)
+    ints = np.true_divide(x, spec.scale, out=np.empty(x.shape), dtype=np.float64)
+    np.abs(ints, out=ints)
+    _round_magnitude(ints, x)  # round_half_away(x / scale) in one buffer: x / scale has the sign of x
+    np.clip(ints, spec.qmin, spec.qmax, out=ints)
     return QuantizedTensor(ints.astype(np.int8), spec.scale, spec.bits)
 
 

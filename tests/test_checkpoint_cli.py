@@ -9,12 +9,13 @@ import pytest
 import squant.gradtape as gt
 from squant.checkpoint import (
     MAGIC,
+    VERSION,
     Checkpoint,
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
 )
-from squant.cli import RunConfigError, load_run_config, main as cli_main
+from squant.cli import RunConfig, RunConfigError, load_run_config, main as cli_main
 from squant.model import (
     Calibration,
     MicroTransformerConfig,
@@ -185,6 +186,20 @@ class TestRunConfig:
         assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
         assert not (tmp_path / "out").exists()
 
+    def test_ablate_rejects_a_corpus_file_with_one_line(self, tmp_path, capsys):
+        # ablate draws one synthetic corpus per seed, so a corpus file cannot be honoured
+        np.save(tmp_path / "c.npy", np.arange(256) % 64)
+        for corpus in (tmp_path / "missing.npy", tmp_path / "c.npy"):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({
+                "corpus": str(corpus), "steps": 1, "teacher_steps": 1, "corpus_length": 256, "heldout_fraction": 0.5,
+            }))
+            capsys.readouterr()
+            assert cli_main(["ablate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("config error: ") and "corpus" in err, err
+            assert not (tmp_path / "out").exists()
+
     def test_hash_stable_and_sensitive(self, tmp_path):
         a = tmp_path / "a.json"
         a.write_text(json.dumps({"steps": 3}))
@@ -192,6 +207,86 @@ class TestRunConfig:
         b.write_text(json.dumps({"steps": 4}))
         assert load_run_config(a).config_hash() == load_run_config(a).config_hash()
         assert load_run_config(a).config_hash() != load_run_config(b).config_hash()
+
+
+ECHO_RUN = RunConfig(
+    model=MicroTransformerConfig(layers=1, heads=2, dim=8, vocab=16, seq_len=8), corpus_length=256
+)
+
+
+def _raw_checkpoint(path, header):
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + np.array([VERSION, len(blob)], dtype="<u4").tobytes() + blob)
+
+
+def _checkpoint_with(path, params=None, config=None):
+    params = init_params(ECHO_RUN.model) if params is None else params
+    save_checkpoint(path, Checkpoint(config=config or ECHO_RUN.resolved(), params=params))
+
+
+def _without(name):
+    params = init_params(ECHO_RUN.model)
+    del params[name]
+    return params
+
+
+def _echo_with(model=None, **run):
+    echo = ECHO_RUN.resolved()
+    echo["model"].update(model or {})
+    return {**echo, **run}
+
+
+BAD_CHECKPOINTS = {
+    "header without tensors": lambda p: _raw_checkpoint(p, {"config": ECHO_RUN.resolved()}),
+    "tensors not a list": lambda p: _raw_checkpoint(p, {"config": ECHO_RUN.resolved(), "tensors": {}}),
+    "malformed index entry": lambda p: _raw_checkpoint(
+        p, {"config": ECHO_RUN.resolved(), "tensors": [{"name": "tok_emb", "shape": "8x8", "offset": 0}]}
+    ),
+    "negative offset": lambda p: _raw_checkpoint(
+        p, {"config": ECHO_RUN.resolved(), "tensors": [{"name": "tok_emb", "shape": [1], "offset": -4}]}
+    ),
+    "header not an object": lambda p: _raw_checkpoint(p, [1, 2]),
+    "shorter than the header": lambda p: p.write_bytes(MAGIC + b"\x01\x00"),
+    "no tok_emb": lambda p: _checkpoint_with(p, params=_without("tok_emb")),
+    "wrong shape": lambda p: _checkpoint_with(
+        p, params={**init_params(ECHO_RUN.model), "tok_emb": np.zeros((16, 9), dtype=np.float32)}
+    ),
+    "extra tensor": lambda p: _checkpoint_with(
+        p, params={**init_params(ECHO_RUN.model), "l9.attn.wq": np.zeros((8, 8), dtype=np.float32)}
+    ),
+    "unknown model key": lambda p: _checkpoint_with(p, config=_echo_with({"bogus": 1})),
+    "unknown run key": lambda p: _checkpoint_with(p, config=_echo_with(bogus=1)),
+    "model key at run level": lambda p: _checkpoint_with(p, config=_echo_with(lr=0.1)),
+    "invalid model value": lambda p: _checkpoint_with(p, config=_echo_with({"heads": 3})),
+    "model not an object": lambda p: _checkpoint_with(p, config={**ECHO_RUN.resolved(), "model": 5}),
+}
+
+
+class TestCheckpointExitContract:
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_valid_checkpoint_runs(self, tmp_path, command):
+        _checkpoint_with(tmp_path / "m.ckpt")
+        assert cli_main([command, "--checkpoint", str(tmp_path / "m.ckpt"), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_bad_checkpoint_exits_two_with_one_line(self, tmp_path, capsys, command, case):
+        path = tmp_path / "m.ckpt"
+        BAD_CHECKPOINTS[case](path)
+        capsys.readouterr()
+        assert cli_main([command, "--checkpoint", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("checkpoint error: "), err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_teacher_checkpoint_exits_two(self, tmp_path, capsys):
+        _checkpoint_with(tmp_path / "student.ckpt")
+        _checkpoint_with(tmp_path / "teacher.ckpt", params=_without("pos_emb"))
+        capsys.readouterr()
+        argv = ["inspect", "--checkpoint", str(tmp_path / "student.ckpt"), "--teacher", str(tmp_path / "teacher.ckpt")]
+        assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "pos_emb" in err, err
 
 
 class TestVerifyKernelsCommand:

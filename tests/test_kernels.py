@@ -59,6 +59,19 @@ class TestPacking:
         w = np.array([[-8, 7], [7, -8], [-8, -8]], dtype=np.int8)
         np.testing.assert_array_equal(unpack_int4(pack_int4(w)), w)
 
+    @pytest.mark.parametrize("rows", [6, 7])
+    def test_stored_operands_match_unpack(self, rows):
+        w = substream(3, f"pack-ops-{rows}").integers(-8, 8, size=(rows, 9)).astype(np.int8)
+        w[0, 0], w[-1, -1] = -8, 7
+        wp = pack_int4(w)
+        w[:] = 0  # the stored forms do not alias the input
+        plain = unpack_int4(wp)
+        assert wp.codes.dtype == np.int8
+        np.testing.assert_array_equal(wp.codes, plain)
+        pairs = np.vstack([plain, np.zeros((rows % 2, 9), dtype=np.int8)]).astype(np.int64)
+        assert wp.lanes.dtype == np.float64
+        np.testing.assert_array_equal(wp.lanes, pairs[1::2] * 2**24 + pairs[0::2])
+
     def test_range_error_names_index(self):
         w = np.zeros((3, 3), dtype=np.int8)
         w[1, 2] = 8

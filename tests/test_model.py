@@ -11,7 +11,9 @@ from squant.kernels import CostCounter
 from squant.model import (
     ACT_SITES,
     Calibration,
+    WEIGHT_NAMES,
     MicroTransformerConfig,
+    compile_int,
     forward_int,
     forward_tape,
     forward_teacher,
@@ -266,6 +268,75 @@ class TestIntegerPath:
         cfg = small_cfg()
         with pytest.raises(IndexError):
             forward_int(cfg, init_params(cfg), np.array([cfg.vocab]), calib=None)
+
+
+class TestCompiledModel:
+    @pytest.mark.parametrize("dim", [32, 128])
+    @pytest.mark.parametrize("act_bits", [4, 8, "adaptive"])
+    @pytest.mark.parametrize("weight_bits", [4, 8])
+    def test_compiled_run_bit_identical_to_float_params(self, weight_bits, act_bits, dim):
+        for seed in range(4):
+            cfg = MicroTransformerConfig(
+                dim=dim, heads=4, seq_len=dim, seed=seed, weight_bits=weight_bits, act_bits=act_bits
+            )
+            params = init_params(cfg)
+            compiled = compile_int(cfg, params)
+            for length in (cfg.seq_len, 17):
+                toks = tokens_for(cfg, length=length)
+                runs = []
+                for model in (params, compiled):
+                    cost = CostCounter()
+                    logits, plans = forward_int(cfg, model, toks, calib=None, cost=cost)
+                    runs.append((logits, [p.bits for p in plans], (cost.mul_count, cost.add_count)))
+                (a, plans_a, cost_a), (b, plans_b, cost_b) = runs
+                assert a.tobytes() == b.tobytes()
+                assert cost_a == cost_b
+                for pa, pb in zip(plans_a, plans_b):
+                    np.testing.assert_array_equal(pa, pb)
+
+    def test_compiled_run_quantizes_only_activations(self, monkeypatch):
+        import squant.kernels
+        import squant.quant
+        import squant.token_bits
+
+        calls = {"pack_int4": 0, "weight quantize": 0, "group_quantize": 0}
+
+        def counting(original, key, counts=lambda *args: True):
+            def wrapper(*args, **kwargs):
+                calls[key] += bool(counts(*args))
+                return original(*args, **kwargs)
+
+            return original, wrapper
+
+        for name, (original, wrapper) in {
+            "pack_int4": counting(squant.kernels.pack_int4, "pack_int4"),
+            "quantize": counting(squant.quant.quantize, "weight quantize", lambda x, spec: spec.target == "weight"),
+            "group_quantize": counting(squant.token_bits.group_quantize, "group_quantize"),
+        }.items():
+            for module in (squant.model, squant.kernels, squant.quant, squant.token_bits):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrapper)
+        cfg = small_cfg(weight_bits=4, act_bits="adaptive", rho=0.5)
+        compiled = compile_int(cfg, init_params(cfg))
+        projections = len(WEIGHT_NAMES) * cfg.layers
+        assert calls == {"pack_int4": projections, "weight quantize": projections, "group_quantize": 0}
+        calls.update(dict.fromkeys(calls, 0))
+        forward_int(cfg, compiled, tokens_for(cfg), calib=None)
+        assert calls == {"pack_int4": 0, "weight quantize": 0, "group_quantize": len(ACT_SITES) * cfg.layers}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected_at_compile(self, bad):
+        cfg = small_cfg()
+        params = init_params(cfg)
+        params["l1.mlp.w2"][3, 5] = bad
+        with pytest.raises(ValueError, match="l1.mlp.w2"):
+            compile_int(cfg, params)
+
+    def test_weight_bits_must_match_the_config(self):
+        cfg = small_cfg(weight_bits=4)
+        compiled = compile_int(cfg, init_params(cfg))
+        with pytest.raises(ValueError, match="4-bit"):
+            forward_int(small_cfg(weight_bits=8), compiled, tokens_for(cfg), calib=None)
 
 
 class TestPerplexity:

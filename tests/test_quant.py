@@ -37,6 +37,27 @@ class TestRounding:
         t = np.array([0.49, -0.49, 1.2, -1.7, 0.0])
         np.testing.assert_array_equal(round_half_away(t), [0, 0, 1, -2, 0])
 
+    def test_matches_sign_times_floor_oracle(self):
+        def oracle(t):
+            return np.sign(t) * np.floor(np.abs(t) + 0.5)
+
+        halves = np.arange(-8, 8) + 0.5
+        big = 2.0**52
+        t = np.concatenate([
+            halves,
+            np.nextafter(halves, np.inf),
+            np.nextafter(halves, -np.inf),
+            [0.0, -0.0, np.nextafter(0.5, 0.0), -np.nextafter(0.5, 0.0)],
+            [big - 1.5, big - 0.5, big, big + 1.0, 2 * big + 2.0],
+            -np.array([big - 1.5, big - 0.5, big, big + 1.0, 2 * big + 2.0]),
+        ])
+        for case in (t, t.astype(np.float32), np.array(2.5), np.array(-0.5), np.empty(0), np.empty((0, 3))):
+            before = case.copy()
+            got, want = round_half_away(case), oracle(case)
+            assert np.shape(got) == np.shape(want) and got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            assert case.tobytes() == before.tobytes()  # the input is not written to
+
 
 class TestCalibration:
     def test_worked_example(self):
