@@ -8,6 +8,7 @@ then concatenated C-order little-endian float32 tensor payloads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,24 +95,37 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("truncated header")
     try:
         header = json.loads(raw[12:body].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError(f"unreadable header: {e}") from e
     if not (isinstance(header, dict) and isinstance(header.get("config"), dict) and isinstance(header.get("tensors"), list)):
         raise CheckpointError("header needs a 'config' object and a 'tensors' list")
-    params = {}
+    calibration, extra = header.get("calibration"), header.get("extra", {})
+    if not (calibration is None or isinstance(calibration, dict)) or not isinstance(extra, dict):
+        raise CheckpointError("header 'calibration' must be an object or null, and 'extra' an object")
+    params, spans = {}, []
     for entry in header["tensors"]:
         name, shape, offset = _index_entry(entry)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = body + offset
-        end = start + count * 4
+        if name in params:
+            raise CheckpointError(f"tensor {name!r} is listed twice")
+        start, end = body + offset, body + offset + 4 * math.prod(shape)  # Python ints: no overflow
         if len(raw) < end:
             raise CheckpointError(f"truncated payload for tensor {name!r}")
-        flat = np.frombuffer(raw[start:end], dtype="<f4").astype(np.float32)
-        params[name] = flat.reshape(shape)
+        try:
+            params[name] = np.frombuffer(raw[start:end], dtype="<f4").astype(np.float32).reshape(shape)
+        except (ValueError, OverflowError) as e:  # a zero-size shape whose other dims numpy cannot hold
+            raise CheckpointError(f"tensor {name!r} has an unusable shape {list(shape)}: {e}") from e
+        spans.append((start, end, name))
+    last = body
+    for start, end, name in sorted(spans):
+        if start < last:
+            raise CheckpointError(f"payload of tensor {name!r} overlaps another")
+        last = max(last, end)
+    if last != len(raw):
+        raise CheckpointError(f"{len(raw) - last} bytes after the last tensor payload")
     return Checkpoint(
         config=header["config"],
         params=params,
-        calibration=header.get("calibration"),
+        calibration=calibration,
         version=version,
-        extra=header.get("extra", {}),
+        extra=extra,
     )

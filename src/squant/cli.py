@@ -11,11 +11,10 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +34,11 @@ from .model import (
     MicroTransformerConfig,
     forward_tape,
     forward_teacher,
-    init_params,
+    param_specs,
     params_to_tape,
     perplexity_eval,
 )
+from .schema import check_fields, integer, is_int, number, rule, typed
 from .seeding import substream
 from .token_bits import AttentionMap, token_importance
 from .train import (
@@ -55,17 +55,12 @@ from . import gradtape as gt
 DEFAULT_BENCH_SHAPES = ((8, 8, 8), (16, 16, 16), (32, 32, 32), (64, 64, 64), (64, 32, 8), (32, 8, 64))
 
 _MODEL_KEYS = {f.name for f in fields(MicroTransformerConfig)}
-_SIZES = {"layers", "heads", "dim", "vocab", "seq_len"}  # integers >= 1; other integers >= 0
-
-
-def _is_int(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _is_shape_list(shapes) -> bool:
     """True for a non-empty list of (M, K, N) triples of integers >= 1."""
     return isinstance(shapes, (list, tuple)) and len(shapes) > 0 and all(
-        isinstance(s, (list, tuple)) and len(s) == 3 and all(_is_int(v, 1) for v in s) for s in shapes
+        isinstance(s, (list, tuple)) and len(s) == 3 and all(is_int(v) and v >= 1 for v in s) for s in shapes
     )
 
 
@@ -75,17 +70,22 @@ class RunConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Model config plus paths and run-recipe knobs; strict key validation."""
+    """Model config plus paths and run-recipe knobs; every field checked by its rule."""
 
-    model: MicroTransformerConfig = field(default_factory=MicroTransformerConfig)
-    corpus: str | None = None  # optional .npy token stream; else synthesized
-    corpus_length: int = 32768
-    heldout_fraction: float = 0.125
-    teacher_steps: int = 8000
-    teacher_lr: float = 0.3
-    checkpoint: str | None = None
-    report_dir: str = "reports"
-    bench_shapes: tuple = DEFAULT_BENCH_SHAPES
+    model: MicroTransformerConfig = typed(MicroTransformerConfig, default_factory=MicroTransformerConfig)
+    corpus: str | None = typed(str, type(None), default=None)  # optional .npy token stream; else synthesized
+    corpus_length: int = integer(32768, least=0)
+    heldout_fraction: float = number(0.125, "(0, 1)")
+    teacher_steps: int = integer(8000, least=0)
+    teacher_lr: float = number(0.3, "(0, inf)")
+    checkpoint: str | None = typed(str, type(None), default=None)
+    report_dir: str = typed(str, default="reports")
+    bench_shapes: tuple = rule(
+        "a non-empty list of [M, K, N] integer triples >= 1", _is_shape_list, default=DEFAULT_BENCH_SHAPES
+    )
+
+    def __post_init__(self):
+        check_fields(self)
 
     def resolved(self) -> dict:
         d = {k: v for k, v in self.__dict__.items() if k != "model"}
@@ -98,62 +98,28 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-_RUN_KEYS = {f.name for f in fields(RunConfig)} - {"model"}
-
-
-def load_run_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise RunConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise RunConfigError(f"config {path} is not valid JSON: {e}") from e
-    return _run_config_from_dict(raw)
-
-
-def _run_config_from_dict(raw) -> RunConfig:
-    """A RunConfig from one flat object of model and run keys, every value checked."""
+def load_run_config(path: str | None, **flags) -> RunConfig:
+    """The config file at ``path`` (defaults when None), with the non-None ``flags`` laid over its keys."""
+    raw = {}
+    if path is not None:
+        try:
+            raw = json.loads(Path(path).read_text())
+        except OSError as e:
+            raise RunConfigError(f"cannot read config {path}: {e}") from e
+        except json.JSONDecodeError as e:
+            raise RunConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise RunConfigError("config root must be a JSON object")
-    model_kwargs, run_kwargs = {}, {}
-    for key, value in raw.items():
-        if key in _MODEL_KEYS:
-            model_kwargs[key] = value
-        elif key in _RUN_KEYS:
-            run_kwargs[key] = value
-        else:
-            raise RunConfigError(f"unknown config key {key!r}")
-    for f in fields(MicroTransformerConfig) + fields(RunConfig):
-        if f.name not in raw:
-            continue
-        value = raw[f.name]
-        if f.type in (int, "int"):
-            least = int(f.name in _SIZES)
-            if not _is_int(value, least):
-                raise RunConfigError(f"{f.name} must be an integer >= {least}, got {value!r}")
-        elif f.type in (float, "float"):
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise RunConfigError(f"{f.name} must be a finite number, got {value!r}")
-    if "bench_shapes" in run_kwargs:
-        shapes = run_kwargs["bench_shapes"]
-        if not _is_shape_list(shapes):
-            raise RunConfigError(f"bench_shapes must be a list of [M, K, N] integer triples >= 1, got {shapes!r}")
-        run_kwargs["bench_shapes"] = tuple(tuple(s) for s in shapes)
-    if "act_bits" in model_kwargs and isinstance(model_kwargs["act_bits"], str) and model_kwargs["act_bits"].isdigit():
-        model_kwargs["act_bits"] = int(model_kwargs["act_bits"])
-    try:
-        model = MicroTransformerConfig(**model_kwargs)
-        return RunConfig(model=model, **run_kwargs)
+    raw.update((key, value) for key, value in flags.items() if value is not None)
+    model = {key: raw.pop(key) for key in raw.keys() & _MODEL_KEYS}
+    try:  # the constructors reject unknown keys (TypeError) and values that break a field's rule
+        return RunConfig(model=MicroTransformerConfig(**model), **raw)
     except (TypeError, ValueError) as e:
         raise RunConfigError(str(e)) from e
 
 
 def _check_splits(rc: RunConfig, n_tokens: int) -> None:
     """Training draws windows of seq_len + 1 tokens at a random start; eval reads whole ones."""
-    if not 0.0 < rc.heldout_fraction < 1.0:
-        raise RunConfigError(f"heldout_fraction must be in (0, 1), got {rc.heldout_fraction!r}")
     train, heldout = split_corpus(range(n_tokens), rc.heldout_fraction)  # lengths only, no tokens
     seq = rc.model.seq_len
     for name, have, need in (("training", len(train), seq + 2), ("held-out", len(heldout), seq + 1)):
@@ -165,38 +131,46 @@ def _check_splits(rc: RunConfig, n_tokens: int) -> None:
 
 
 def _run_config_from_echo(config: dict) -> RunConfig:
-    """Rebuild a RunConfig from a checkpoint's config echo, checked like a config file."""
+    """Rebuild a RunConfig from a checkpoint's config echo: run keys beside a 'model' object."""
     model = config.get("model", {})
     if not isinstance(model, dict):
         raise CheckpointError("config echo has no 'model' object")
-    run = {k: v for k, v in config.items() if k != "model"}
-    stray = sorted(set(model) - _MODEL_KEYS) + sorted(set(run) - _RUN_KEYS)
-    if stray:
-        raise CheckpointError(f"config echo has unknown key {stray[0]!r}")
     try:
-        return _run_config_from_dict({**run, **model})
-    except RunConfigError as e:
+        return RunConfig(**{**config, "model": MicroTransformerConfig(**model)})
+    except (TypeError, ValueError) as e:
         raise CheckpointError(f"config echo: {e}") from e
 
 
 def _check_tensors(cfg: MicroTransformerConfig, params: dict) -> None:
-    """Checkpoint tensors must be exactly the configured model's parameters."""
-    want = {name: arr.shape for name, arr in init_params(cfg).items()}
-    for name in sorted(want.keys() | params.keys()):
+    """Checkpoint tensors must be exactly the configured model's parameters.
+
+    The specs are read lazily, so an echo with a huge size fails at its first
+    missing or misshapen tensor without allocating or listing the model.
+    """
+    seen = set()
+    for name, shape, _ in param_specs(cfg):
         if name not in params:
             raise CheckpointError(f"checkpoint has no tensor {name!r}")
-        if name not in want:
-            raise CheckpointError(f"checkpoint tensor {name!r} is not a parameter of the configured model")
-        if params[name].shape != want[name]:
-            raise CheckpointError(f"tensor {name!r} has shape {params[name].shape}, the config needs {want[name]}")
+        if params[name].shape != shape:
+            raise CheckpointError(f"tensor {name!r} has shape {params[name].shape}, the config needs {shape}")
+        if not np.isfinite(params[name]).all():
+            raise CheckpointError(f"tensor {name!r} holds non-finite values")
+        seen.add(name)
+    stray = sorted(params.keys() - seen)
+    if stray:
+        raise CheckpointError(f"checkpoint tensor {stray[0]!r} is not a parameter of the configured model")
 
 
-def _load_model_checkpoint(path) -> tuple[Checkpoint, RunConfig]:
-    """A checkpoint and the run config it echoes, its tensors checked against that config."""
+def _load_model_checkpoint(path) -> tuple[Checkpoint, RunConfig, Calibration | None]:
+    """A checkpoint, the run config it echoes and its calibration, all checked against each other."""
     ckpt = load_checkpoint(path)
     rc = _run_config_from_echo(ckpt.config)
     _check_tensors(rc.model, ckpt.params)
-    return ckpt, rc
+    try:
+        calib = None if ckpt.calibration is None else Calibration.from_state_dict(ckpt.calibration)
+    except ValueError as e:
+        raise CheckpointError(f"calibration: {e}") from e
+    return ckpt, rc, calib
 
 
 def _load_corpus(rc: RunConfig) -> np.ndarray:
@@ -281,12 +255,9 @@ def cmd_verify_kernels(args) -> int:
 
 def _parse_shapes(text: str):
     try:
-        shapes = tuple(tuple(int(v) for v in part.strip().split("x")) for part in text.split(";"))
-    except ValueError:
-        shapes = None
-    if not _is_shape_list(shapes):
-        raise RunConfigError(f"malformed shape spec {text!r}; expected 'MxKxN;MxKxN'")
-    return shapes
+        return tuple(tuple(int(v) for v in part.strip().split("x")) for part in text.split(";"))
+    except ValueError as e:
+        raise RunConfigError(f"malformed shape spec {text!r}; expected 'MxKxN;MxKxN'") from e
 
 
 def _bench_operands(seed: int, m: int, k: int, n: int):
@@ -317,11 +288,8 @@ def _bench_kernel(kernel: str, w, x8, x4):
 
 
 def cmd_gemm_bench(args) -> int:
-    rc = load_run_config(args.config)
-    if args.shapes:
-        rc = replace(rc, bench_shapes=_parse_shapes(args.shapes))
-    if args.seed is not None:
-        rc = replace(rc, model=replace(rc.model, seed=args.seed))
+    shapes = _parse_shapes(args.shapes) if args.shapes else None
+    rc = load_run_config(args.config, seed=args.seed, bench_shapes=shapes)
     out_dir = Path(args.out or rc.report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = rc.config_hash()
@@ -361,9 +329,7 @@ def cmd_gemm_bench(args) -> int:
 
 
 def cmd_train(args) -> int:
-    rc = load_run_config(args.config)
-    if args.seed is not None:
-        rc = replace(rc, model=replace(rc.model, seed=args.seed))
+    rc = load_run_config(args.config, seed=args.seed)
     out_dir = Path(args.out or rc.report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = rc.config_hash()
@@ -413,12 +379,11 @@ def cmd_eval(args) -> int:
     if ckpt_path is None:
         print("eval requires --checkpoint or a checkpoint path in the config", file=sys.stderr)
         return 2
-    ckpt, rc = _load_model_checkpoint(ckpt_path)
+    ckpt, rc, calib = _load_model_checkpoint(ckpt_path)
     cfg = rc.model
     corpus = _load_corpus(rc)
     _, heldout = split_corpus(corpus, rc.heldout_fraction)
-    if ckpt.calibration is not None:
-        calib = Calibration.from_state_dict(ckpt.calibration)
+    if calib is not None:
         ppl = perplexity_eval(cfg, ckpt.params, heldout, calib=calib, quantized=True)
     else:
         ppl = perplexity_eval(cfg, ckpt.params, heldout, quantized=False)
@@ -431,9 +396,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    rc = load_run_config(args.config)
-    if args.seed is not None:
-        rc = replace(rc, model=replace(rc.model, seed=args.seed))
+    rc = load_run_config(args.config, seed=args.seed)
     if rc.corpus is not None:
         raise RunConfigError(
             f"ablate synthesizes one corpus per seed from corpus_length and cannot read corpus {rc.corpus!r}"
@@ -506,7 +469,7 @@ def cmd_inspect(args) -> int:
     if ckpt_path is None:
         print("inspect requires --checkpoint", file=sys.stderr)
         return 2
-    ckpt, rc = _load_model_checkpoint(ckpt_path)
+    ckpt, rc, calib = _load_model_checkpoint(ckpt_path)
     cfg = rc.model
     chash = rc.config_hash()
     if args.tokens is not None:
@@ -522,12 +485,9 @@ def cmd_inspect(args) -> int:
         teacher_params = load_checkpoint(args.teacher).params
         _check_tensors(cfg, teacher_params)
     teacher_res = forward_teacher(cfg, teacher_params, tokens)
-    calib = Calibration.from_state_dict(ckpt.calibration) if ckpt.calibration else None
     tape = gt.Tape(dtype=np.float32)
     tp = params_to_tape(tape, ckpt.params, trainable=False)
-    student_res = forward_tape(
-        tape, tp, tokens, cfg, quantized=ckpt.calibration is not None, training=False, calib=calib
-    )
+    student_res = forward_tape(tape, tp, tokens, cfg, quantized=calib is not None, training=False, calib=calib)
     out_dir = Path(args.out or rc.report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

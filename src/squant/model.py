@@ -38,7 +38,8 @@ import numpy as np
 
 from . import gradtape as gt
 from .kernels import CostCounter, PackedInt4Matrix, gemm_i8, gemm_mixed, pack_int4
-from .quant import EmaState, QuantSpec, calibrate_scale, clip_surrogate, fake_quant, quantize
+from .quant import EmaState, QuantSpec, calibrate_scale, check_momentum, clip_surrogate, fake_quant, quantize
+from .schema import check_fields, integer, number, one_of, typed
 from .seeding import substream
 from .token_bits import (
     TokenBitPlan,
@@ -62,6 +63,7 @@ __all__ = [
     "forward_tape",
     "forward_teacher",
     "init_params",
+    "param_specs",
     "params_to_tape",
     "perplexity_eval",
 ]
@@ -69,36 +71,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MicroTransformerConfig:
-    layers: int = 2
-    heads: int = 2
-    dim: int = 32
-    vocab: int = 64
-    seq_len: int = 32
-    weight_bits: int = 4
-    act_bits: object = "adaptive"  # 4, 8, or "adaptive"
-    rho: float = 0.5
-    r_E: float = 0.5
-    r_D: float = 1.0
-    gamma: float = 0.5
-    tau: float = 2.0
-    seed: int = 0
-    lr: float = 0.05
-    steps: int = 1000
-    literal_distribution_sign: bool = False
+    layers: int = integer(2, least=1)
+    heads: int = integer(2, least=1)
+    dim: int = integer(32, least=1)
+    vocab: int = integer(64, least=4)  # the synthetic corpus draws 4 distinct successors per token
+    seq_len: int = integer(32, least=1)
+    weight_bits: int = one_of(4, 8, default=4)
+    act_bits: object = one_of(4, 8, "adaptive", default="adaptive")
+    rho: float = number(0.5, "[0, 1]")
+    r_E: float = number(0.5, "[0, inf)")
+    r_D: float = number(1.0, "[0, inf)")
+    gamma: float = number(0.5, "[0, 1]")
+    tau: float = number(2.0, "(0, inf)")
+    seed: int = integer(0, least=0)
+    lr: float = number(0.05, "(0, inf)")
+    steps: int = integer(1000, least=0)
+    literal_distribution_sign: bool = typed(bool, default=False)
 
     def __post_init__(self):
+        check_fields(self)
         if self.dim % self.heads:
             raise ValueError(f"dim {self.dim} not divisible by {self.heads} heads")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must be in [0,1], got {self.rho}")
-        if self.weight_bits not in (4, 8):
-            raise ValueError(f"weight_bits must be 4 or 8, got {self.weight_bits}")
-        if self.act_bits not in (4, 8, "adaptive"):
-            raise ValueError(f"act_bits must be 4, 8, or 'adaptive', got {self.act_bits!r}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0,1], got {self.gamma}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
 
     @property
     def head_dim(self) -> int:
@@ -111,45 +104,51 @@ class MicroTransformerConfig:
 WEIGHT_NAMES = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp.w1", "mlp.w2")
 
 
-def init_params(cfg: MicroTransformerConfig) -> dict:
-    """Seeded float32 parameter dict; every tensor gets its own substream.
+def param_specs(cfg: MicroTransformerConfig):
+    """Yield (name, shape, init) for every parameter in a fixed order, allocating nothing.
 
+    ``init`` is "ones", "zeros", or the std of the tensor's seeded normal draw.
     Projections use 1/sqrt(fan_in) scaling so post-layernorm activations
     (and hence q/k variances) start near unit scale; tiny GPT-2 style init
     leaves sum-of-log-variance terms minuscule and their gradients huge.
     """
-
-    def draw(name, shape, scale):
-        return (substream(cfg.seed, f"init.{name}").normal(size=shape) * scale).astype(np.float32)
-
     d, hidden = cfg.dim, 4 * cfg.dim
-    params = {
-        "tok_emb": draw("tok_emb", (cfg.vocab, d), 0.02),
-        "pos_emb": draw("pos_emb", (cfg.seq_len, d), 0.02),
-        "lnf.g": np.ones(d, dtype=np.float32),
-        "lnf.b": np.zeros(d, dtype=np.float32),
-    }
+    yield "tok_emb", (cfg.vocab, d), 0.02
+    yield "pos_emb", (cfg.seq_len, d), 0.02
+    yield "lnf.g", (d,), "ones"
+    yield "lnf.b", (d,), "zeros"
     for l in range(cfg.layers):
         p = f"l{l}."
-        params[p + "ln1.g"] = np.ones(d, dtype=np.float32)
-        params[p + "ln1.b"] = np.zeros(d, dtype=np.float32)
-        params[p + "ln2.g"] = np.ones(d, dtype=np.float32)
-        params[p + "ln2.b"] = np.zeros(d, dtype=np.float32)
+        for ln in ("ln1", "ln2"):
+            yield p + ln + ".g", (d,), "ones"
+            yield p + ln + ".b", (d,), "zeros"
         for w in ("wq", "wk", "wv", "wo"):
-            params[p + f"attn.{w}"] = draw(p + f"attn.{w}", (d, d), d ** -0.5)
-            params[p + f"attn.b{w[1]}"] = np.zeros(d, dtype=np.float32)
-        params[p + "mlp.w1"] = draw(p + "mlp.w1", (d, hidden), d ** -0.5)
-        params[p + "mlp.b1"] = np.zeros(hidden, dtype=np.float32)
-        params[p + "mlp.w2"] = draw(p + "mlp.w2", (hidden, d), hidden ** -0.5)
-        params[p + "mlp.b2"] = np.zeros(d, dtype=np.float32)
-    return params
+            yield p + f"attn.{w}", (d, d), d ** -0.5
+            yield p + f"attn.b{w[1]}", (d,), "zeros"
+        yield p + "mlp.w1", (d, hidden), d ** -0.5
+        yield p + "mlp.b1", (hidden,), "zeros"
+        yield p + "mlp.w2", (hidden, d), hidden ** -0.5
+        yield p + "mlp.b2", (d,), "zeros"
+
+
+def init_params(cfg: MicroTransformerConfig) -> dict:
+    """Seeded float32 parameter dict of ``param_specs``; every drawn tensor gets its own substream."""
+
+    def make(name, shape, init):
+        if init == "ones":
+            return np.ones(shape, dtype=np.float32)
+        if init == "zeros":
+            return np.zeros(shape, dtype=np.float32)
+        return (substream(cfg.seed, f"init.{name}").normal(size=shape) * init).astype(np.float32)
+
+    return {name: make(name, shape, init) for name, shape, init in param_specs(cfg)}
 
 
 class Calibration:
     """EMA scale state per (layer, site, group) activation quantizer."""
 
     def __init__(self, momentum: float = 0.95):
-        self.momentum = momentum
+        self.momentum = check_momentum(momentum)
         self.ema: dict[str, EmaState] = {}
 
     def get(self, key: str) -> EmaState:
@@ -164,8 +163,11 @@ class Calibration:
         }
 
     @classmethod
-    def from_state_dict(cls, d: dict) -> "Calibration":
-        out = cls(momentum=d["momentum"])
+    def from_state_dict(cls, d) -> "Calibration":
+        """Inverse of ``state_dict``; ValueError on a malformed state."""
+        if not (isinstance(d, dict) and isinstance(d.get("ema"), dict)):
+            raise ValueError(f"calibration state needs an 'ema' object, got {d!r}")
+        out = cls(momentum=d.get("momentum"))
         out.ema = {k: EmaState.from_state_dict(v) for k, v in d["ema"].items()}
         return out
 

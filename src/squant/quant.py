@@ -12,12 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradtape as gt
+from .schema import is_number
 
 __all__ = [
     "EmaState",
     "QuantSpec",
     "QuantizedTensor",
     "calibrate_scale",
+    "check_momentum",
     "clip_surrogate",
     "dequantize",
     "fake_quant",
@@ -80,13 +82,17 @@ class QuantizedTensor:
             raise ValueError(f"int values outside [{lo}, {hi}] for bits={self.bits}")
 
 
+def check_momentum(momentum) -> float:
+    if not is_number(momentum, "(0, 1)"):
+        raise ValueError(f"momentum must be in (0,1), got {momentum!r}")
+    return momentum
+
+
 class EmaState:
     """Running max-abs for activation calibration; single writer per tensor."""
 
     def __init__(self, momentum: float = 0.95):
-        if not 0.0 < momentum < 1.0:
-            raise ValueError(f"momentum must be in (0,1), got {momentum}")
-        self.momentum = momentum
+        self.momentum = check_momentum(momentum)
         self.running_max = 0.0
         self.initialized = False
 
@@ -109,10 +115,15 @@ class EmaState:
         }
 
     @classmethod
-    def from_state_dict(cls, d: dict) -> "EmaState":
-        out = cls(momentum=d["momentum"])
+    def from_state_dict(cls, d) -> "EmaState":
+        """Inverse of ``state_dict``; ValueError on a malformed state."""
+        if not (
+            isinstance(d, dict) and is_number(d.get("running_max"), "[0, inf)") and isinstance(d.get("initialized"), bool)
+        ):
+            raise ValueError(f"EMA state needs a finite running_max >= 0 and a boolean initialized, got {d!r}")
+        out = cls(momentum=d.get("momentum"))
         out.running_max = float(d["running_max"])
-        out.initialized = bool(d["initialized"])
+        out.initialized = d["initialized"]
         return out
 
 

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import squant.gradtape as gt
 from squant.checkpoint import (
@@ -15,7 +17,7 @@ from squant.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from squant.cli import RunConfig, RunConfigError, load_run_config, main as cli_main
+from squant.cli import RunConfig, RunConfigError, _load_model_checkpoint, load_run_config, main as cli_main
 from squant.model import (
     Calibration,
     MicroTransformerConfig,
@@ -164,6 +166,11 @@ class TestRunConfig:
             ({"corpus_length": 20}, None),  # training split shorter than one window
             ({"corpus_length": 40}, None),  # held-out split shorter than one window
             ({"seq_len": 600}, [0, 1, 2]),  # a file corpus too short to train on
+            ({"vocab": 3}, None),  # the synthetic corpus needs 4 successors per token
+            ({"corpus": 5}, None),
+            ({"report_dir": 5}, None),
+            ({"literal_distribution_sign": 3}, None),
+            ({"act_bits": "8"}, None),  # no digit strings
         ],
     )
     def test_train_rejects_bad_input_with_one_line(self, tmp_path, capsys, config, corpus):
@@ -214,14 +221,32 @@ ECHO_RUN = RunConfig(
 )
 
 
-def _raw_checkpoint(path, header):
+def _raw_checkpoint(path, header, payload=b""):
     blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(MAGIC + np.array([VERSION, len(blob)], dtype="<u4").tobytes() + blob)
+    path.write_bytes(MAGIC + np.array([VERSION, len(blob)], dtype="<u4").tobytes() + blob + payload)
 
 
-def _checkpoint_with(path, params=None, config=None):
+def _checkpoint_with(path, params=None, config=None, calibration=None, extra=None):
     params = init_params(ECHO_RUN.model) if params is None else params
-    save_checkpoint(path, Checkpoint(config=config or ECHO_RUN.resolved(), params=params))
+    extra = {} if extra is None else extra
+    save_checkpoint(path, Checkpoint(config or ECHO_RUN.resolved(), params, calibration=calibration, extra=extra))
+
+
+def _edited_checkpoint(path, edit_index=None, tail=b""):
+    """A valid checkpoint whose tensor index goes through ``edit_index`` and whose file gains ``tail``."""
+    _checkpoint_with(path)
+    raw = path.read_bytes()
+    body = 12 + int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+    header = json.loads(raw[12:body])
+    if edit_index is not None:
+        edit_index(header["tensors"])
+    _raw_checkpoint(path, header, raw[body:] + tail)
+
+
+def _shape_entry(shape):
+    return lambda p: _raw_checkpoint(
+        p, {"config": ECHO_RUN.resolved(), "tensors": [{"name": "tok_emb", "shape": shape, "offset": 0}]}
+    )
 
 
 def _without(name):
@@ -251,6 +276,9 @@ BAD_CHECKPOINTS = {
     "wrong shape": lambda p: _checkpoint_with(
         p, params={**init_params(ECHO_RUN.model), "tok_emb": np.zeros((16, 9), dtype=np.float32)}
     ),
+    "non-finite tensor": lambda p: _checkpoint_with(
+        p, params={**init_params(ECHO_RUN.model), "l0.attn.wq": np.full((8, 8), np.nan, dtype=np.float32)}
+    ),
     "extra tensor": lambda p: _checkpoint_with(
         p, params={**init_params(ECHO_RUN.model), "l9.attn.wq": np.zeros((8, 8), dtype=np.float32)}
     ),
@@ -259,6 +287,19 @@ BAD_CHECKPOINTS = {
     "model key at run level": lambda p: _checkpoint_with(p, config=_echo_with(lr=0.1)),
     "invalid model value": lambda p: _checkpoint_with(p, config=_echo_with({"heads": 3})),
     "model not an object": lambda p: _checkpoint_with(p, config={**ECHO_RUN.resolved(), "model": 5}),
+    "dim of 2**64": _shape_entry([2**64]),
+    "dims whose product overflows int64": _shape_entry([2**32, 2**32]),
+    "zero-size shape too big for numpy": _shape_entry([0, 2**63]),
+    "extra not an object": lambda p: _checkpoint_with(p, extra=[1]),
+    "overlapping payloads": lambda p: _edited_checkpoint(p, lambda t: t[1].update(offset=t[0]["offset"])),
+    "tensor listed twice": lambda p: _edited_checkpoint(p, lambda t: t.append(dict(t[0]))),
+    "bytes after the last payload": lambda p: _edited_checkpoint(p, tail=b"\0\0\0\0"),
+    "calibration without ema": lambda p: _checkpoint_with(p, calibration={"momentum": 0.95}),
+    "calibration a list": lambda p: _checkpoint_with(p, calibration=[0.95]),
+    "calibration momentum 2": lambda p: _checkpoint_with(p, calibration={"momentum": 2, "ema": {}}),
+    "ema entry without running_max": lambda p: _checkpoint_with(
+        p, calibration={"momentum": 0.95, "ema": {"l0.attn_in.hi": {"momentum": 0.95, "initialized": True}}}
+    ),
 }
 
 
@@ -287,6 +328,81 @@ class TestCheckpointExitContract:
         assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "pos_emb" in err, err
+
+
+def _json_paths(node, prefix=()):
+    """Every path of keys and indices into a JSON tree, the root included."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.fixture(scope="module")
+def student_file(tmp_path_factory):
+    """A valid student checkpoint (tensors, config echo, calibration) and its bytes."""
+    calib = Calibration()
+    for key in ("l0.attn_in.hi", "l0.attn_in.lo"):
+        calib.get(key).update(0.75)
+    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    _checkpoint_with(path, calibration=calib.state_dict())
+    return path, path.read_bytes()
+
+
+class TestCheckpointFuzz:
+    """Whatever the bytes, loading a checkpoint for eval or inspect succeeds or raises CheckpointError."""
+
+    @staticmethod
+    def loads_or_rejects(path, raw):
+        path.write_bytes(raw)
+        try:
+            _load_model_checkpoint(path)
+        except CheckpointError:
+            pass
+
+    @FUZZ
+    @given(cut=st.integers(min_value=0))
+    def test_truncations(self, student_file, cut):
+        path, raw = student_file
+        self.loads_or_rejects(path, raw[: cut % len(raw)])
+
+    @FUZZ
+    @given(flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)), min_size=1, max_size=4))
+    def test_byte_flips(self, student_file, flips):
+        path, raw = student_file
+        edited = bytearray(raw)
+        for at, mask in flips:
+            edited[at % len(raw)] ^= mask
+        self.loads_or_rejects(path, bytes(edited))
+
+    @FUZZ
+    @given(data=st.data())
+    def test_header_edits(self, student_file, data):
+        path, raw = student_file
+        body = 12 + int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+        header = json.loads(raw[12:body])
+        where = data.draw(st.sampled_from(list(_json_paths(header))))
+        value = data.draw(JSON_VALUES)
+        if not where:
+            header = value
+        else:
+            parent = header
+            for key in where[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans()):
+                parent[where[-1]] = value
+            else:
+                del parent[where[-1]]
+        blob = json.dumps(header).encode("utf-8")
+        self.loads_or_rejects(path, raw[:4] + np.array([VERSION, len(blob)], dtype="<u4").tobytes() + blob + raw[body:])
 
 
 class TestVerifyKernelsCommand:
