@@ -78,7 +78,7 @@ class Tensor:
         # asarray with order="C" keeps 0-d scalars 0-d (ascontiguousarray would
         # promote them to shape (1,))
         array = np.asarray(array, dtype=tape.dtype, order="C")
-        if not np.all(np.isfinite(array)):
+        if not np.isfinite(array).all():
             raise ValueError(f"non-finite values in tensor {name or '<anon>'}")
         if parents and all(p.constant for p in parents):
             constant, parents, vjp = True, (), None

@@ -9,7 +9,8 @@ residual adds, embeddings, and the tied head stay in float.
 
 Activation bit widths follow a per-token plan: uniform 4 or 8, or adaptive
 where layer l > 0 plans from layer l-1's attention map in the same pass.
-Each activation site is quantized once per pass by ``group_quantize``.
+Each activation site is quantized once per pass by ``group_quantize``, in
+one per-row rounding; the integer path gathers each group's codes from it.
 
 Attention runs over all heads at once: q, k and v split into [H, T, dh]
 once per layer, and each layer's probabilities are one [H, T, T] node.
@@ -255,9 +256,9 @@ def _forward(
             elif calib is not None:
                 kw[f"ema_{group}"] = calib.get(gkey)
         gq = group_quantize(node.array, plan, training=training, **kw)
-        for group, idx, q in (("hi", gq.groups.hi_indices, gq.q_hi), ("lo", gq.groups.lo_indices, gq.q_lo)):
+        for group, idx, spec in (("hi", gq.groups.hi_indices, gq.spec_hi), ("lo", gq.groups.lo_indices, gq.spec_lo)):
             if idx.size:
-                scales_used[f"{key}.{group}"] = q.scale
+                scales_used[f"{key}.{group}"] = spec.scale
         if project is not None and site not in ("q_post", "k_post"):
             return None, gq  # the integer projections read the codes, never the dequantized node
         return fake_quant_node(node, gq, surrogate), gq

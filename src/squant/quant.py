@@ -3,6 +3,12 @@
 One positive scale per tensor, signed integer range [-2^(b-1), 2^(b-1)-1],
 b in {4, 8}. Rounding is half away from zero. 4-bit values live sign-extended
 in int8 containers here; dense packing belongs to the kernels module.
+
+A quantizer rounds its input once: ``_round_clip`` computes round(x / scale)
+in one float64 buffer, and the int8 codes (clipped), the dequantized values
+(from the codes) and the straight-through mask (the in-range test before the
+clip) all come from it. The mask is built only for an input a backward pass
+can reach.
 """
 
 from __future__ import annotations
@@ -144,33 +150,46 @@ def calibrate_scale(x: np.ndarray, bits: int, ema: EmaState | None = None) -> fl
     return m / float((1 << (bits - 1)) - 1)
 
 
+def _ste_mask(rounded: np.ndarray, qmin, qmax) -> np.ndarray:
+    """True where the unclipped rounded value is already in [qmin, qmax]."""
+    return (rounded >= qmin) & (rounded <= qmax)
+
+
+def _round_clip(x: np.ndarray, scale, qmin, qmax, with_mask: bool = False):
+    """The one rounding of a quantizer: (int8 codes, straight-through mask or None).
+
+    The codes are round_half_away(x / scale) clipped to [qmin, qmax]. With
+    ``with_mask`` the mask is True where the rounded value was in range
+    before the clip. ``scale``, ``qmin`` and ``qmax`` are scalars or [N, 1]
+    columns, one entry per row of x.
+    """
+    r = np.true_divide(x, scale, out=np.empty(x.shape), dtype=np.float64)
+    np.abs(r, out=r)
+    _round_magnitude(r, x)  # round_half_away(x / scale) in one buffer: x / scale has the sign of x
+    mask = _ste_mask(r, qmin, qmax) if with_mask else None
+    np.clip(r, qmin, qmax, out=r)
+    return r.astype(np.int8), mask
+
+
 def quantize(x: np.ndarray, spec: QuantSpec) -> QuantizedTensor:
-    x = np.asarray(x)
-    ints = np.true_divide(x, spec.scale, out=np.empty(x.shape), dtype=np.float64)
-    np.abs(ints, out=ints)
-    _round_magnitude(ints, x)  # round_half_away(x / scale) in one buffer: x / scale has the sign of x
-    np.clip(ints, spec.qmin, spec.qmax, out=ints)
-    return QuantizedTensor(ints.astype(np.int8), spec.scale, spec.bits)
+    codes, _ = _round_clip(np.asarray(x), spec.scale, spec.qmin, spec.qmax)
+    return QuantizedTensor(codes, spec.scale, spec.bits)
 
 
 def dequantize(q: QuantizedTensor, dtype=np.float32) -> np.ndarray:
     return q.ints.astype(dtype) * np.dtype(dtype).type(q.scale)
 
 
-def _ste_mask(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    # pass-through exactly where the pre-clip integer is already in range
-    ri = round_half_away(np.asarray(x, dtype=np.float64) / spec.scale)
-    return ((ri >= spec.qmin) & (ri <= spec.qmax)).astype(x.dtype)
-
-
 def fake_quant(x: gt.Tensor, spec: QuantSpec) -> gt.Tensor:
     """Quantize-dequantize on the forward; straight-through on the backward.
 
     The gradient mask is the in-range indicator of round(x/scale) before
-    clipping, so values that saturate pass no gradient.
+    clipping, so values that saturate pass no gradient. Codes and mask come
+    from one rounding, and a constant input, which no backward pass reaches,
+    gets no mask.
     """
-    mask = _ste_mask(x.array, spec)
-    y = dequantize(quantize(x.array, spec), dtype=x.tape.dtype)
+    codes, mask = _round_clip(x.array, spec.scale, spec.qmin, spec.qmax, with_mask=not x.constant)
+    y = dequantize(QuantizedTensor(codes, spec.scale, spec.bits), dtype=x.tape.dtype)
     return x.tape.record(y, (x,), lambda g: (g * mask,), name=f"fake_quant{spec.bits}")
 
 
@@ -180,14 +199,15 @@ def clip_surrogate(x: gt.Tensor, spec: QuantSpec) -> gt.Tensor:
     Drop-in stand-in for fake_quant when a differentiable-almost-everywhere
     forward is needed, e.g. finite-difference checks of the STE backward.
     """
-    y, mask = _clip(x.array, spec)
+    y, mask = _clip(x.array, spec.qmin * spec.scale, spec.qmax * spec.scale)
     return x.tape.record(y, (x,), lambda g: (g * mask,), name=f"clip{spec.bits}")
 
 
-def _clip(x: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Clip-only forward values and their in-range mask, in the dtype of x."""
-    lo = spec.qmin * spec.scale
-    hi = spec.qmax * spec.scale
-    y = np.clip(x, x.dtype.type(lo), x.dtype.type(hi))
-    mask = ((x >= lo) & (x <= hi)).astype(x.dtype)
-    return y, mask
+def _clip(x: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Clip-only forward values, in the dtype of x, and their in-range mask.
+
+    The bounds, scalars or [N, 1] columns, are cast to x's dtype first, so
+    the test and the clip both compare in that dtype.
+    """
+    lo, hi = np.asarray(lo, dtype=x.dtype), np.asarray(hi, dtype=x.dtype)
+    return np.clip(x, lo, hi), (x >= lo) & (x <= hi)

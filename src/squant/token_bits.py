@@ -6,17 +6,24 @@ across heads. The top floor(rho * N) tokens by that score are quantized at
 plans from layer l-1's map within the same forward pass; layer 0 has no map
 yet and defaults to all-8 (all-4 when rho is 0, so the rho=0 plan degenerates
 to the uniform 4-bit path everywhere).
+
+An activation site is quantized in token order by one per-row rounding: row
+t takes its group's scale and its planned range, so the int8 codes, the
+dequantized values and the straight-through mask all come from one float64
+round(x / scale), with no gather or scatter of float rows. The integer path
+gathers each group's codes from those int8 codes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import gradtape as gt
-from .quant import EmaState, QuantSpec, QuantizedTensor, _clip, _ste_mask, calibrate_scale, dequantize, quantize
+from .quant import EmaState, QuantSpec, QuantizedTensor, _clip, _round_clip, calibrate_scale
 
 __all__ = [
     "AttentionMap",
@@ -81,6 +88,17 @@ class TokenBitPlan:
         if int((self.bits == 8).sum()) != self.k:
             raise ValueError(f"plan has {(self.bits == 8).sum()} 8-bit tokens, expected {self.k}")
 
+    @cached_property
+    def groups(self) -> "TokenGroups":
+        """Positions of the 8-bit and 4-bit tokens, built once per plan."""
+        return TokenGroups(hi_indices=np.flatnonzero(self.bits == 8), lo_indices=np.flatnonzero(self.bits == 4))
+
+    @cached_property
+    def _row_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each token's [qmin, qmax] at its planned bits, as float64 [N, 1] columns."""
+        qmax = np.left_shift(1, self.bits - 1)[:, None] - 1.0
+        return -qmax - 1.0, qmax
+
 
 @dataclass
 class TokenGroups:
@@ -102,7 +120,7 @@ class TokenGroups:
         """Token positions in grouped (hi then lo) order."""
         return np.concatenate([self.hi_indices, self.lo_indices])
 
-    @property
+    @cached_property
     def inverse(self) -> np.ndarray:
         """Permutation taking grouped order back to sequence order."""
         return np.argsort(self.order)
@@ -110,9 +128,42 @@ class TokenGroups:
 
 @dataclass
 class GroupQuant:
-    groups: TokenGroups
-    q_hi: QuantizedTensor
-    q_lo: QuantizedTensor
+    """One activation site ``x`` [N, D] with its plan and one quantizer spec per group.
+
+    Row t quantizes at its group's scale and range. ``round`` does it for
+    every row at once, in token order; ``codes`` keeps the int8 codes of its
+    first call, and ``q_hi`` and ``q_lo`` gather each group's rows of them.
+    """
+
+    x: np.ndarray
+    plan: TokenBitPlan
+    spec_hi: QuantSpec
+    spec_lo: QuantSpec
+
+    @property
+    def groups(self) -> TokenGroups:
+        return self.plan.groups
+
+    @cached_property
+    def scales(self) -> np.ndarray:
+        """Each row's group scale, as an [N, 1] column."""
+        return np.where(self.plan.bits[:, None] == 8, self.spec_hi.scale, self.spec_lo.scale)
+
+    def round(self, with_mask: bool = False):
+        """(int8 codes [N, D], straight-through mask or None) from one rounding of x."""
+        return _round_clip(self.x, self.scales, *self.plan._row_range, with_mask)
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        return self.round()[0]
+
+    @cached_property
+    def q_hi(self) -> QuantizedTensor:
+        return QuantizedTensor(self.codes[self.groups.hi_indices], self.spec_hi.scale, 8)
+
+    @cached_property
+    def q_lo(self) -> QuantizedTensor:
+        return QuantizedTensor(self.codes[self.groups.lo_indices], self.spec_lo.scale, 4)
 
 
 def token_importance(attn: AttentionMap, layer: int) -> np.ndarray:
@@ -171,12 +222,6 @@ def plan_for_layer(
     return assign_bits(scores, rho)
 
 
-def _groups_from_plan(plan: TokenBitPlan) -> TokenGroups:
-    return TokenGroups(
-        hi_indices=np.flatnonzero(plan.bits == 8), lo_indices=np.flatnonzero(plan.bits == 4)
-    )
-
-
 def gather_tokens(x: np.ndarray, groups: TokenGroups) -> tuple[np.ndarray, np.ndarray]:
     return x[groups.hi_indices], x[groups.lo_indices]
 
@@ -186,19 +231,20 @@ def scatter_tokens(hi: np.ndarray, lo: np.ndarray, groups: TokenGroups) -> np.nd
     return stacked[groups.inverse]
 
 
-def _group_scale(
-    x: np.ndarray, bits: int, ema: EmaState | None, fixed: float | None, training: bool
-) -> float:
+def _group_spec(
+    x: np.ndarray, rows: np.ndarray, bits: int, ema: EmaState | None, fixed: float | None, training: bool
+) -> QuantSpec:
+    """The spec of the group of ``rows`` of x; only a max-abs calibration reads (and gathers) the rows."""
     if fixed is not None:
-        return fixed
-    if x.size == 0:
-        return 1.0
-    if ema is None:
-        return calibrate_scale(x, bits)
-    if training:
-        return calibrate_scale(x, bits, ema)
-    frozen = ema.running_max
-    return frozen / float((1 << (bits - 1)) - 1) if frozen > 0 else 1.0
+        scale = fixed
+    elif rows.size * x.shape[1] == 0:
+        scale = 1.0
+    elif ema is not None and not training:
+        frozen = ema.running_max
+        scale = frozen / float((1 << (bits - 1)) - 1) if frozen > 0 else 1.0
+    else:
+        scale = calibrate_scale(x if rows.size == x.shape[0] else x[rows], bits, ema)
+    return QuantSpec(bits=bits, scale=scale, target="activation")
 
 
 def group_quantize(
@@ -210,47 +256,40 @@ def group_quantize(
     scale_lo: float | None = None,
     training: bool = True,
 ) -> GroupQuant:
-    """Split rows by plan and quantize each group with its own scale.
+    """Split rows by plan and give each group its own scale; the codes round on first read.
 
     Scale precedence per group: explicit fixed scale, then EMA (updated only
     when training), then plain max-abs of the group. Empty groups quantize
-    trivially at scale 1 and never touch their EMA.
+    trivially at scale 1 and never touch their EMA. Row t is rounded at its
+    group's scale and clipped to its planned range, in token order; the
+    quotient is elementwise, so each row's codes are those of its group
+    quantized on its own.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != plan.bits.size:
         raise ValueError(f"x must be [N,D] with N={plan.bits.size}, got {x.shape}")
-    groups = _groups_from_plan(plan)
-    x_hi, x_lo = gather_tokens(x, groups)
-    s_hi = _group_scale(x_hi, 8, ema_hi, scale_hi, training)
-    s_lo = _group_scale(x_lo, 4, ema_lo, scale_lo, training)
-    q_hi = quantize(x_hi, QuantSpec(bits=8, scale=s_hi, target="activation"))
-    q_lo = quantize(x_lo, QuantSpec(bits=4, scale=s_lo, target="activation"))
-    return GroupQuant(groups=groups, q_hi=q_hi, q_lo=q_lo)
+    groups = plan.groups
+    spec_hi = _group_spec(x, groups.hi_indices, 8, ema_hi, scale_hi, training)
+    spec_lo = _group_spec(x, groups.lo_indices, 4, ema_lo, scale_lo, training)
+    return GroupQuant(x, plan, spec_hi, spec_lo)
 
 
 def fake_quant_node(x: gt.Tensor, gq: GroupQuant, surrogate: bool = False) -> gt.Tensor:
     """Tape node whose forward is gq's dequantized codes in token order.
 
     ``gq`` must come from ``group_quantize(x.array, ...)``. With ``surrogate``
-    the forward clips each group to its representable interval instead of
-    rounding (used for finite-difference checks). The backward passes the
-    gradient where the group's straight-through mask is 1 and +0.0 elsewhere.
+    the forward clips each row to its group's representable interval instead
+    of rounding (used for finite-difference checks). The backward passes the
+    gradient where the row's straight-through mask is 1 and +0.0 elsewhere.
+    Values and mask come from one rounding, and a constant input, which no
+    backward pass reaches, gets no mask.
     """
-    groups = gq.groups
-    spec_hi, spec_lo = (QuantSpec(bits=q.bits, scale=q.scale, target="activation") for q in (gq.q_hi, gq.q_lo))
+    scales = gq.scales
     if surrogate:
-        x_hi, x_lo = gather_tokens(x.array, groups)
-        (y_hi, m_hi), (y_lo, m_lo) = _clip(x_hi, spec_hi), _clip(x_lo, spec_lo)
-        y, mask = scatter_tokens(y_hi, y_lo, groups), scatter_tokens(m_hi, m_lo, groups)
+        qmin, qmax = gq.plan._row_range
+        y, mask = _clip(x.array, qmin * scales, qmax * scales)
     else:
-        y = scatter_tokens(dequantize(gq.q_hi, x.tape.dtype), dequantize(gq.q_lo, x.tape.dtype), groups)
-        mask = None
-
-    def vjp(g):
-        m = mask
-        if m is None:  # the rounding mask is built only when a backward pass needs it
-            x_hi, x_lo = gather_tokens(x.array, groups)
-            m = scatter_tokens(_ste_mask(x_hi, spec_hi), _ste_mask(x_lo, spec_lo), groups)
-        return (g * m + 0.0,)  # + 0.0 turns g * 0 for negative g into +0.0
-
-    return x.tape.record(y, (x,), vjp, name="fake_quant_grouped")
+        codes, mask = gq.round(with_mask=not x.constant)
+        y = codes.astype(x.tape.dtype) * scales.astype(x.tape.dtype)  # dequantize, row by row
+    # + 0.0 turns g * 0 for negative g into +0.0
+    return x.tape.record(y, (x,), lambda g: (g * mask + 0.0,), name="fake_quant_grouped")

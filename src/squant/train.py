@@ -92,7 +92,7 @@ def _sample_window(rng: np.random.Generator, corpus: np.ndarray, n: int):
 def _sgd_update(params: dict, tp: dict, lr: float) -> None:
     for name, node in tp.items():
         if node.grad is not None:
-            if not np.all(np.isfinite(node.grad)):
+            if not np.isfinite(node.grad).all():
                 raise ValueError(f"non-finite gradient for {name}")
             params[name] = node.array - np.float32(lr) * node.grad
 

@@ -264,6 +264,46 @@ class TestIntegerPath:
         }
         assert not any(ema.initialized for ema in calib.ema.values())
 
+    def test_no_mask_without_a_backward(self, monkeypatch):
+        # constant inputs: the integer, teacher and eval forwards build no straight-through mask
+        import squant.quant
+
+        masks = []
+        original = squant.quant._ste_mask
+
+        def counting(*args):
+            masks.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(squant.quant, "_ste_mask", counting)
+        cfg = small_cfg(act_bits="adaptive", rho=0.5)
+        params = init_params(cfg)
+        toks = tokens_for(cfg, length=4 * cfg.seq_len + 1)
+        forward_int(cfg, params, toks[: cfg.seq_len], calib=None)
+        forward_teacher(cfg, params, toks[: cfg.seq_len])
+        perplexity_eval(cfg, params, toks, calib=Calibration())
+        assert masks == []
+        tape = gt.Tape()
+        forward_tape(tape, params_to_tape(tape, params), toks[: cfg.seq_len], cfg, quantized=True, training=True)
+        assert len(masks) == cfg.layers * (len(WEIGHT_NAMES) + len(ACT_SITES))
+
+    def test_token_groups_built_once_per_plan(self, monkeypatch):
+        import squant.token_bits
+
+        built = []
+        post_init = squant.token_bits.TokenGroups.__post_init__
+
+        def counting(groups):
+            built.append(1)
+            post_init(groups)
+
+        monkeypatch.setattr(squant.token_bits.TokenGroups, "__post_init__", counting)
+        cfg = small_cfg(act_bits="adaptive", rho=0.5)
+        _, plans = forward_int(cfg, init_params(cfg), tokens_for(cfg), calib=None)
+        assert len(built) == cfg.layers
+        groups = plans[1].groups
+        assert plans[1].groups is groups and groups.inverse is groups.inverse
+
     def test_int_path_token_validation(self):
         cfg = small_cfg()
         with pytest.raises(IndexError):

@@ -1,12 +1,13 @@
 """Top-k selection against a sort oracle, plan invariants, group round-trips."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from squant import gradtape as gt
-from squant.quant import EmaState, QuantSpec, dequantize, fake_quant, quantize
+from squant.quant import EmaState, QuantSpec, calibrate_scale, dequantize, fake_quant, quantize
 from squant.seeding import substream
 from squant.token_bits import (
     AttentionMap,
@@ -303,3 +304,160 @@ class TestFakeQuantGrouped:
             tape.parameter(x), uniform_plan(4, 8), scale_hi=1.0, training=False
         )
         np.testing.assert_array_equal(y.data, x)  # 3.0 / 1.0 rounds to 3 exactly
+
+
+# The per-group formulation the one-rounding quantizer replaced, kept as the
+# reference: gather each group's rows, quantize the group on its own, scatter
+# the dequantized values back; the backward gathers again, re-rounds for the
+# straight-through mask and scatters it.
+def ref_round(t):
+    r = np.abs(t) + 0.5
+    np.floor(r, out=r)
+    return np.copysign(r, t)
+
+
+def ref_quantize(x, scale, bits):
+    qmax = (1 << (bits - 1)) - 1
+    r = ref_round(np.asarray(x, dtype=np.float64) / scale)
+    return np.clip(r, -qmax - 1, qmax).astype(np.int8)
+
+
+def ref_ste_mask(x, scale, bits):
+    qmax = (1 << (bits - 1)) - 1
+    r = ref_round(np.asarray(x, dtype=np.float64) / scale)
+    return ((r >= -qmax - 1) & (r <= qmax)).astype(x.dtype)
+
+
+def ref_clip(x, scale, bits):
+    qmax = (1 << (bits - 1)) - 1
+    lo, hi = (-qmax - 1) * scale, qmax * scale
+    return np.clip(x, x.dtype.type(lo), x.dtype.type(hi)), ((x >= lo) & (x <= hi)).astype(x.dtype)
+
+
+def ref_group_scale(x, bits, ema, fixed, training):
+    if fixed is not None:
+        return fixed
+    if x.size == 0:
+        return 1.0
+    if ema is None:
+        return calibrate_scale(x, bits)
+    if training:
+        return calibrate_scale(x, bits, ema)
+    frozen = ema.running_max
+    return frozen / float((1 << (bits - 1)) - 1) if frozen > 0 else 1.0
+
+
+def ref_fake_quant_grouped(x, g, plan, emas, fixed, training, surrogate):
+    """Forward values, per-group (codes, scale) and input gradient of the gather/scatter formulation."""
+    hi, lo = np.flatnonzero(plan.bits == 8), np.flatnonzero(plan.bits == 4)
+    inverse = np.argsort(np.concatenate([hi, lo]))
+    groups = []
+    for idx, bits, ema, scale in zip((hi, lo), (8, 4), emas, fixed):
+        rows = x[idx]
+        scale = ref_group_scale(rows, bits, ema, scale, training)
+        groups.append((rows, bits, scale, ref_quantize(rows, scale, bits)))
+    if surrogate:
+        parts = [ref_clip(rows, scale, bits) for rows, bits, scale, _ in groups]
+        y = np.concatenate([p[0] for p in parts])[inverse]
+        mask = np.concatenate([p[1] for p in parts])[inverse]
+    else:
+        y = np.concatenate([codes.astype(x.dtype) * x.dtype.type(scale) for _, _, scale, codes in groups])[inverse]
+        mask = np.concatenate([ref_ste_mask(rows, scale, bits) for rows, bits, scale, _ in groups])[inverse]
+    return y, [(codes, scale) for _, _, scale, codes in groups], g * mask + 0.0
+
+
+def tie_rows(rng, n, d, scales, plan, dtype):
+    """Rows with entries on +-(k + 1/2) * scale of their group and on their neighbours either side."""
+    x = rng.normal(size=(n, d)) * rng.choice([0.05, 1.0, 20.0])
+    for t in range(n):
+        bits = int(plan.bits[t])
+        qmax = (1 << (bits - 1)) - 1
+        k = rng.integers(-qmax - 2, qmax + 2, size=d) + 0.5
+        k[0] = rng.choice([-qmax - 0.5, qmax + 0.5])  # the ties either side of the clip
+        x[t] = np.where(rng.uniform(size=d) < 0.7, k * scales[bits], x[t])
+        x[t, 0] = k[0] * scales[bits]
+    x = x.astype(dtype)
+    step = rng.integers(-1, 2, size=x.shape)  # nextafter down, exactly on the tie, or up
+    return np.where(step < 0, np.nextafter(x, -np.inf), np.where(step > 0, np.nextafter(x, np.inf), x))
+
+
+def ema_pair(rng):
+    out = []
+    for _ in range(2):
+        ema = EmaState(momentum=0.9)
+        if rng.uniform() < 0.5:
+            ema.update(float(rng.uniform(0.1, 5.0)))
+        out.append(ema)
+    return out
+
+
+class TestOneRoundingOracle:
+    """group_quantize + fake_quant_node against the gather/quantize/scatter reference, byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("surrogate", [False, True])
+    def test_matches_gather_scatter_reference(self, dtype, surrogate):
+        rng = substream(5, f"oracle-{np.dtype(dtype).name}-{surrogate}")
+        blocked = 0
+        for case in range(300):
+            n, d = int(rng.integers(1, 12)), int(rng.integers(1, 7))
+            rho = float(rng.choice([0.0, 1.0, rng.uniform()]))
+            plan = assign_bits(rng.uniform(size=n), rho)
+            # power-of-two scales make the float32 ties exact; the others land next to them
+            scales = {b: float(rng.choice([2.0**-5, 0.0123, 0.37])) * (16 if b == 4 else 1) for b in (8, 4)}
+            x = tie_rows(rng, n, d, scales, plan, dtype)
+            g = rng.normal(size=(n, d)).astype(dtype)
+            fixed = (scales[8], scales[4]) if case % 3 == 0 else (None, None)
+            emas = ema_pair(rng) if case % 3 == 1 else (None, None)
+            training = bool(rng.uniform() < 0.5)
+            ref_emas = copy.deepcopy(emas)
+            want_y, want_groups, want_grad = ref_fake_quant_grouped(x, g, plan, ref_emas, fixed, training, surrogate)
+
+            tape = gt.Tape(dtype=dtype)
+            t = tape.parameter(x)
+            gq = group_quantize(
+                x, plan, ema_hi=emas[0], ema_lo=emas[1], scale_hi=fixed[0], scale_lo=fixed[1], training=training
+            )
+            y = fake_quant_node(t, gq, surrogate=surrogate)
+            tape.backward(gt.sum_all(gt.mul(y, tape.constant(g))))
+
+            assert y.data.dtype == want_y.dtype and y.data.tobytes() == want_y.tobytes()
+            for q, (codes, scale) in zip((gq.q_hi, gq.q_lo), want_groups):
+                assert q.ints.dtype == codes.dtype and q.ints.shape == codes.shape
+                assert q.ints.tobytes() == codes.tobytes()
+                assert q.scale == scale
+            for got, want in zip(emas, ref_emas):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.state_dict() == want.state_dict()
+            assert t.grad.dtype == want_grad.dtype and t.grad.tobytes() == want_grad.tobytes()
+            blocked += int(np.count_nonzero(want_grad == 0))
+        assert blocked > 100  # the mask did block gradients, so it was compared where it matters
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weight_fake_quant_at_ties(self, dtype):
+        rng = substream(5, f"oracle-weight-{np.dtype(dtype).name}")
+        for bits in (4, 8):
+            for scale in (2.0**-6, 0.0123, None):
+                qmax = (1 << (bits - 1)) - 1
+                w = rng.normal(size=(9, 7))
+                if scale is None:  # max-abs scale, as the QAT step takes it
+                    scale = calibrate_scale(w.astype(dtype), bits)
+                k = rng.integers(-qmax - 2, qmax + 2, size=w.shape) + 0.5
+                k[0, :4] = [-qmax - 1.5, -qmax - 0.5, qmax - 0.5, qmax + 0.5]  # the ties either side of the clip
+                w = np.where(rng.uniform(size=w.shape) < 0.7, k * scale, w)
+                w[0, :4] = k[0, :4] * scale
+                w = w.astype(dtype)
+                step = rng.integers(-1, 2, size=w.shape)
+                w = np.where(step < 0, np.nextafter(w, -np.inf), np.where(step > 0, np.nextafter(w, np.inf), w))
+                g = rng.normal(size=w.shape).astype(dtype)
+                spec = QuantSpec(bits=bits, scale=scale)
+                tape = gt.Tape(dtype=dtype)
+                t = tape.parameter(w)
+                y = fake_quant(t, spec)
+                tape.backward(gt.sum_all(gt.mul(y, tape.constant(g))))
+                want_y = ref_quantize(w, scale, bits).astype(dtype) * np.dtype(dtype).type(scale)
+                want_grad = g * ref_ste_mask(w, scale, bits)
+                assert y.data.tobytes() == want_y.tobytes()
+                assert t.grad.tobytes() == want_grad.tobytes()
+                assert quantize(w, spec).ints.tobytes() == ref_quantize(w, scale, bits).tobytes()

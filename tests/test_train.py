@@ -131,6 +131,29 @@ class TestQatTrainer:
         # heads run as one batched op, and constants are not recorded
         assert len(counts) == 2 and max(counts) <= 160
 
+    def test_one_rounding_per_weight_and_site(self, monkeypatch):
+        # every quantizer takes its codes, values and straight-through mask from one rounding
+        import squant.quant
+
+        from squant.model import ACT_SITES, WEIGHT_NAMES, init_params
+
+        cfg = MicroTransformerConfig()  # the defaults: adaptive activations, both aux terms
+        corpus = make_corpus(0, cfg.vocab, 1024)
+        trainer = QatTrainer(cfg, init_params(cfg), corpus)
+        rounded = []
+        original = squant.quant._round_magnitude
+
+        def counting(r, sign):
+            rounded.append(r.size)
+            return original(r, sign)
+
+        monkeypatch.setattr(squant.quant, "_round_magnitude", counting)
+        trainer.step()
+        weights = sum(trainer.params[f"l{l}.{w}"].size for l in range(cfg.layers) for w in WEIGHT_NAMES)
+        sites = cfg.layers * cfg.seq_len * (len(ACT_SITES) - 1 + 4) * cfg.dim  # mlp_hidden is 4x wide
+        assert len(rounded) == cfg.layers * (len(WEIGHT_NAMES) + len(ACT_SITES))
+        assert sum(rounded) == weights + sites
+
     def test_student_initialized_from_teacher(self):
         cfg, teacher, train, _ = tiny_setup()
         trainer = QatTrainer(cfg, teacher, train)
