@@ -278,9 +278,10 @@ def _bench_kernel(kernel: str, w, x8, x4):
     elif kernel == "mixed":
         wp = pack_int4(w)
         n = x8.shape[1]
-        groups = {"hi": x8[:, : n // 2], "lo": x4[:, n // 2 :]}
+        x = np.concatenate([x8[:, : n // 2], x4[:, n // 2 :]], axis=1)  # 8-bit tokens first, then 4-bit
+        bits = np.repeat([8, 4], [n // 2, n - n // 2])
         scales = {"alpha_w": 1.0, "alpha_hi": 1.0, "alpha_lo": 1.0}
-        run = lambda c: gemm_mixed(wp, groups, scales, c)
+        run = lambda c: gemm_mixed(wp, x, bits, scales, c)
     else:
         raise RunConfigError(f"unknown kernel {kernel!r}")
     run(cost)

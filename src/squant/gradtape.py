@@ -29,14 +29,12 @@ __all__ = [
     "concat",
     "cross_entropy",
     "div",
-    "exp",
     "gather_rows",
     "gelu",
     "kl_divergence",
     "layernorm",
     "log",
     "matmul",
-    "mean_all",
     "merge_heads",
     "mul",
     "mul_scalar",
@@ -45,7 +43,6 @@ __all__ = [
     "softmax_forward",
     "split_heads",
     "sqrt",
-    "sub",
     "sum_all",
     "sum_in_order",
     "sum_per",
@@ -113,37 +110,6 @@ class Tensor:
     def __repr__(self) -> str:
         label = self.name or "tensor"
         return f"<{label} shape={self.shape} node={self.index}>"
-
-    # Operator sugar; scalars mean python floats, tensors must be same-shape.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __rsub__(self, other):
-        return add_scalar(neg(self), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return mul_scalar(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return div(self, other)
-        return mul_scalar(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Tape:
@@ -240,13 +206,6 @@ def add_scalar(x: Tensor, c: float) -> Tensor:
     return Tensor(x.tape, x.array + x.tape.dtype.type(c), (x,), lambda g: (g,), name="add_scalar")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
-    if a.shape != b.shape:
-        raise ValueError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    return Tensor(tape, a.array - b.array, (a, b), lambda g: (g, -g), name="sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
     if a.shape != b.shape:
@@ -275,11 +234,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def log(x: Tensor) -> Tensor:
     return Tensor(x.tape, np.log(x.array), (x,), lambda g: (g / x.array,), name="log")
-
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.array)
-    return Tensor(x.tape, out, (x,), lambda g: (g * out,), name="exp")
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -314,17 +268,6 @@ def sum_all(x: Tensor) -> Tensor:
         (x,),
         lambda g: (np.broadcast_to(g, x.shape),),
         name="sum",
-    )
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.array.size
-    return Tensor(
-        x.tape,
-        x.array.mean(dtype=x.tape.dtype),
-        (x,),
-        lambda g: (np.broadcast_to(g / n, x.shape),),
-        name="mean",
     )
 
 
@@ -541,17 +484,15 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return Tensor(logits.tape, np.asarray(nll.mean(dtype=logits.tape.dtype)), (logits,), vjp, name="cross_entropy")
 
 
-def kl_divergence(student_logits: Tensor, teacher_logits, tau: float = 1.0) -> Tensor:
+def kl_divergence(student_logits: Tensor, teacher_logits: np.ndarray, tau: float = 1.0) -> Tensor:
     """KL(softmax(teacher/tau) || softmax(student/tau)), averaged over rows.
 
-    The teacher side may be a Tensor or a plain array; a plain array (the
-    usual case: a frozen teacher) contributes no gradient.
+    The teacher side is a plain array (a frozen teacher) and gets no gradient.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     tape = student_logits.tape
-    teacher_is_node = isinstance(teacher_logits, Tensor)
-    t_arr = teacher_logits.array if teacher_is_node else np.asarray(teacher_logits, dtype=tape.dtype)
+    t_arr = np.asarray(teacher_logits, dtype=tape.dtype)
     if t_arr.shape != student_logits.shape:
         raise ValueError(f"logit shapes differ: {student_logits.shape} vs {t_arr.shape}")
     rows = student_logits.shape[0]
@@ -559,14 +500,8 @@ def kl_divergence(student_logits: Tensor, teacher_logits, tau: float = 1.0) -> T
     log_ps = _log_softmax(student_logits.array / tau)
     pt = np.exp(log_pt)
     row_kl = (pt * (log_pt - log_ps)).sum(axis=-1)
-    parents = (student_logits, teacher_logits) if teacher_is_node else (student_logits,)
 
     def vjp(g):
-        ps = np.exp(log_ps)
-        ds = g * (ps - pt) / (tau * rows)
-        if not teacher_is_node:
-            return (ds,)
-        dt = g * pt * ((log_pt - log_ps) - row_kl[:, None]) / (tau * rows)
-        return (ds, dt)
+        return (g * (np.exp(log_ps) - pt) / (tau * rows),)
 
-    return Tensor(tape, np.asarray(row_kl.mean(dtype=tape.dtype)), parents, vjp, name="kl_divergence")
+    return Tensor(tape, np.asarray(row_kl.mean(dtype=tape.dtype)), (student_logits,), vjp, name="kl_divergence")

@@ -7,9 +7,10 @@ Three multiply paths over int8 operands, each bit-exact to the int32 sum:
   unit (high row at bit offset 16), so one multiply against a shared
   activation serves two output rows. The product splits exactly because the
   low-lane partial product is bounded by 8*128 = 1024 < 2^15.
-- ``gemm_mixed``: per-token-group dispatch, 8-bit activation columns through
-  the byte kernel and 4-bit columns through the packed kernel, each group
-  dequantized by its own scale pair.
+- ``gemm_mixed``: per-token dispatch in token order: a site's 8-bit token
+  columns go through the byte kernel and its 4-bit columns through the
+  packed kernel, each group dequantized by its own scale pair, and the
+  result comes back in the order the tokens came in.
 
 Both kernels run as float BLAS products of the integer codes. That is exact
 for the reason behind the Ozaki scheme (Ozaki, Ogita, Oishi & Rump, Numer.
@@ -215,36 +216,40 @@ def gemm_i4_packed(wp: PackedInt4Matrix, x: np.ndarray, cost: CostCounter) -> np
 
 def gemm_mixed(
     wp: PackedInt4Matrix,
-    x_groups: dict,
+    x: np.ndarray,
+    bits: np.ndarray,
     scales: dict,
     cost: CostCounter,
 ) -> np.ndarray:
-    """Two-kernel dispatch over token groups sharing one packed weight matrix.
+    """Two-kernel dispatch over one site's tokens, in token order.
 
-    ``x_groups['hi']`` holds the 8-bit token columns (byte kernel on the
-    matrix's int8 codes), ``x_groups['lo']`` the 4-bit token columns (packed
-    kernel, values must fit 4 bits). Returns float32 [M, N_hi + N_lo] with
-    the hi block first; callers restore token order. Scales multiply per
-    group as alpha_w * alpha_x.
+    ``x`` [K, N] holds the int8 codes of N tokens and ``bits`` [N] each
+    token's activation bits. 8-bit token columns take the byte kernel on the
+    matrix's int8 codes, 4-bit columns the packed kernel (values must fit 4
+    bits). Returns float32 [M, N] in token order, each column scaled by
+    alpha_w * alpha_hi or alpha_w * alpha_lo by its bits.
     """
-    x_hi = _check_int8(x_groups["hi"], "x_hi")
-    x_lo = _check_int8(x_groups["lo"], "x_lo")
-    if x_hi.shape[0] != wp.cols or x_lo.shape[0] != wp.cols:
-        raise ValueError(
-            f"group rows {x_hi.shape[0]}/{x_lo.shape[0]} do not match K={wp.cols}"
-        )
+    x = _check_int8(x, "x")
+    bits = np.asarray(bits)
+    if x.shape[0] != wp.cols or bits.shape != (x.shape[1],):
+        raise ValueError(f"codes {x.shape} and bits {bits.shape} do not match K={wp.cols} and one bit width per token")
+    hi, lo = np.flatnonzero(bits == 8), np.flatnonzero(bits == 4)
+    if hi.size + lo.size != bits.size:
+        raise ValueError("token bits must be 4 or 8")
+    # token-major: each group is a gather of token rows and a scatter of output rows
+    tokens = x.T
+    x_lo = tokens[lo].T
     if x_lo.size and (x_lo.min() < -8 or x_lo.max() > 7):
-        raise ValueError("4-bit group holds values outside [-8, 7]")
-    m = wp.logical_rows
-    out = np.empty((m, x_hi.shape[1] + x_lo.shape[1]), dtype=np.float32)
+        raise ValueError("4-bit tokens hold values outside [-8, 7]")
+    out = np.empty((x.shape[1], wp.logical_rows), dtype=np.float32)
     a_w = np.float32(scales["alpha_w"])
-    if x_hi.shape[1]:
-        acc = gemm_i8(wp.codes, x_hi, cost)
-        out[:, : x_hi.shape[1]] = acc.astype(np.float32) * (a_w * np.float32(scales["alpha_hi"]))
-    if x_lo.shape[1]:
+    if hi.size:
+        acc = gemm_i8(wp.codes, tokens[hi].T, cost)
+        out[hi] = (acc.astype(np.float32) * (a_w * np.float32(scales["alpha_hi"]))).T
+    if lo.size:
         acc = gemm_i4_packed(wp, x_lo, cost)
-        out[:, x_hi.shape[1] :] = acc.astype(np.float32) * (a_w * np.float32(scales["alpha_lo"]))
-    return out
+        out[lo] = (acc.astype(np.float32) * (a_w * np.float32(scales["alpha_lo"]))).T
+    return out.T
 
 
 def scalar_reference_gemm(w: np.ndarray, x: np.ndarray) -> np.ndarray:

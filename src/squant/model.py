@@ -10,7 +10,7 @@ residual adds, embeddings, and the tied head stay in float.
 Activation bit widths follow a per-token plan: uniform 4 or 8, or adaptive
 where layer l > 0 plans from layer l-1's attention map in the same pass.
 Each activation site is quantized once per pass by ``group_quantize``, in
-one per-row rounding; the integer path gathers each group's codes from it.
+one per-row rounding, and stays in token order on both paths.
 
 Attention runs over all heads at once: q, k and v split into [H, T, dh]
 once per layer, and each layer's probabilities are one [H, T, T] node.
@@ -18,9 +18,10 @@ once per layer, and each layer's probabilities are one [H, T, T] node.
 The architecture is written once. ``forward_tape`` and ``forward_int`` run
 the same forward and differ only in the six projections: the fake-quant path
 multiplies fake-quantized activations and weights on the tape, the integer
-path runs the kernel dispatch on the activation's group codes, on a constant
-tape, and reports its instruction cost. A tape of constants records no nodes,
-so the teacher and integer forwards leave nothing behind for the collector.
+path runs the kernels on the activation's int8 codes in token order, on a
+constant tape, scales each token's row by alpha_w * alpha_x, and reports its
+instruction cost. A tape of constants records no nodes, so the teacher and
+integer forwards leave nothing behind for the collector.
 
 The integer student follows compile once, run many: ``compile_int``
 quantizes every projection weight and lays it out for the kernels (int8
@@ -39,16 +40,10 @@ import numpy as np
 
 from . import gradtape as gt
 from .kernels import CostCounter, PackedInt4Matrix, gemm_i8, gemm_mixed, pack_int4
-from .quant import EmaState, QuantSpec, calibrate_scale, check_momentum, clip_surrogate, fake_quant, quantize
+from .quant import EmaState, QuantSpec, calibrate_scale, check_momentum, fake_quant, quantize
 from .schema import check_fields, integer, number, one_of, typed
 from .seeding import substream
-from .token_bits import (
-    TokenBitPlan,
-    fake_quant_node,
-    group_quantize,
-    plan_for_layer,
-    uniform_plan,
-)
+from .token_bits import group_quantize, plan_for_layer, uniform_plan
 
 ACT_SITES = ("attn_in", "q_post", "k_post", "attn_out", "mlp_in", "mlp_hidden")
 
@@ -227,7 +222,7 @@ def _forward(
 
     Projections fake-quantize their operands and multiply on the tape or,
     given ``project(gq, weight_name)``, enter the integer product of the
-    activation's group codes and the named weight as a constant.
+    activation's codes and the named weight as a constant.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     t_len = tokens.size
@@ -244,7 +239,7 @@ def _forward(
         return scale
 
     def fq_act(node, layer, site, plan):
-        """Fake-quant node of one activation site and the group codes behind it."""
+        """Fake-quant node of one activation site and the site's quantizer."""
         if not quantized:
             return node, None
         key = f"l{layer}.{site}"
@@ -256,20 +251,20 @@ def _forward(
             elif calib is not None:
                 kw[f"ema_{group}"] = calib.get(gkey)
         gq = group_quantize(node.array, plan, training=training, **kw)
-        for group, idx, spec in (("hi", gq.groups.hi_indices, gq.spec_hi), ("lo", gq.groups.lo_indices, gq.spec_lo)):
-            if idx.size:
+        for group, rows, spec in (("hi", plan.hi, gq.spec_hi), ("lo", plan.lo, gq.spec_lo)):
+            if rows.size:
                 scales_used[f"{key}.{group}"] = spec.scale
         if project is not None and site not in ("q_post", "k_post"):
             return None, gq  # the integer projections read the codes, never the dequantized node
-        return fake_quant_node(node, gq, surrogate), gq
+        return fake_quant(node, gq, surrogate), gq
 
     def linear(act, name, bias):
         xq, gq = act
         if not quantized:
             y = gt.matmul(xq, tp[name])
         elif project is None:
-            spec = QuantSpec(bits=cfg.weight_bits, scale=weight_scale(name), target="weight")
-            y = gt.matmul(xq, (clip_surrogate if surrogate else fake_quant)(tp[name], spec))
+            spec = QuantSpec(bits=cfg.weight_bits, scale=weight_scale(name))
+            y = gt.matmul(xq, fake_quant(tp[name], spec, surrogate))
         else:
             y = tape.constant(project(gq, name))
         return gt.add_bias(y, tp[bias])
@@ -373,27 +368,14 @@ def _compile_projection(name: str, w: np.ndarray, bits: int) -> IntProjection:
 
 
 def _linear_int(gq, proj: IntProjection, cost) -> np.ndarray:
-    """Integer-kernel product of group codes and a compiled weight, in token order."""
-    x_hi = gq.q_hi.ints.T  # kernel layout: [K, tokens]
-    x_lo = gq.q_lo.ints.T
+    """Integer-kernel product of a site's codes and a compiled weight, in token order."""
+    x = gq.codes.T  # kernel layout: [K, tokens]
     if proj.packed is not None:
-        out_grouped = gemm_mixed(
-            proj.packed,
-            {"hi": x_hi, "lo": x_lo},
-            {"alpha_w": proj.scale, "alpha_hi": gq.q_hi.scale, "alpha_lo": gq.q_lo.scale},
-            cost,
-        )
-    else:
-        # no packed path exists for 8-bit weights; both groups take the byte kernel
-        out_grouped = np.concatenate(
-            [
-                gemm_i8(proj.codes, xg, cost).astype(np.float32) * (np.float32(proj.scale) * np.float32(scale))
-                for xg, scale in ((x_hi, gq.q_hi.scale), (x_lo, gq.q_lo.scale))
-                if xg.shape[1]
-            ],
-            axis=1,
-        )
-    return out_grouped.T[gq.groups.inverse]  # rows in hi-then-lo order back to token order
+        scales = {"alpha_w": proj.scale, "alpha_hi": gq.spec_hi.scale, "alpha_lo": gq.spec_lo.scale}
+        return gemm_mixed(proj.packed, x, gq.plan.bits, scales, cost).T
+    # no packed path exists for 8-bit weights: one byte-kernel product over all tokens
+    alpha = np.float32(proj.scale) * gq.scale.T.astype(np.float32)  # alpha_w * alpha_x per token
+    return (gemm_i8(proj.codes, x, cost).astype(np.float32) * alpha).T
 
 
 def forward_int(

@@ -1,14 +1,18 @@
-"""Layer-wise symmetric quantization with straight-through gradients.
+"""Symmetric quantization with straight-through gradients.
 
-One positive scale per tensor, signed integer range [-2^(b-1), 2^(b-1)-1],
-b in {4, 8}. Rounding is half away from zero. 4-bit values live sign-extended
-in int8 containers here; dense packing belongs to the kernels module.
+Signed integer range [-2^(b-1), 2^(b-1)-1], b in {4, 8}, rounding half away
+from zero. 4-bit values live sign-extended in int8 containers here; dense
+packing belongs to the kernels module.
 
-A quantizer rounds its input once: ``_round_clip`` computes round(x / scale)
-in one float64 buffer, and the int8 codes (clipped), the dequantized values
-(from the codes) and the straight-through mask (the in-range test before the
-clip) all come from it. The mask is built only for an input a backward pass
-can reach.
+Every quantizer is a per-row ``(scale, qmin, qmax)``: scalars for a weight's
+``QuantSpec``, [N, 1] columns for an activation site's
+``token_bits.GroupQuant``, where row t takes its token's group scale and
+planned range. ``round_clip`` rounds once: round(x / scale) in one float64
+buffer gives the int8 codes (clipped) and the straight-through mask (the
+in-range test before the clip). ``fake_quant`` is the one straight-through
+node for both kinds; with ``surrogate=True`` it clips instead of rounding,
+for finite-difference checks of the backward. The mask is built only for an
+input a backward pass can reach.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ __all__ = [
     "QuantizedTensor",
     "calibrate_scale",
     "check_momentum",
-    "clip_surrogate",
     "dequantize",
     "fake_quant",
     "quantize",
+    "round_clip",
     "round_half_away",
 ]
 
@@ -50,19 +54,16 @@ def _round_magnitude(r: np.ndarray, sign) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantSpec:
-    """Bit width, scale, and target kind for one tensor."""
+    """Bit width and scale of one tensor-wide quantizer."""
 
     bits: int
     scale: float
-    target: str = "weight"
 
     def __post_init__(self):
         if self.bits not in (4, 8):
             raise ValueError(f"bits must be 4 or 8, got {self.bits}")
         if not (self.scale > 0 and np.isfinite(self.scale)):
             raise ValueError(f"scale must be a positive finite float, got {self.scale}")
-        if self.target not in ("weight", "activation"):
-            raise ValueError(f"target must be 'weight' or 'activation', got {self.target!r}")
 
     @property
     def qmin(self) -> int:
@@ -155,24 +156,25 @@ def _ste_mask(rounded: np.ndarray, qmin, qmax) -> np.ndarray:
     return (rounded >= qmin) & (rounded <= qmax)
 
 
-def _round_clip(x: np.ndarray, scale, qmin, qmax, with_mask: bool = False):
-    """The one rounding of a quantizer: (int8 codes, straight-through mask or None).
+def round_clip(x: np.ndarray, q, with_mask: bool = False):
+    """The one rounding of quantizer ``q``: (int8 codes, straight-through mask or None).
 
-    The codes are round_half_away(x / scale) clipped to [qmin, qmax]. With
+    ``q`` is a ``QuantSpec`` or a ``GroupQuant``: its ``scale``, ``qmin`` and
+    ``qmax`` are scalars or [N, 1] columns, one entry per row of x. The codes
+    are round_half_away(x / scale) clipped to [qmin, qmax]. With
     ``with_mask`` the mask is True where the rounded value was in range
-    before the clip. ``scale``, ``qmin`` and ``qmax`` are scalars or [N, 1]
-    columns, one entry per row of x.
+    before the clip.
     """
-    r = np.true_divide(x, scale, out=np.empty(x.shape), dtype=np.float64)
+    r = np.true_divide(x, q.scale, out=np.empty(x.shape), dtype=np.float64)
     np.abs(r, out=r)
     _round_magnitude(r, x)  # round_half_away(x / scale) in one buffer: x / scale has the sign of x
-    mask = _ste_mask(r, qmin, qmax) if with_mask else None
-    np.clip(r, qmin, qmax, out=r)
+    mask = _ste_mask(r, q.qmin, q.qmax) if with_mask else None
+    np.clip(r, q.qmin, q.qmax, out=r)
     return r.astype(np.int8), mask
 
 
 def quantize(x: np.ndarray, spec: QuantSpec) -> QuantizedTensor:
-    codes, _ = _round_clip(np.asarray(x), spec.scale, spec.qmin, spec.qmax)
+    codes, _ = round_clip(np.asarray(x), spec)
     return QuantizedTensor(codes, spec.scale, spec.bits)
 
 
@@ -180,27 +182,26 @@ def dequantize(q: QuantizedTensor, dtype=np.float32) -> np.ndarray:
     return q.ints.astype(dtype) * np.dtype(dtype).type(q.scale)
 
 
-def fake_quant(x: gt.Tensor, spec: QuantSpec) -> gt.Tensor:
+def fake_quant(x: gt.Tensor, q, surrogate: bool = False) -> gt.Tensor:
     """Quantize-dequantize on the forward; straight-through on the backward.
 
-    The gradient mask is the in-range indicator of round(x/scale) before
-    clipping, so values that saturate pass no gradient. Codes and mask come
-    from one rounding, and a constant input, which no backward pass reaches,
-    gets no mask.
+    ``q`` is a weight's ``QuantSpec`` or an activation site's ``GroupQuant``
+    built from ``x.array``; each row is dequantized at its own scale. The
+    gradient passes where the mask is 1 (the rounded value was in range
+    before the clip) and is +0.0 elsewhere. Codes and mask come from one
+    rounding, and a constant input, which no backward pass reaches, gets no
+    mask. With ``surrogate`` the forward clips each row to
+    [qmin * scale, qmax * scale] without rounding and the mask is that
+    interval's in-range test.
     """
-    codes, mask = _round_clip(x.array, spec.scale, spec.qmin, spec.qmax, with_mask=not x.constant)
-    y = dequantize(QuantizedTensor(codes, spec.scale, spec.bits), dtype=x.tape.dtype)
-    return x.tape.record(y, (x,), lambda g: (g * mask,), name=f"fake_quant{spec.bits}")
-
-
-def clip_surrogate(x: gt.Tensor, spec: QuantSpec) -> gt.Tensor:
-    """Clip to the representable interval without rounding.
-
-    Drop-in stand-in for fake_quant when a differentiable-almost-everywhere
-    forward is needed, e.g. finite-difference checks of the STE backward.
-    """
-    y, mask = _clip(x.array, spec.qmin * spec.scale, spec.qmax * spec.scale)
-    return x.tape.record(y, (x,), lambda g: (g * mask,), name=f"clip{spec.bits}")
+    dtype = x.tape.dtype
+    if surrogate:
+        y, mask = _clip(x.array, q.qmin * q.scale, q.qmax * q.scale)
+    else:
+        codes, mask = round_clip(x.array, q, with_mask=not x.constant)
+        y = codes.astype(dtype) * np.asarray(q.scale, dtype=dtype)  # dequantize, row by row
+    # + 0.0 turns g * 0 for negative g into +0.0
+    return x.tape.record(y, (x,), lambda g: (g * mask + 0.0,), name="fake_quant")
 
 
 def _clip(x: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:

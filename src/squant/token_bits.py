@@ -7,11 +7,16 @@ plans from layer l-1's map within the same forward pass; layer 0 has no map
 yet and defaults to all-8 (all-4 when rho is 0, so the rho=0 plan degenerates
 to the uniform 4-bit path everywhere).
 
-An activation site is quantized in token order by one per-row rounding: row
-t takes its group's scale and its planned range, so the int8 codes, the
-dequantized values and the straight-through mask all come from one float64
-round(x / scale), with no gather or scatter of float rows. The integer path
-gathers each group's codes from those int8 codes.
+An activation site's quantizer, ``GroupQuant``, stays in token order: row t
+takes its group's scale and its planned range as [N, 1] columns, so
+``quant.fake_quant`` and ``quant.round_clip`` treat it as they treat a
+weight's ``QuantSpec``, and the int8 codes, the dequantized values and the
+straight-through mask all come from one float64 round(x / scale), with no
+gather or scatter of rows. The integer path hands those codes, with the
+per-token bits, to the kernel dispatch in the same order. A plan caches its
+8-bit and 4-bit positions (``hi``, ``lo``) for the group scales and for
+``gather_tokens``/``scatter_tokens``, the grouped reference the tests hold
+the token-order path to.
 """
 
 from __future__ import annotations
@@ -22,16 +27,13 @@ from functools import cached_property
 
 import numpy as np
 
-from . import gradtape as gt
-from .quant import EmaState, QuantSpec, QuantizedTensor, _clip, _round_clip, calibrate_scale
+from .quant import EmaState, QuantSpec, calibrate_scale, round_clip
 
 __all__ = [
     "AttentionMap",
     "GroupQuant",
     "TokenBitPlan",
-    "TokenGroups",
     "assign_bits",
-    "fake_quant_node",
     "gather_tokens",
     "group_quantize",
     "plan_for_layer",
@@ -75,10 +77,9 @@ class AttentionMap:
 
 @dataclass
 class TokenBitPlan:
-    """Bit width per token; exactly floor(rho * N) tokens at 8 bits."""
+    """Bit width per token; exactly k tokens at 8 bits."""
 
     bits: np.ndarray
-    rho: float
     k: int
 
     def __post_init__(self):
@@ -89,9 +90,14 @@ class TokenBitPlan:
             raise ValueError(f"plan has {(self.bits == 8).sum()} 8-bit tokens, expected {self.k}")
 
     @cached_property
-    def groups(self) -> "TokenGroups":
-        """Positions of the 8-bit and 4-bit tokens, built once per plan."""
-        return TokenGroups(hi_indices=np.flatnonzero(self.bits == 8), lo_indices=np.flatnonzero(self.bits == 4))
+    def hi(self) -> np.ndarray:
+        """Positions of the 8-bit tokens, ascending."""
+        return np.flatnonzero(self.bits == 8)
+
+    @cached_property
+    def lo(self) -> np.ndarray:
+        """Positions of the 4-bit tokens, ascending."""
+        return np.flatnonzero(self.bits == 4)
 
     @cached_property
     def _row_range(self) -> tuple[np.ndarray, np.ndarray]:
@@ -101,38 +107,14 @@ class TokenBitPlan:
 
 
 @dataclass
-class TokenGroups:
-    """Original positions of the 8-bit and 4-bit tokens, each ascending."""
-
-    hi_indices: np.ndarray
-    lo_indices: np.ndarray
-
-    def __post_init__(self):
-        self.hi_indices = np.sort(np.asarray(self.hi_indices, dtype=np.int64))
-        self.lo_indices = np.sort(np.asarray(self.lo_indices, dtype=np.int64))
-        n = self.hi_indices.size + self.lo_indices.size
-        merged = np.concatenate([self.hi_indices, self.lo_indices])
-        if not np.array_equal(np.sort(merged), np.arange(n)):
-            raise ValueError("groups must partition 0..N-1")
-
-    @property
-    def order(self) -> np.ndarray:
-        """Token positions in grouped (hi then lo) order."""
-        return np.concatenate([self.hi_indices, self.lo_indices])
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """Permutation taking grouped order back to sequence order."""
-        return np.argsort(self.order)
-
-
-@dataclass
 class GroupQuant:
-    """One activation site ``x`` [N, D] with its plan and one quantizer spec per group.
+    """The quantizer of one activation site ``x`` [N, D], in token order.
 
-    Row t quantizes at its group's scale and range. ``round`` does it for
-    every row at once, in token order; ``codes`` keeps the int8 codes of its
-    first call, and ``q_hi`` and ``q_lo`` gather each group's rows of them.
+    ``spec_hi`` and ``spec_lo`` hold each group's scale. Row t quantizes at
+    its group's scale and its planned range: ``scale``, ``qmin`` and ``qmax``
+    are [N, 1] columns, so ``quant.fake_quant`` takes a ``GroupQuant`` as it
+    takes a ``QuantSpec``. ``codes`` are the int8 codes of x, rounded on
+    first read.
     """
 
     x: np.ndarray
@@ -140,30 +122,21 @@ class GroupQuant:
     spec_hi: QuantSpec
     spec_lo: QuantSpec
 
-    @property
-    def groups(self) -> TokenGroups:
-        return self.plan.groups
-
     @cached_property
-    def scales(self) -> np.ndarray:
-        """Each row's group scale, as an [N, 1] column."""
+    def scale(self) -> np.ndarray:
         return np.where(self.plan.bits[:, None] == 8, self.spec_hi.scale, self.spec_lo.scale)
 
-    def round(self, with_mask: bool = False):
-        """(int8 codes [N, D], straight-through mask or None) from one rounding of x."""
-        return _round_clip(self.x, self.scales, *self.plan._row_range, with_mask)
+    @property
+    def qmin(self) -> np.ndarray:
+        return self.plan._row_range[0]
+
+    @property
+    def qmax(self) -> np.ndarray:
+        return self.plan._row_range[1]
 
     @cached_property
     def codes(self) -> np.ndarray:
-        return self.round()[0]
-
-    @cached_property
-    def q_hi(self) -> QuantizedTensor:
-        return QuantizedTensor(self.codes[self.groups.hi_indices], self.spec_hi.scale, 8)
-
-    @cached_property
-    def q_lo(self) -> QuantizedTensor:
-        return QuantizedTensor(self.codes[self.groups.lo_indices], self.spec_lo.scale, 4)
+        return round_clip(self.x, self)[0]
 
 
 def token_importance(attn: AttentionMap, layer: int) -> np.ndarray:
@@ -184,17 +157,14 @@ def assign_bits(scores: np.ndarray, rho: float) -> TokenBitPlan:
     idx = np.argsort(-np.asarray(scores), kind="stable")[:k]
     bits = np.full(n, 4, dtype=np.int64)
     bits[idx] = 8
-    return TokenBitPlan(bits=bits, rho=rho, k=k)
+    return TokenBitPlan(bits=bits, k=k)
 
 
-def uniform_plan(n: int, bits: int, rho: float | None = None) -> TokenBitPlan:
+def uniform_plan(n: int, bits: int) -> TokenBitPlan:
     """Degenerate plan with one bit width everywhere."""
     if bits not in (4, 8):
         raise ValueError(f"bits must be 4 or 8, got {bits}")
-    if rho is None:
-        rho = 1.0 if bits == 8 else 0.0
-    k = n if bits == 8 else 0
-    return TokenBitPlan(bits=np.full(n, bits, dtype=np.int64), rho=rho, k=k)
+    return TokenBitPlan(bits=np.full(n, bits, dtype=np.int64), k=n if bits == 8 else 0)
 
 
 def plan_source(layer_index: int) -> int | None:
@@ -214,21 +184,23 @@ def plan_for_layer(
     """
     src = plan_source(layer_index)
     if src is None:
-        if rho == 0.0:
-            return uniform_plan(n_tokens, 4, rho=rho)
-        return uniform_plan(n_tokens, 8, rho=rho)
+        return uniform_plan(n_tokens, 4 if rho == 0.0 else 8)
     probs = np.asarray(maps_so_far[src])
     scores = probs[:, :, 0].mean(axis=0)
     return assign_bits(scores, rho)
 
 
-def gather_tokens(x: np.ndarray, groups: TokenGroups) -> tuple[np.ndarray, np.ndarray]:
-    return x[groups.hi_indices], x[groups.lo_indices]
+def gather_tokens(x: np.ndarray, plan: TokenBitPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The 8-bit and the 4-bit tokens' rows of x, each in token order."""
+    return x[plan.hi], x[plan.lo]
 
 
-def scatter_tokens(hi: np.ndarray, lo: np.ndarray, groups: TokenGroups) -> np.ndarray:
-    stacked = np.concatenate([hi, lo], axis=0)
-    return stacked[groups.inverse]
+def scatter_tokens(hi: np.ndarray, lo: np.ndarray, plan: TokenBitPlan) -> np.ndarray:
+    """Inverse of ``gather_tokens``: each group's rows back at their positions."""
+    out = np.empty((plan.bits.size,) + hi.shape[1:], dtype=np.result_type(hi, lo))
+    out[plan.hi] = hi
+    out[plan.lo] = lo
+    return out
 
 
 def _group_spec(
@@ -244,7 +216,7 @@ def _group_spec(
         scale = frozen / float((1 << (bits - 1)) - 1) if frozen > 0 else 1.0
     else:
         scale = calibrate_scale(x if rows.size == x.shape[0] else x[rows], bits, ema)
-    return QuantSpec(bits=bits, scale=scale, target="activation")
+    return QuantSpec(bits=bits, scale=scale)
 
 
 def group_quantize(
@@ -256,7 +228,7 @@ def group_quantize(
     scale_lo: float | None = None,
     training: bool = True,
 ) -> GroupQuant:
-    """Split rows by plan and give each group its own scale; the codes round on first read.
+    """The site's quantizer: one scale per group of the plan; the codes round on first read.
 
     Scale precedence per group: explicit fixed scale, then EMA (updated only
     when training), then plain max-abs of the group. Empty groups quantize
@@ -268,28 +240,6 @@ def group_quantize(
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != plan.bits.size:
         raise ValueError(f"x must be [N,D] with N={plan.bits.size}, got {x.shape}")
-    groups = plan.groups
-    spec_hi = _group_spec(x, groups.hi_indices, 8, ema_hi, scale_hi, training)
-    spec_lo = _group_spec(x, groups.lo_indices, 4, ema_lo, scale_lo, training)
+    spec_hi = _group_spec(x, plan.hi, 8, ema_hi, scale_hi, training)
+    spec_lo = _group_spec(x, plan.lo, 4, ema_lo, scale_lo, training)
     return GroupQuant(x, plan, spec_hi, spec_lo)
-
-
-def fake_quant_node(x: gt.Tensor, gq: GroupQuant, surrogate: bool = False) -> gt.Tensor:
-    """Tape node whose forward is gq's dequantized codes in token order.
-
-    ``gq`` must come from ``group_quantize(x.array, ...)``. With ``surrogate``
-    the forward clips each row to its group's representable interval instead
-    of rounding (used for finite-difference checks). The backward passes the
-    gradient where the row's straight-through mask is 1 and +0.0 elsewhere.
-    Values and mask come from one rounding, and a constant input, which no
-    backward pass reaches, gets no mask.
-    """
-    scales = gq.scales
-    if surrogate:
-        qmin, qmax = gq.plan._row_range
-        y, mask = _clip(x.array, qmin * scales, qmax * scales)
-    else:
-        codes, mask = gq.round(with_mask=not x.constant)
-        y = codes.astype(x.tape.dtype) * scales.astype(x.tape.dtype)  # dequantize, row by row
-    # + 0.0 turns g * 0 for negative g into +0.0
-    return x.tape.record(y, (x,), lambda g: (g * mask + 0.0,), name="fake_quant_grouped")

@@ -11,9 +11,8 @@ step from the student's own forward pass.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -233,16 +232,6 @@ class AblationSettings:
     heldout_fraction: float = 0.125
     loss_cells: tuple = LOSS_CELLS
     quant_cells: tuple = QUANT_CELLS
-    progress: object = None  # callable(str) for per-cell notes
-    _teacher_cache: dict = field(default_factory=dict)
-
-    def teacher_for(self, cfg: MicroTransformerConfig, corpus: np.ndarray) -> dict:
-        key = cfg.seed
-        if key not in self._teacher_cache:
-            self._teacher_cache[key] = pretrain_teacher(
-                cfg, corpus, self.teacher_steps, self.teacher_lr
-            )
-        return self._teacher_cache[key]
 
 
 def ablation_run(cfg: MicroTransformerConfig, settings: AblationSettings | None = None) -> list:
@@ -252,7 +241,7 @@ def ablation_run(cfg: MicroTransformerConfig, settings: AblationSettings | None 
     perplexities, their mean, and the integer-path cost per token.
     """
     settings = settings or AblationSettings()
-    corpora = {}
+    corpora, teachers = {}, {}  # per seed, shared by every cell
     rows = []
     for loss_cell in settings.loss_cells:
         for quant_cell in settings.quant_cells:
@@ -263,10 +252,12 @@ def ablation_run(cfg: MicroTransformerConfig, settings: AblationSettings | None 
                     corpora[seed] = split_corpus(
                         make_corpus(seed, cfg.vocab, settings.corpus_length), settings.heldout_fraction
                     )
+                    teachers[seed] = pretrain_teacher(
+                        run_cfg, corpora[seed][0], settings.teacher_steps, settings.teacher_lr
+                    )
                 train, heldout = corpora[seed]
-                teacher = settings.teacher_for(run_cfg, train)
                 # anneal over the steps this grid runs, not the config's horizon
-                trainer = QatTrainer(replace(run_cfg, steps=settings.steps), teacher, train)
+                trainer = QatTrainer(replace(run_cfg, steps=settings.steps), teachers[seed], train)
                 trainer.run(settings.steps)
                 result = evaluate_student(run_cfg, trainer.params, trainer.calib, heldout)
                 ppls.append(result["ppl"])
@@ -279,6 +270,4 @@ def ablation_run(cfg: MicroTransformerConfig, settings: AblationSettings | None 
                 "mul_per_token": float(np.mean(muls)),
             }
             rows.append(row)
-            if settings.progress:
-                settings.progress(json.dumps(row))
     return rows

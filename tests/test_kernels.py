@@ -245,7 +245,7 @@ class TestGemmMixed:
         w = rng.integers(-8, 8, size=(6, 5)).astype(np.int8)
         x = rng.integers(-128, 128, size=(5, 4)).astype(np.int8)
         wp = pack_int4(w)
-        out = gemm_mixed(wp, {"hi": x, "lo": x[:, :0]}, self.scales(), CostCounter())
+        out = gemm_mixed(wp, x, np.full(4, 8), self.scales(), CostCounter())
         want = gemm_i4_packed(wp, x, CostCounter()).astype(np.float32) * np.float32(
             np.float32(0.05) * np.float32(0.02)
         )
@@ -256,7 +256,7 @@ class TestGemmMixed:
         w = rng.integers(-8, 8, size=(4, 3)).astype(np.int8)
         x = rng.integers(-8, 8, size=(3, 5)).astype(np.int8)
         wp = pack_int4(w)
-        out = gemm_mixed(wp, {"hi": x[:, :0], "lo": x}, self.scales(), CostCounter())
+        out = gemm_mixed(wp, x, np.full(5, 4), self.scales(), CostCounter())
         want = gemm_i4_packed(wp, x, CostCounter()).astype(np.float32) * np.float32(
             np.float32(0.05) * np.float32(0.3)
         )
@@ -272,7 +272,8 @@ class TestGemmMixed:
             x_lo = rng.integers(-8, 8, size=(k, n_lo)).astype(np.int8)
             wp = pack_int4(w)
             sc = self.scales()
-            out = gemm_mixed(wp, {"hi": x_hi, "lo": x_lo}, sc, CostCounter())
+            bits = np.repeat([8, 4], [n_hi, n_lo])
+            out = gemm_mixed(wp, np.concatenate([x_hi, x_lo], axis=1), bits, sc, CostCounter())
             assert out.shape == (m, n_hi + n_lo)
             if n_hi:
                 want_hi = gemm_i8(w, x_hi, CostCounter()).astype(np.float32) * np.float32(
@@ -293,7 +294,8 @@ class TestGemmMixed:
         x8 = rng.integers(-128, 128, size=(k, n)).astype(np.int8)
         x4 = rng.integers(-8, 8, size=(k, n)).astype(np.int8)
         c_mixed = CostCounter()
-        gemm_mixed(wp, {"hi": x8[:, : n // 2], "lo": x4[:, n // 2 :]}, self.scales(), c_mixed)
+        x = np.concatenate([x8[:, : n // 2], x4[:, n // 2 :]], axis=1)
+        gemm_mixed(wp, x, np.repeat([8, 4], [n // 2, n - n // 2]), self.scales(), c_mixed)
         c4, c8 = CostCounter(), CostCounter()
         gemm_i4_packed(wp, x4, c4)
         gemm_i8(w, x8, c8)
@@ -303,13 +305,33 @@ class TestGemmMixed:
         wp = pack_int4(np.zeros((2, 3), dtype=np.int8))
         bad = np.zeros((4, 2), dtype=np.int8)
         with pytest.raises(ValueError, match="do not match K"):
-            gemm_mixed(wp, {"hi": bad, "lo": bad[:, :0]}, self.scales(), CostCounter())
+            gemm_mixed(wp, bad, np.full(2, 8), self.scales(), CostCounter())
 
     def test_lo_group_range_checked(self):
         wp = pack_int4(np.zeros((2, 3), dtype=np.int8))
         x_lo = np.full((3, 2), 9, dtype=np.int8)
         with pytest.raises(ValueError, match="outside"):
-            gemm_mixed(wp, {"hi": x_lo[:, :0], "lo": x_lo}, self.scales(), CostCounter())
+            gemm_mixed(wp, x_lo, np.full(2, 4), self.scales(), CostCounter())
+
+
+    def test_columns_stay_in_token_order(self):
+        rng = substream(3, "mix-order")
+        w = rng.integers(-8, 8, size=(5, 6)).astype(np.int8)
+        bits = np.array([4, 8, 8, 4, 4, 8, 4])
+        x = rng.integers(-8, 8, size=(6, 7)).astype(np.int8)
+        x[:, bits == 8] = rng.integers(-128, 128, size=(6, 3))
+        wp = pack_int4(w)
+        sc = self.scales()
+        out = gemm_mixed(wp, x, bits, sc, CostCounter())
+        for t, b in enumerate(bits):
+            alpha = np.float32(sc["alpha_w"]) * np.float32(sc["alpha_hi" if b == 8 else "alpha_lo"])
+            want = scalar_reference_gemm(w, x[:, t : t + 1]).astype(np.float32) * alpha
+            np.testing.assert_array_equal(out[:, t : t + 1], want)
+
+    def test_bits_must_be_four_or_eight(self):
+        wp = pack_int4(np.zeros((2, 3), dtype=np.int8))
+        with pytest.raises(ValueError, match="4 or 8"):
+            gemm_mixed(wp, np.zeros((3, 2), dtype=np.int8), np.array([8, 6]), self.scales(), CostCounter())
 
 
 class TestScalarOracle:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from squant import gradtape as gt
-from squant.kernels import CostCounter
+from squant.kernels import CostCounter, gemm_i4_packed, gemm_i8
 from squant.model import (
     ACT_SITES,
     Calibration,
@@ -22,6 +22,7 @@ from squant.model import (
     perplexity_eval,
 )
 from squant.seeding import substream
+from squant.token_bits import assign_bits, group_quantize, scatter_tokens
 
 
 def small_cfg(**kw):
@@ -287,22 +288,47 @@ class TestIntegerPath:
         forward_tape(tape, params_to_tape(tape, params), toks[: cfg.seq_len], cfg, quantized=True, training=True)
         assert len(masks) == cfg.layers * (len(WEIGHT_NAMES) + len(ACT_SITES))
 
-    def test_token_groups_built_once_per_plan(self, monkeypatch):
-        import squant.token_bits
+    def test_plan_positions_built_once_per_plan(self, monkeypatch):
+        from functools import cached_property
+
+        from squant.token_bits import TokenBitPlan
 
         built = []
-        post_init = squant.token_bits.TokenGroups.__post_init__
+        for name in ("hi", "lo"):
 
-        def counting(groups):
-            built.append(1)
-            post_init(groups)
+            def counting(plan, build=TokenBitPlan.__dict__[name].func, name=name):
+                built.append(name)
+                return build(plan)
 
-        monkeypatch.setattr(squant.token_bits.TokenGroups, "__post_init__", counting)
+            prop = cached_property(counting)
+            prop.__set_name__(TokenBitPlan, name)
+            monkeypatch.setattr(TokenBitPlan, name, prop)
         cfg = small_cfg(act_bits="adaptive", rho=0.5)
         _, plans = forward_int(cfg, init_params(cfg), tokens_for(cfg), calib=None)
-        assert len(built) == cfg.layers
-        groups = plans[1].groups
-        assert plans[1].groups is groups and groups.inverse is groups.inverse
+        # six sites per layer read each plan's positions; each array is built once
+        assert sorted(built) == ["hi"] * cfg.layers + ["lo"] * cfg.layers
+        assert plans[1].hi is plans[1].hi and plans[1].lo is plans[1].lo
+        np.testing.assert_array_equal(np.sort(np.concatenate([plans[1].hi, plans[1].lo])), np.arange(cfg.seq_len))
+
+    def test_eight_bit_weights_take_one_byte_kernel_call(self, monkeypatch):
+        import squant.model
+
+        calls = []
+        original = squant.model.gemm_i8
+
+        def counting(w, x, cost):
+            calls.append(x.shape[1])
+            return original(w, x, cost)
+
+        monkeypatch.setattr(squant.model, "gemm_i8", counting)
+        cfg = small_cfg(weight_bits=8, act_bits="adaptive", rho=0.5)
+        cost = CostCounter()
+        _, plans = forward_int(cfg, init_params(cfg), tokens_for(cfg), calib=None, cost=cost)
+        assert 0 < plans[1].k < cfg.seq_len  # layer 1 holds both groups
+        assert calls == [cfg.seq_len] * (len(WEIGHT_NAMES) * cfg.layers)  # one call per projection, all tokens
+        t, d = cfg.seq_len, cfg.dim
+        mkn = cfg.layers * (4 * d * d * t + 2 * (4 * d) * d * t)  # M*K*N summed over the six projections
+        assert (cost.mul_count, cost.add_count) == (mkn, mkn)
 
     def test_int_path_token_validation(self):
         cfg = small_cfg()
@@ -341,16 +367,16 @@ class TestCompiledModel:
 
         calls = {"pack_int4": 0, "weight quantize": 0, "group_quantize": 0}
 
-        def counting(original, key, counts=lambda *args: True):
+        def counting(original, key):
             def wrapper(*args, **kwargs):
-                calls[key] += bool(counts(*args))
+                calls[key] += 1
                 return original(*args, **kwargs)
 
             return original, wrapper
 
         for name, (original, wrapper) in {
             "pack_int4": counting(squant.kernels.pack_int4, "pack_int4"),
-            "quantize": counting(squant.quant.quantize, "weight quantize", lambda x, spec: spec.target == "weight"),
+            "quantize": counting(squant.quant.quantize, "weight quantize"),
             "group_quantize": counting(squant.token_bits.group_quantize, "group_quantize"),
         }.items():
             for module in (squant.model, squant.kernels, squant.quant, squant.token_bits):
@@ -377,6 +403,68 @@ class TestCompiledModel:
         compiled = compile_int(cfg, init_params(cfg))
         with pytest.raises(ValueError, match="4-bit"):
             forward_int(small_cfg(weight_bits=8), compiled, tokens_for(cfg), calib=None)
+
+
+def grouped_linear(gq, proj, cost):
+    """The grouped formulation of an integer projection, as a reference.
+
+    Gather each group's codes, run the group's kernel (packed for 4-bit
+    tokens on 4-bit weights, byte otherwise), scale by alpha_w * alpha_group,
+    then scatter the rows back to token order.
+    """
+    parts = []
+    for rows, spec in ((gq.plan.hi, gq.spec_hi), (gq.plan.lo, gq.spec_lo)):
+        if not rows.size:
+            parts.append(np.empty((0, proj.codes.shape[0]), dtype=np.float32))
+            continue
+        codes = gq.codes[rows].T  # [K, group tokens]
+        if proj.packed is not None and spec.bits == 4:
+            acc = gemm_i4_packed(proj.packed, codes, cost)
+        else:
+            acc = gemm_i8(proj.codes, codes, cost)
+        parts.append((acc.astype(np.float32) * (np.float32(proj.scale) * np.float32(spec.scale))).T)
+    return scatter_tokens(*parts, gq.plan)
+
+
+class TestTokenOrderOracle:
+    """The token-order integer projection against the grouped formulation, byte for byte."""
+
+    @pytest.mark.parametrize("act_bits", [4, 8, "adaptive"])
+    @pytest.mark.parametrize("weight_bits", [4, 8])
+    def test_forward_int_matches_grouped_projection(self, weight_bits, act_bits, monkeypatch):
+        import squant.model
+
+        for seed in range(3):
+            cfg = small_cfg(weight_bits=weight_bits, act_bits=act_bits, rho=0.5, seed=seed)
+            model = compile_int(cfg, init_params(cfg))
+            for length in (cfg.seq_len, 7):
+                toks = tokens_for(cfg, length=length)
+                runs = []
+                for linear in (squant.model._linear_int, grouped_linear):
+                    monkeypatch.setattr(squant.model, "_linear_int", linear)
+                    cost = CostCounter()
+                    logits, plans = forward_int(cfg, model, toks, calib=None, cost=cost)
+                    runs.append((logits.tobytes(), [p.bits.tobytes() for p in plans], cost))
+                assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("weight_bits", [4, 8])
+    def test_projection_matches_grouped_projection(self, weight_bits):
+        from squant.model import _compile_projection, _linear_int
+
+        rng = substream(9, f"oracle-linear-w{weight_bits}")
+        for case in range(60):
+            n, k, m = int(rng.integers(1, 20)), int(rng.integers(1, 24)), int(rng.integers(1, 24))
+            rho = float(rng.choice([0.0, 1.0, rng.uniform()]))  # rho 0 and 1 leave one group empty
+            plan = assign_bits(rng.uniform(size=n), rho)
+            x = rng.normal(size=(n, k)) * rng.choice([0.1, 1.0, 30.0])
+            gq = group_quantize(x, plan, training=False)
+            proj = _compile_projection("w", rng.normal(size=(k, m)), weight_bits)
+            got_cost, want_cost = CostCounter(), CostCounter()
+            got = _linear_int(gq, proj, got_cost)
+            want = grouped_linear(gq, proj, want_cost)
+            assert got.dtype == want.dtype == np.float32 and got.shape == want.shape == (n, m)
+            assert got.tobytes() == want.tobytes()
+            assert got_cost == want_cost
 
 
 class TestPerplexity:

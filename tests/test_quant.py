@@ -10,7 +10,6 @@ from squant.quant import (
     EmaState,
     QuantSpec,
     calibrate_scale,
-    clip_surrogate,
     dequantize,
     fake_quant,
     quantize,
@@ -158,14 +157,12 @@ class TestQuantizeDequantize:
             QuantSpec(bits=3, scale=1.0)
         with pytest.raises(ValueError):
             QuantSpec(bits=4, scale=0.0)
-        with pytest.raises(ValueError):
-            QuantSpec(bits=4, scale=1.0, target="bias")
 
 
 class TestFakeQuant:
     def test_forward_is_quant_dequant(self):
         x = substream(11, "fq-fwd").normal(size=(4, 8))
-        spec = QuantSpec(bits=4, scale=calibrate_scale(x, 4), target="activation")
+        spec = QuantSpec(bits=4, scale=calibrate_scale(x, 4))
         tape = gt.Tape(dtype=np.float64)
         y = fake_quant(tape.parameter(x), spec)
         np.testing.assert_array_equal(y.data, dequantize(quantize(x, spec), np.float64))
@@ -204,16 +201,16 @@ class TestFakeQuant:
         x0 = rng.uniform(0.3, 2.0, size=12) * rng.choice([-1.0, 1.0], size=12)
         w = rng.normal(size=12)
         scale = calibrate_scale(x0, 8)
-        spec = QuantSpec(bits=8, scale=scale, target="activation")
+        spec = QuantSpec(bits=8, scale=scale)
 
-        def loss_with(quantizer, x):
+        def loss_with(surrogate, x):
             tape = gt.Tape(dtype=np.float64)
             t = tape.parameter(x)
-            y = quantizer(t, spec)
+            y = fake_quant(t, spec, surrogate=surrogate)
             out = gt.sum_all(gt.mul(gt.mul(y, y), tape.parameter(w)))
             return tape, t, out
 
-        tape, t, out = loss_with(fake_quant, x0)
+        tape, t, out = loss_with(False, x0)
         tape.backward(out)
         ste = t.grad
 
@@ -223,7 +220,7 @@ class TestFakeQuant:
             for sign in (1.0, -1.0):
                 bumped = x0.copy()
                 bumped[i] += sign * h
-                _, _, o = loss_with(clip_surrogate, bumped)
+                _, _, o = loss_with(True, bumped)
                 fd[i] += sign * o.item()
         fd /= 2 * h
         np.testing.assert_allclose(ste, fd, rtol=2e-2)
@@ -231,5 +228,5 @@ class TestFakeQuant:
     def test_surrogate_forward_clips(self):
         spec = QuantSpec(bits=4, scale=0.5)
         tape = gt.Tape(dtype=np.float64)
-        y = clip_surrogate(tape.parameter(np.array([-100.0, 0.3, 100.0])), spec)
+        y = fake_quant(tape.parameter(np.array([-100.0, 0.3, 100.0])), spec, surrogate=True)
         np.testing.assert_allclose(y.data, [-4.0, 0.3, 3.5])

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from squant import gradtape as gt
-from squant.quant import EmaState, QuantSpec, calibrate_scale, dequantize, fake_quant, quantize
+from squant.quant import EmaState, QuantizedTensor, QuantSpec, calibrate_scale, dequantize, fake_quant, quantize
 from squant.seeding import substream
 from squant.token_bits import (
     AttentionMap,
     TokenBitPlan,
-    TokenGroups,
     assign_bits,
-    fake_quant_node,
     gather_tokens,
     group_quantize,
     plan_for_layer,
@@ -38,7 +36,7 @@ def hi_tokens(scores, rho):
 def fq_grouped(x, plan, scale_hi=None, scale_lo=None, training=True):
     """One grouped fake-quant node over ``group_quantize``'s codes of x."""
     gq = group_quantize(x.array, plan, scale_hi=scale_hi, scale_lo=scale_lo, training=training)
-    return fake_quant_node(x, gq)
+    return fake_quant(x, gq)
 
 
 def random_causal_map(rng, layers, heads, n):
@@ -186,16 +184,14 @@ class TestGrouping:
             n = int(rng.integers(1, 20))
             x = rng.normal(size=(n, 5))
             plan = assign_bits(rng.uniform(size=n), float(rng.uniform()))
-            gq = group_quantize(x, plan)
-            hi, lo = gather_tokens(x, gq.groups)
-            np.testing.assert_array_equal(scatter_tokens(hi, lo, gq.groups), x)
+            hi, lo = gather_tokens(x, plan)
+            np.testing.assert_array_equal(scatter_tokens(hi, lo, plan), x)
 
     def test_groups_partition_and_ascend(self):
         plan = assign_bits(np.array([0.9, 0.1, 0.5, 0.3, 0.7]), 0.5)
-        gq = group_quantize(np.zeros((5, 2)), plan)
-        assert np.all(np.diff(gq.groups.hi_indices) > 0)
-        assert np.all(np.diff(gq.groups.lo_indices) > 0)
-        merged = np.concatenate([gq.groups.hi_indices, gq.groups.lo_indices])
+        assert np.all(np.diff(plan.hi) > 0)
+        assert np.all(np.diff(plan.lo) > 0)
+        merged = np.concatenate([plan.hi, plan.lo])
         np.testing.assert_array_equal(np.sort(merged), np.arange(5))
 
     def test_single_group_matches_plain_quantization(self):
@@ -204,18 +200,18 @@ class TestGrouping:
         gq = group_quantize(x, uniform_plan(6, 8))
         from squant.quant import calibrate_scale
 
-        spec = QuantSpec(bits=8, scale=calibrate_scale(x, 8), target="activation")
-        np.testing.assert_array_equal(gq.q_hi.ints, quantize(x, spec).ints)
-        assert gq.q_lo.ints.size == 0
+        spec = QuantSpec(bits=8, scale=calibrate_scale(x, 8))
+        np.testing.assert_array_equal(gq.codes, quantize(x, spec).ints)
+        assert gq.plan.lo.size == 0
 
     def test_two_scales_one_per_group(self):
         rng = substream(5, "grp-scales")
         x = rng.normal(size=(8, 3))
         plan = assign_bits(rng.uniform(size=8), 0.5)
         gq = group_quantize(x, plan)
-        hi, lo = gather_tokens(x, gq.groups)
-        assert gq.q_hi.scale == pytest.approx(np.abs(hi).max() / 127)
-        assert gq.q_lo.scale == pytest.approx(np.abs(lo).max() / 7)
+        hi, lo = gather_tokens(x, plan)
+        assert gq.spec_hi.scale == pytest.approx(np.abs(hi).max() / 127)
+        assert gq.spec_lo.scale == pytest.approx(np.abs(lo).max() / 7)
 
     def test_ema_only_updates_when_training(self):
         x = np.ones((4, 2))
@@ -231,10 +227,6 @@ class TestGrouping:
         with pytest.raises(ValueError):
             group_quantize(np.zeros((3, 2)), uniform_plan(4, 8))
 
-    def test_group_invariants_validated(self):
-        with pytest.raises(ValueError, match="partition"):
-            TokenGroups(hi_indices=np.array([0, 1]), lo_indices=np.array([1, 2]))
-
 
 class TestFakeQuantGrouped:
     def test_matches_numpy_grouping(self):
@@ -244,8 +236,11 @@ class TestFakeQuantGrouped:
         tape = gt.Tape(dtype=np.float64)
         y = fq_grouped(tape.parameter(x), plan)
         gq = group_quantize(x, plan)
+        hi, lo = gather_tokens(gq.codes, plan)
         want = scatter_tokens(
-            dequantize(gq.q_hi, np.float64), dequantize(gq.q_lo, np.float64), gq.groups
+            dequantize(QuantizedTensor(hi, gq.spec_hi.scale, 8), np.float64),
+            dequantize(QuantizedTensor(lo, gq.spec_lo.scale, 4), np.float64),
+            plan,
         )
         np.testing.assert_array_equal(y.data, want)
 
@@ -258,7 +253,7 @@ class TestFakeQuantGrouped:
             tape = gt.Tape(dtype=np.float64)
             y = fq_grouped(tape.parameter(x), uniform_plan(5, bits))
             tape2 = gt.Tape(dtype=np.float64)
-            spec = QuantSpec(bits=bits, scale=calibrate_scale(x, bits), target="activation")
+            spec = QuantSpec(bits=bits, scale=calibrate_scale(x, bits))
             want = fake_quant(tape2.parameter(x), spec)
             np.testing.assert_array_equal(y.data, want.data)
 
@@ -289,7 +284,7 @@ class TestFakeQuantGrouped:
             idx = np.flatnonzero(plan.bits == bits)
             ref_tape = gt.Tape(dtype=np.float64)
             rows = ref_tape.parameter(x[idx])
-            ref_tape.backward(gt.sum_all(fake_quant(rows, QuantSpec(bits=bits, scale=scale, target="activation"))))
+            ref_tape.backward(gt.sum_all(fake_quant(rows, QuantSpec(bits=bits, scale=scale))))
             assert 0 < rows.grad.sum() < rows.grad.size  # this group clips somewhere
             mask[idx] = rows.grad
         np.testing.assert_array_equal(t.grad, np.where(mask == 1.0, g, 0.0))
@@ -392,7 +387,7 @@ def ema_pair(rng):
 
 
 class TestOneRoundingOracle:
-    """group_quantize + fake_quant_node against the gather/quantize/scatter reference, byte for byte."""
+    """group_quantize + fake_quant against the gather/quantize/scatter reference, byte for byte."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("surrogate", [False, True])
@@ -418,14 +413,14 @@ class TestOneRoundingOracle:
             gq = group_quantize(
                 x, plan, ema_hi=emas[0], ema_lo=emas[1], scale_hi=fixed[0], scale_lo=fixed[1], training=training
             )
-            y = fake_quant_node(t, gq, surrogate=surrogate)
+            y = fake_quant(t, gq, surrogate=surrogate)
             tape.backward(gt.sum_all(gt.mul(y, tape.constant(g))))
 
             assert y.data.dtype == want_y.dtype and y.data.tobytes() == want_y.tobytes()
-            for q, (codes, scale) in zip((gq.q_hi, gq.q_lo), want_groups):
-                assert q.ints.dtype == codes.dtype and q.ints.shape == codes.shape
-                assert q.ints.tobytes() == codes.tobytes()
-                assert q.scale == scale
+            for rows, spec, (codes, scale) in zip(gather_tokens(gq.codes, plan), (gq.spec_hi, gq.spec_lo), want_groups):
+                assert rows.dtype == codes.dtype and rows.shape == codes.shape
+                assert rows.tobytes() == codes.tobytes()
+                assert spec.scale == scale
             for got, want in zip(emas, ref_emas):
                 assert (got is None) == (want is None)
                 if got is not None:
@@ -457,7 +452,7 @@ class TestOneRoundingOracle:
                 y = fake_quant(t, spec)
                 tape.backward(gt.sum_all(gt.mul(y, tape.constant(g))))
                 want_y = ref_quantize(w, scale, bits).astype(dtype) * np.dtype(dtype).type(scale)
-                want_grad = g * ref_ste_mask(w, scale, bits)
+                want_grad = g * ref_ste_mask(w, scale, bits) + 0.0
                 assert y.data.tobytes() == want_y.tobytes()
                 assert t.grad.tobytes() == want_grad.tobytes()
                 assert quantize(w, spec).ints.tobytes() == ref_quantize(w, scale, bits).tobytes()
