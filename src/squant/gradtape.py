@@ -11,6 +11,12 @@ Nodes append to the tape in creation order, so the record is topologically
 sorted by construction and the backward sweep is a single reverse pass.
 Constants are folded: a node whose parents are all constants is a constant
 itself, and the tape records neither, so a tape of constants holds no nodes.
+
+Every tensor holds its tape, so a recording tape is a reference cycle (tape
+-> node -> tape) until its owner clears the record (``tape.nodes.clear()``)
+after the update; the training loops do that when each step ends, so a step
+frees by reference counting and leaves nothing for the cyclic collector.
+The record stays intact after ``backward`` for callers that read it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ __all__ = [
     "Tape",
     "Tensor",
     "add",
-    "add_bias",
     "add_scalar",
     "clamp_max",
     "concat",
@@ -115,7 +120,10 @@ class Tensor:
 class Tape:
     """Ordered operation record for one forward/backward pass.
 
-    A single tape is not thread-safe; distinct tapes are fully independent.
+    While ``nodes`` holds a tensor, the tape and its tensors form a reference
+    cycle; an owner that records clears ``nodes`` once it has read the
+    gradients. A single tape is not thread-safe; distinct tapes are fully
+    independent.
     """
 
     def __init__(self, dtype=np.float32):
@@ -191,15 +199,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
     return Tensor(tape, a.array + b.array, (a, b), lambda g: (g, g), name="add")
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """x[..., D] + b[D]; the bias gradient sums over leading axes."""
-    tape = _same_tape(x, b)
-    if b.array.ndim != 1 or x.shape[-1] != b.shape[0]:
-        raise ValueError(f"bias shape {b.shape} does not match {x.shape}")
-    axes = tuple(range(x.array.ndim - 1))
-    return Tensor(tape, x.array + b.array, (x, b), lambda g: (g, g.sum(axis=axes)), name="add_bias")
 
 
 def add_scalar(x: Tensor, c: float) -> Tensor:

@@ -16,12 +16,14 @@ Attention runs over all heads at once: q, k and v split into [H, T, dh]
 once per layer, and each layer's probabilities are one [H, T, T] node.
 
 The architecture is written once. ``forward_tape`` and ``forward_int`` run
-the same forward and differ only in the six projections: the fake-quant path
-multiplies fake-quantized activations and weights on the tape, the integer
-path runs the kernels on the activation's int8 codes in token order, on a
-constant tape, scales each token's row by alpha_w * alpha_x, and reports its
-instruction cost. A tape of constants records no nodes, so the teacher and
-integer forwards leave nothing behind for the collector.
+the same forward and differ only in the six projections: on the tape each
+projection is one ``quant.linear`` node (fake-quantized activation times the
+once-rounded weight plus bias, or the float product on the float path), the
+integer path runs the kernels on the activation's int8 codes in token order,
+on a constant tape, scales each token's row by alpha_w * alpha_x, adds the
+bias, and reports its instruction cost. A tape of constants records no
+nodes, so the teacher and integer forwards leave nothing behind for the
+collector.
 
 The integer student follows compile once, run many: ``compile_int``
 quantizes every projection weight and lays it out for the kernels (int8
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import gradtape as gt
 from .kernels import CostCounter, PackedInt4Matrix, gemm_i8, gemm_mixed, pack_int4
-from .quant import EmaState, QuantSpec, calibrate_scale, check_momentum, fake_quant, quantize
+from .quant import EmaState, QuantSpec, calibrate_scale, check_momentum, fake_quant, linear, quantize
 from .schema import check_fields, integer, number, one_of, typed
 from .seeding import substream
 from .token_bits import group_quantize, plan_for_layer, uniform_plan
@@ -258,16 +260,12 @@ def _forward(
             return None, gq  # the integer projections read the codes, never the dequantized node
         return fake_quant(node, gq, surrogate), gq
 
-    def linear(act, name, bias):
+    def projection(act, name, bias):
         xq, gq = act
-        if not quantized:
-            y = gt.matmul(xq, tp[name])
-        elif project is None:
-            spec = QuantSpec(bits=cfg.weight_bits, scale=weight_scale(name))
-            y = gt.matmul(xq, fake_quant(tp[name], spec, surrogate))
-        else:
-            y = tape.constant(project(gq, name))
-        return gt.add_bias(y, tp[bias])
+        if project is not None:
+            return tape.constant(project(gq, name) + tp[bias].array)
+        spec = QuantSpec(bits=cfg.weight_bits, scale=weight_scale(name)) if quantized else None
+        return linear(xq, tp[name], tp[bias], spec, surrogate)
 
     dh = cfg.head_dim
     pos_ids = np.arange(t_len)
@@ -280,9 +278,9 @@ def _forward(
         plan = _plan_for(cfg, l, maps_so_far, t_len, plans_override) if quantized else None
         plans.append(plan)
         qx = fq_act(h1, l, "attn_in", plan)
-        q = linear(qx, p + "attn.wq", p + "attn.bq")
-        k = linear(qx, p + "attn.wk", p + "attn.bk")
-        v = linear(qx, p + "attn.wv", p + "attn.bv")
+        q = projection(qx, p + "attn.wq", p + "attn.bq")
+        k = projection(qx, p + "attn.wk", p + "attn.bk")
+        v = projection(qx, p + "attn.wv", p + "attn.bv")
         q, _ = fq_act(q, l, "q_post", plan)
         k, _ = fq_act(k, l, "k_post", plan)
         q_nodes.append(q)
@@ -293,10 +291,10 @@ def _forward(
         attn_nodes.append(probs)
         maps_so_far.append(probs.array)
         ctx = fq_act(gt.merge_heads(gt.matmul(probs, vh)), l, "attn_out", plan)
-        x = gt.add(x, linear(ctx, p + "attn.wo", p + "attn.bo"))
+        x = gt.add(x, projection(ctx, p + "attn.wo", p + "attn.bo"))
         h2 = gt.layernorm(x, tp[p + "ln2.g"], tp[p + "ln2.b"])
-        hid = gt.gelu(linear(fq_act(h2, l, "mlp_in", plan), p + "mlp.w1", p + "mlp.b1"))
-        x = gt.add(x, linear(fq_act(hid, l, "mlp_hidden", plan), p + "mlp.w2", p + "mlp.b2"))
+        hid = gt.gelu(projection(fq_act(h2, l, "mlp_in", plan), p + "mlp.w1", p + "mlp.b1"))
+        x = gt.add(x, projection(fq_act(hid, l, "mlp_hidden", plan), p + "mlp.w2", p + "mlp.b2"))
     xf = gt.layernorm(x, tp["lnf.g"], tp["lnf.b"])
     logits = gt.matmul(xf, gt.transpose(tp["tok_emb"]))
     return ForwardResult(

@@ -12,7 +12,9 @@ buffer gives the int8 codes (clipped) and the straight-through mask (the
 in-range test before the clip). ``fake_quant`` is the one straight-through
 node for both kinds; with ``surrogate=True`` it clips instead of rounding,
 for finite-difference checks of the backward. The mask is built only for an
-input a backward pass can reach.
+input a backward pass can reach. ``linear`` is a whole projection,
+x @ fake_quant(w) + b, as one node; without a quantizer it is the float
+projection.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "check_momentum",
     "dequantize",
     "fake_quant",
+    "linear",
     "quantize",
     "round_clip",
     "round_half_away",
@@ -194,14 +197,43 @@ def fake_quant(x: gt.Tensor, q, surrogate: bool = False) -> gt.Tensor:
     [qmin * scale, qmax * scale] without rounding and the mask is that
     interval's in-range test.
     """
-    dtype = x.tape.dtype
-    if surrogate:
-        y, mask = _clip(x.array, q.qmin * q.scale, q.qmax * q.scale)
-    else:
-        codes, mask = round_clip(x.array, q, with_mask=not x.constant)
-        y = codes.astype(dtype) * np.asarray(q.scale, dtype=dtype)  # dequantize, row by row
+    y, mask = _fake_quant_values(x, q, surrogate)
     # + 0.0 turns g * 0 for negative g into +0.0
     return x.tape.record(y, (x,), lambda g: (g * mask + 0.0,), name="fake_quant")
+
+
+def _fake_quant_values(x: gt.Tensor, q, surrogate: bool):
+    """Forward values and mask of ``fake_quant(x, q, surrogate)``; no mask for a rounded constant."""
+    if surrogate:
+        return _clip(x.array, q.qmin * q.scale, q.qmax * q.scale)
+    dtype = x.tape.dtype
+    codes, mask = round_clip(x.array, q, with_mask=not x.constant)
+    return codes.astype(dtype) * np.asarray(q.scale, dtype=dtype), mask  # dequantize, row by row
+
+
+def linear(
+    x: gt.Tensor, w: gt.Tensor, b: gt.Tensor, q: QuantSpec | None = None, surrogate: bool = False
+) -> gt.Tensor:
+    """x[T, K] @ fake_quant(w[K, N], q) + b[N] as one node; with ``q=None``, x @ w + b.
+
+    The weight is rounded once, as in ``fake_quant``, and its mask is built
+    only when a backward pass can reach w; ``surrogate`` clips instead. The
+    backward is dx = g @ wq.T, dw = (x.T @ g) * mask + 0.0 (no mask without
+    ``q``) and db = g.sum(axis=0), the arithmetic of a fake_quant node under
+    a matmul under a bias add, so one node gives the bits of that chain.
+    """
+    if x.array.ndim != 2 or w.array.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ValueError(f"linear needs x[T, K], w[K, N] and b[N], got {x.shape}, {w.shape} and {b.shape}")
+    wq, mask = (w.array, None) if q is None else _fake_quant_values(w, q, surrogate)
+    xa = x.array
+
+    def vjp(g):
+        dw = None
+        if not w.constant:
+            dw = xa.T @ g if mask is None else (xa.T @ g) * mask + 0.0
+        return g @ wq.T, dw, g.sum(axis=0)
+
+    return x.tape.record(xa @ wq + b.array, (x, w, b), vjp, name="linear")
 
 
 def _clip(x: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:

@@ -117,10 +117,13 @@ def pretrain_teacher(
     for t in range(steps):
         inputs, targets = _sample_window(rng, corpus, cfg.seq_len)
         tape = gt.Tape(dtype=np.float32)
-        tp = params_to_tape(tape, params, trainable=True)
-        res = forward_tape(tape, tp, inputs, cfg, quantized=False)
-        tape.backward(gt.cross_entropy(res.logits, targets))
-        _sgd_update(params, tp, cosine_lr(lr, t, steps))
+        try:
+            tp = params_to_tape(tape, params, trainable=True)
+            res = forward_tape(tape, tp, inputs, cfg, quantized=False)
+            tape.backward(gt.cross_entropy(res.logits, targets))
+            _sgd_update(params, tp, cosine_lr(lr, t, steps))
+        finally:
+            tape.nodes.clear()  # breaks the tape's reference cycle: the step frees without the collector
     return params
 
 
@@ -151,8 +154,8 @@ class QatTrainer:
         cfg = self.cfg
         inputs, targets = batch if batch is not None else self.sample_batch()
         teacher = forward_teacher(cfg, self.teacher_params, inputs)
+        tape = gt.Tape(dtype=np.float32)
         try:
-            tape = gt.Tape(dtype=np.float32)
             tp = params_to_tape(tape, self.params, trainable=True)
             res = forward_tape(
                 tape, tp, inputs, cfg, quantized=True, training=True, calib=self.calib
@@ -181,6 +184,8 @@ class QatTrainer:
                 "last_report": self.reports[-1].to_dict() if self.reports else None,
             }
             raise TrainingDiverged(f"aborted at step {self.step_index}: {e}", dump) from e
+        finally:
+            tape.nodes.clear()  # as in pretrain_teacher
         self.step_index += 1
         self.reports.append(report)
         return report

@@ -80,21 +80,6 @@ class TestElementwise:
         a = substream(7, "gt-gelu").normal(size=(64,)) * 2.0
         check(lambda tape, x: gt.sum_all(gt.gelu(x)), a)
 
-    def test_add_bias(self):
-        rng = substream(7, "gt-bias")
-        x = rng.normal(size=(5, 3))
-        b = rng.normal(size=(3,))
-
-        def build_x(tape, t):
-            return gt.sum_all(gt.mul(gt.add_bias(t, tape.parameter(b)), t))
-
-        check(build_x, x)
-
-        def build_b(tape, t):
-            return gt.sum_all(gt.mul(gt.add_bias(tape.parameter(x), t), tape.constant(x)))
-
-        check(build_b, b)
-
 
 class TestReductions:
     def test_variance_all(self):  # over all trailing elements, per leading index

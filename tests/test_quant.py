@@ -1,4 +1,4 @@
-"""Quantizer contract: scalar oracle, round-trip bound, idempotence, STE."""
+"""Quantizer contract: scalar oracle, round-trip bound, idempotence, STE, the projection node."""
 
 import math
 
@@ -12,6 +12,7 @@ from squant.quant import (
     calibrate_scale,
     dequantize,
     fake_quant,
+    linear,
     quantize,
     round_half_away,
 )
@@ -230,3 +231,98 @@ class TestFakeQuant:
         tape = gt.Tape(dtype=np.float64)
         y = fake_quant(tape.parameter(np.array([-100.0, 0.3, 100.0])), spec, surrogate=True)
         np.testing.assert_allclose(y.data, [-4.0, 0.3, 3.5])
+
+
+def projection_chain(x, w, b, q=None, surrogate=False):
+    """A projection as three nodes: fake-quant weight, matmul, bias add."""
+    y = gt.matmul(x, w if q is None else fake_quant(w, q, surrogate))
+    return x.tape.record(y.array + b.array, (y, b), lambda g: (g, g.sum(axis=0)), name="add_bias")
+
+
+def projection_operands(name):
+    rng = substream(11, name)
+    return rng.normal(size=(6, 8)), rng.normal(size=(8, 5)) * 0.4, rng.normal(size=(5,)), rng.normal(size=(6, 5))
+
+
+class TestLinear:
+    @staticmethod
+    def run(build, x0, w0, b0, c, constant_w=False):
+        tape = gt.Tape(dtype=np.float32)
+        x, b = tape.parameter(x0), tape.parameter(b0)
+        w = tape.constant(w0) if constant_w else tape.parameter(w0)
+        y = build(x, w, b)
+        tape.backward(gt.sum_all(gt.mul(y, tape.constant(c))))  # c has both signs: masked entries see -g
+        return y.array, x.grad, w.grad, b.grad
+
+    @pytest.mark.parametrize(
+        "bits, surrogate, constant_w",
+        [
+            (4, False, False),
+            (8, False, False),
+            (4, False, True),
+            (8, False, True),
+            (4, True, False),
+            (8, True, False),
+            (None, False, False),
+        ],
+    )
+    def test_bits_equal_the_three_node_chain(self, bits, surrogate, constant_w, monkeypatch):
+        import squant.quant as quant_mod
+
+        x0, w0, b0, c = projection_operands("linear-bits")
+        # a scale below the max-abs one clips the largest weights, so the mask has zeros
+        q = None if bits is None else QuantSpec(bits=bits, scale=0.6 * calibrate_scale(w0.astype(np.float32), bits))
+        masks = []
+        ste_mask = quant_mod._ste_mask
+        monkeypatch.setattr(quant_mod, "_ste_mask", lambda *a: masks.append(1) or ste_mask(*a))
+        got = self.run(lambda x, w, b: linear(x, w, b, q, surrogate), x0, w0, b0, c, constant_w=constant_w)
+        built = len(masks)
+        want = self.run(lambda x, w, b: projection_chain(x, w, b, q, surrogate), x0, w0, b0, c, constant_w=constant_w)
+        for g, r in zip(got, want):
+            if r is None:
+                assert g is None
+            else:
+                assert g.dtype == r.dtype and g.shape == r.shape and g.tobytes() == r.tobytes()
+        assert got[2] is None if constant_w else got[2] is not None
+        if q is not None and not constant_w:
+            assert (got[2] == 0).any()  # some weights were clipped
+        if q is not None and not surrogate:
+            assert built == (0 if constant_w else 1)
+
+    @pytest.mark.parametrize("surrogate", [False, True])
+    def test_gradients_match_finite_differences(self, surrogate):
+        # float64: the float projection (q=None) and the clip-only surrogate
+        x0, w0, b0, c = projection_operands("linear-fd")
+        q = QuantSpec(bits=4, scale=0.6 * calibrate_scale(w0, 4)) if surrogate else None
+        if surrogate:
+            lo, hi = q.qmin * q.scale, q.qmax * q.scale
+            assert np.minimum(np.abs(w0 - lo), np.abs(w0 - hi)).min() > 1e-3  # no weight on a kink
+            assert ((w0 < lo) | (w0 > hi)).any()
+
+        def loss(x, w, b):
+            tape = gt.Tape(dtype=np.float64)
+            ts = [tape.parameter(a) for a in (x, w, b)]
+            y = linear(*ts, q, surrogate)
+            out = gt.sum_all(gt.mul(gt.mul(y, y), tape.constant(c)))
+            return tape, ts, out
+
+        tape, ts, out = loss(x0, w0, b0)
+        tape.backward(out)
+        h = 1e-6
+        for i, t in enumerate(ts):
+            fd = np.zeros_like(t.array)
+            for j in range(fd.size):
+                for sign in (1.0, -1.0):
+                    bumped = [a.copy() for a in (x0, w0, b0)]
+                    bumped[i].reshape(-1)[j] += sign * h
+                    fd.reshape(-1)[j] += sign * loss(*bumped)[2].item()
+            np.testing.assert_allclose(t.grad, fd / (2 * h), rtol=1e-6, atol=1e-8)
+
+    def test_shapes_validated(self):
+        tape = gt.Tape()
+        x, w = tape.parameter(np.ones((3, 4))), tape.parameter(np.ones((4, 2)))
+        for bad_w, bad_b in (((5, 2), (2,)), ((4, 2), (3,)), ((4, 2), (1, 2))):
+            with pytest.raises(ValueError, match="linear needs"):
+                linear(x, tape.parameter(np.ones(bad_w)), tape.parameter(np.ones(bad_b)))
+        with pytest.raises(ValueError, match="linear needs"):
+            linear(tape.parameter(np.ones(4)), w, tape.parameter(np.ones(2)))

@@ -1,5 +1,6 @@
 """Corpus generation, teacher pretraining, the QAT loop, and ablation grids."""
 
+import gc
 import math
 
 import numpy as np
@@ -117,19 +118,31 @@ class TestQatTrainer:
             runs.append([r.to_dict() for r in trainer.reports])
         assert runs[0] == runs[1]
 
-    def test_tape_nodes_per_step(self, monkeypatch):
-        cfg, teacher, train, _ = tiny_setup()
-        counts = []
-        backward = train_mod.gt.Tape.backward
+    @pytest.mark.parametrize("act_bits", ["adaptive", 4, 8])
+    def test_tape_nodes_per_step(self, act_bits, monkeypatch):
+        cfg, teacher, train, _ = tiny_setup(act_bits=act_bits)
+        nodes, tensors = [], [0]
+        backward, init = train_mod.gt.Tape.backward, train_mod.gt.Tensor.__init__
 
-        def counting(tape, root):
-            counts.append(len(tape.nodes))
+        def counting_backward(tape, root):
+            nodes.append(len(tape.nodes))
             return backward(tape, root)
 
-        monkeypatch.setattr(train_mod.gt.Tape, "backward", counting)
-        QatTrainer(cfg, teacher, train).run(2)
-        # heads run as one batched op, and constants are not recorded
-        assert len(counts) == 2 and max(counts) <= 160
+        def counting_init(tensor, *args, **kwargs):
+            tensors[0] += 1
+            init(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(train_mod.gt.Tape, "backward", counting_backward)
+        monkeypatch.setattr(train_mod.gt.Tensor, "__init__", counting_init)
+        trainer = QatTrainer(cfg, teacher, train)
+        built = []
+        for _ in range(2):
+            tensors[0] = 0
+            trainer.step()
+            built.append(tensors[0])
+        # heads run as one batched op, each projection is one node, and constants are not recorded
+        assert nodes == [131, 131]
+        assert built == [215, 215]  # the teacher forward's constants included
 
     def test_one_rounding_per_weight_and_site(self, monkeypatch):
         # every quantizer takes its codes, values and straight-through mask from one rounding
@@ -191,6 +204,41 @@ class TestQatTrainer:
         dump = exc_info.value.dump
         assert set(dump) >= {"step", "error", "last_report"}
         assert dump["step"] >= 1
+
+    @staticmethod
+    def unreachable_after(fn):
+        """Objects the cyclic collector finds after ``fn()`` runs with the collector off."""
+        gc.collect()
+        gc.disable()
+        try:
+            fn()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_steps_freed_without_the_collector(self):
+        # each step clears its tape's record, so its tape and tensors free by reference counting
+        cfg, teacher, train, _ = tiny_setup()
+        trainer = QatTrainer(cfg, teacher, train)
+        trainer.step()  # first-call setup outside the measurement
+        assert self.unreachable_after(trainer.step) == 0
+        assert self.unreachable_after(lambda: pretrain_teacher(cfg, train, 1, 0.3)) == 0
+
+    def test_diverged_step_freed_without_the_collector(self):
+        cfg, teacher, train, _ = tiny_setup(lr=1e8)  # the divergence-dump setup
+        trainer = QatTrainer(cfg, teacher, train)
+        trainer.step()
+
+        def until_diverged():
+            with np.errstate(all="ignore"):
+                for _ in range(50):
+                    try:
+                        trainer.step()
+                    except TrainingDiverged:
+                        return
+            pytest.fail("no step diverged")
+
+        assert self.unreachable_after(until_diverged) == 0
 
     def test_entropy_term_anchored_at_teacher(self):
         # each head contributes at most the teacher's value on the same window
