@@ -340,11 +340,7 @@ def cmd_train(args) -> int:
     teacher = pretrain_teacher(cfg, train_split, rc.teacher_steps, rc.teacher_lr)
     teacher_ppl = perplexity_eval(cfg, teacher, heldout, quantized=False)
     trainer = QatTrainer(cfg, teacher, train_split)
-    try:
-        trainer.run(cfg.steps)
-    except TrainingDiverged as e:
-        print(json.dumps(e.dump, sort_keys=True), file=sys.stderr)
-        return 1
+    trainer.run(cfg.steps)
     student_ppl = perplexity_eval(cfg, trainer.params, heldout, calib=trainer.calib, quantized=True)
     with open(out_dir / "loss_log.jsonl", "w") as f:
         for report in trainer.reports:
@@ -494,9 +490,8 @@ def cmd_inspect(args) -> int:
 
     def head_stack(nodes):
         dh = cfg.head_dim
-        per_layer = [node.array if hasattr(node, "array") else node.data for node in nodes]
         return np.stack(
-            [[a[:, h * dh : (h + 1) * dh] for h in range(cfg.heads)] for a in per_layer]
+            [[node.array[:, h * dh : (h + 1) * dh] for h in range(cfg.heads)] for node in nodes]
         )
 
     tq, tk = head_stack(teacher_res.q_nodes), head_stack(teacher_res.k_nodes)
@@ -620,6 +615,9 @@ def main(argv=None) -> int:
     except CheckpointError as e:
         print(f"checkpoint error: {e}", file=sys.stderr)
         return 2
+    except TrainingDiverged as e:  # train and ablate: the offending step's dump, on one line
+        print(json.dumps(e.dump, sort_keys=True), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,9 +3,12 @@
 Deliberately small: matmul, row softmax with causal masking, layernorm,
 cross entropy, temperature-scaled KL, and the elementwise/reduction glue a
 micro decoder-only transformer needs. Matmul, transpose and softmax also take
-leading batch axes, so attention runs over all heads as one op on an
-[H, T, T] node. Values are float32 by default; a tape can be built in float64
-when tight finite-difference checks are wanted.
+leading batch axes. Attention is two fused nodes over all heads at once:
+``attention`` gives the causal [H, T, T] probabilities of q and k, ``attend``
+the [T, D] context of those probabilities and v. Each records one node with
+the bits of the split/transpose/matmul/scale/softmax/merge chain it replaces,
+which stays here as the reference. Values are float32 by default; a tape can
+be built in float64 when tight finite-difference checks are wanted.
 
 Nodes append to the tape in creation order, so the record is topologically
 sorted by construction and the backward sweep is a single reverse pass.
@@ -30,6 +33,8 @@ __all__ = [
     "Tensor",
     "add",
     "add_scalar",
+    "attend",
+    "attention",
     "clamp_max",
     "concat",
     "cross_entropy",
@@ -146,8 +151,8 @@ class Tape:
         name: str | None = None,
     ) -> Tensor:
         """Record a custom op node; ``vjp(grad_out)`` must return one gradient
-        (or None) per parent. Used by the quantizer to register nodes with
-        straight-through gradients without this module knowing about them."""
+        (or None) per parent. Used by the quantizer and the losses to register
+        fused nodes without this module knowing about them."""
         for p in parents:
             _check_tape(self, p)
         return Tensor(self, array, parents=parents, vjp=vjp, name=name)
@@ -347,15 +352,9 @@ def transpose(x: Tensor) -> Tensor:
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
     """[T, D] -> [H, T, D/H]: head h owns the column block [h*dh, (h+1)*dh)."""
-    if x.array.ndim != 2 or x.shape[1] % heads:
-        raise ValueError(f"width of {x.shape} not divisible by {heads} heads")
+    a = _heads(x, heads)  # value and gradient in C order, as downstream BLAS products round by layout
     t, d = x.shape
-
-    def vjp(g):
-        # C order, as downstream BLAS products round by layout
-        return (np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(t, d),)
-
-    return Tensor(x.tape, x.array.reshape(t, heads, d // heads).transpose(1, 0, 2), (x,), vjp, name="split_heads")
+    return Tensor(x.tape, a, (x,), lambda g: (_merge(g, t, d),), name="split_heads")
 
 
 def merge_heads(x: Tensor) -> Tensor:
@@ -367,7 +366,7 @@ def merge_heads(x: Tensor) -> Tensor:
     def vjp(g):
         return (np.ascontiguousarray(g.reshape(t, h, dh).transpose(1, 0, 2)),)
 
-    return Tensor(x.tape, x.array.transpose(1, 0, 2).reshape(t, h * dh), (x,), vjp, name="merge_heads")
+    return Tensor(x.tape, _merge(x.array, t, h * dh), (x,), vjp, name="merge_heads")
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -429,6 +428,69 @@ def softmax_rows(x: Tensor, causal: bool = False) -> Tensor:
         return ((g - (g * y).sum(axis=-1, keepdims=True)) * y,)
 
     return Tensor(x.tape, y, (x,), vjp, name="softmax")
+
+
+def attention(q: Tensor, k: Tensor, heads: int, scale: float) -> Tensor:
+    """Causal [H, T, T] probabilities softmax(scale * q_h @ k_h^T) of [T, D] q and k, as one node.
+
+    The bits of ``softmax_rows(mul_scalar(matmul(split_heads(q),
+    transpose(split_heads(k))), scale), causal=True)``: the same C-ordered
+    operands go to the same BLAS calls, and each gradient is cast to the tape
+    dtype where that chain's tape would cast it.
+    """
+    tape = _same_tape(q, k)
+    if q.shape != k.shape:
+        raise ValueError(f"attention needs q and k of one shape, got {q.shape} and {k.shape}")
+    qh, kh = (_heads(n, heads) for n in (q, k))
+    kht = _t(kh).copy()
+    c = tape.dtype.type(scale)
+    y = softmax_forward((qh @ kht) * c, causal=True).astype(tape.dtype)
+    t, d = q.shape
+
+    def vjp(g):
+        gs = _cast(tape, _cast(tape, (g - (g * y).sum(axis=-1, keepdims=True)) * y) * c)
+        dq = _merge(_cast(tape, gs @ _t(kht)), t, d)
+        dk = _merge(_t(_cast(tape, _t(qh) @ gs)), t, d)
+        return dq, dk
+
+    return Tensor(tape, y, (q, k), vjp, name="attention")
+
+
+def attend(probs: Tensor, v: Tensor) -> Tensor:
+    """[T, D] context of [H, T, T] probabilities and [T, D] values, as one node.
+
+    The bits of ``merge_heads(matmul(probs, split_heads(v)))``.
+    """
+    tape = _same_tape(probs, v)
+    if probs.array.ndim != 3 or v.array.ndim != 2 or probs.shape[1:] != (v.shape[0],) * 2:
+        raise ValueError(f"attend needs [H, T, T] probabilities and [T, D] values, got {probs.shape} and {v.shape}")
+    h = probs.shape[0]
+    vh = _heads(v, h)
+    t, d = v.shape
+
+    def vjp(g):
+        gh = np.ascontiguousarray(g.reshape(t, h, d // h).transpose(1, 0, 2))
+        return _cast(tape, gh @ _t(vh)), _merge(_cast(tape, _t(probs.array) @ gh), t, d)
+
+    return Tensor(tape, _merge(probs.array @ vh, t, d), (probs, v), vjp, name="attend")
+
+
+def _heads(x: Tensor, heads: int) -> np.ndarray:
+    """The C-ordered [H, T, D/H] array ``split_heads(x, heads)`` holds."""
+    if x.array.ndim != 2 or x.shape[1] % heads:
+        raise ValueError(f"width of {x.shape} not divisible by {heads} heads")
+    t, d = x.shape
+    return np.ascontiguousarray(x.array.reshape(t, heads, d // heads).transpose(1, 0, 2))
+
+
+def _merge(a: np.ndarray, t: int, d: int) -> np.ndarray:
+    """[H, T, dh] -> C-ordered [T, H*dh]."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(t, d)
+
+
+def _cast(tape: Tape, a) -> np.ndarray:
+    """``a`` in the tape dtype, as ``Tape.backward`` stores a gradient."""
+    return np.asarray(a, dtype=tape.dtype)
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

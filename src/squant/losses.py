@@ -15,6 +15,10 @@
 
 Total: distill + r_E * entropy + r_D * distribution, defaults r_E = 0.5,
 r_D = 1.0. Natural logs throughout; eps = 1e-8 guards the outer logs.
+
+The entropy and distribution terms are each one tape node, recorded through
+``Tape.record``, with the bits of the chain of ``gradtape`` ops each replaces
+(forward values and every gradient).
 """
 
 from __future__ import annotations
@@ -164,7 +168,7 @@ def entropy_loss_node(
     eps: float = EPS,
     ceiling: np.ndarray | None = None,
 ) -> tuple[gt.Tensor, GaussianStats]:
-    """Entropy term over per-layer [N, d] quantized q/k tape tensors.
+    """Entropy term over per-layer [N, d] quantized q/k tape tensors, as one node.
 
     Head h owns the column block [h*dh, (h+1)*dh); variances are taken over
     that whole block, one per (layer, head) over the stacked heads. Also
@@ -174,22 +178,61 @@ def entropy_loss_node(
     its log(1 + var_q * var_k) reaches the ceiling, the head contributes the
     ceiling as a constant and sends no gradient to its q/k. Heads below it,
     and every head when ``ceiling`` is None, are unchanged.
+
+    The node has the bits of the op chain ``split_heads``, ``concat``,
+    ``variance_per``, ``mul``, ``add_scalar``, ``log``, ``clamp_max``,
+    ``sum_in_order``, ``add_scalar``, ``log``, ``neg``: the same arithmetic in
+    the same order, each gradient cast to the tape dtype where that chain's
+    tape would cast it.
     """
     if len(q_nodes) != len(k_nodes) or not q_nodes:
         raise ValueError("need matching non-empty q and k node lists")
 
     def build():
-        var_q, var_k = (
-            gt.variance_per(gt.concat([gt.split_heads(n, heads) for n in nodes]))
-            for nodes in (q_nodes, k_nodes)
-        )
-        terms = gt.log(gt.add_scalar(gt.mul(var_q, var_k), 1.0))
+        nodes = list(q_nodes) + list(k_nodes)
+        shape = nodes[0].shape
+        if len(shape) != 2 or shape[1] % heads or any(n.shape != shape for n in nodes):
+            raise ValueError(f"q and k need one [N, d] shape with d divisible by {heads} heads")
+        t, d = shape
+        layers = len(q_nodes)
+        tape = nodes[0].tape
+        dt = tape.dtype
+
+        def cast(a):
+            return np.asarray(a, dtype=dt)
+
+        def rows(group):  # [L*H, N*dh]: each (layer, head) block in split_heads order
+            blocks = [n.array.reshape(t, heads, d // heads).transpose(1, 0, 2) for n in group]
+            return np.concatenate(blocks).reshape(layers * heads, -1)
+
+        centered, var = [], []
+        for a in (rows(q_nodes), rows(k_nodes)):
+            c = a - a.mean(axis=1, dtype=dt, keepdims=True)
+            centered.append(c)
+            var.append((c**2).mean(axis=1, dtype=dt))
+        var_q, var_k = var
+        pre = var_q * var_k + dt.type(1.0)
+        terms = np.log(pre)
         if ceiling is not None:
-            terms = gt.clamp_max(terms, np.reshape(ceiling, terms.shape))
-        # summed left to right over (layer, head)
-        node = gt.neg(gt.log(gt.add_scalar(gt.sum_in_order(terms), eps)))
-        shape = (len(q_nodes), heads)
-        return node, GaussianStats(var_q=var_q.array.reshape(shape), var_k=var_k.array.reshape(shape))
+            cap = np.reshape(ceiling, terms.shape)
+            below = terms < cap
+            terms = cast(np.where(below, terms, cap))
+        inner = np.cumsum(terms)[-1] + dt.type(eps)  # summed left to right over (layer, head)
+
+        def vjp(g):
+            g = cast(cast(-g) / inner)
+            g = cast(np.broadcast_to(g, terms.shape))
+            if ceiling is not None:
+                g = cast(np.where(below, g, 0.0))
+            g = cast(g / pre)
+            grads = []
+            for dvar, c in ((cast(g * var_k), centered[0]), (cast(g * var_q), centered[1])):
+                full = cast(dvar[:, None] * 2.0 * c / c.shape[1]).reshape(layers, heads, t, d // heads)
+                grads += [np.ascontiguousarray(full[l].transpose(1, 0, 2)).reshape(t, d) for l in range(layers)]
+            return tuple(None if n.constant else grad for n, grad in zip(nodes, grads))
+
+        node = tape.record(-np.log(inner), nodes, vjp, name="entropy")
+        return node, GaussianStats(var_q=var_q.reshape(layers, heads), var_k=var_k.reshape(layers, heads))
 
     return _wrap_term("entropy", build)
 
@@ -200,33 +243,58 @@ def distribution_loss_node(
     eps: float = EPS,
     literal_sign: bool = False,
 ) -> tuple[gt.Tensor, float]:
-    """Alignment term over per-layer [H, N, N] student attention nodes.
+    """Alignment term over per-layer [H, N, N] student attention nodes, as one node.
 
     ``teacher_probs`` is the detached [L, H, N, N] teacher map stack. Returns
     the loss node and the detached cosine sum.
+
+    The node has the bits of the op chain ``concat``, ``mul`` and ``sum_per``
+    (numerator and squared norm), ``sqrt``, ``mul`` by the teacher norms,
+    ``div``, ``sum_in_order``, ``add_scalar``, ``log`` and ``neg``; the maps'
+    three gradients add in that chain's order,
+    (g_norm * maps + g_norm * maps) + g_num * target.
     """
     teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
 
     def build():
         if not attn_nodes:
             raise ValueError("no attention nodes given")
-        maps = gt.concat(attn_nodes)
-        tape = maps.tape
-        if teacher_probs.shape != (len(attn_nodes),) + attn_nodes[0].shape:
-            raise ValueError(f"map shape {attn_nodes[0].shape} differs from teacher {teacher_probs.shape}")
-        target = teacher_probs.reshape(maps.shape).astype(tape.dtype)
+        shape = attn_nodes[0].shape
+        if teacher_probs.shape != (len(attn_nodes),) + shape or any(n.shape != shape for n in attn_nodes):
+            raise ValueError(f"map shape {shape} differs from teacher {teacher_probs.shape}")
+        tape = attn_nodes[0].tape
+        dt = tape.dtype
+
+        def cast(a):
+            return np.asarray(a, dtype=dt)
+
+        maps = np.concatenate([n.array for n in attn_nodes])
+        target = teacher_probs.reshape(maps.shape).astype(dt)
         flat = target.reshape(len(target), 1, -1)
         # per-map BLAS dot, the one np.linalg.norm takes
         t_norm = np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(-1)
-        num = gt.sum_per(gt.mul(maps, tape.constant(target, name="teacher_maps")))
-        qq = gt.sqrt(gt.sum_per(gt.mul(maps, maps)))
-        cos = gt.div(num, gt.mul(qq, tape.constant(t_norm, name="teacher_norms")))
-        total = gt.sum_in_order(cos)
-        alignment = float(total.array)
-        node = gt.log(gt.add_scalar(total, eps))
-        if not literal_sign:
-            node = gt.neg(node)
-        return node, alignment
+        per_map = (len(maps), -1)
+        num = (maps * target).reshape(per_map).sum(axis=1, dtype=dt)
+        norm = np.sqrt((maps * maps).reshape(per_map).sum(axis=1, dtype=dt))
+        den = norm * t_norm
+        total = np.cumsum(num / den)[-1]
+        shifted = total + dt.type(eps)
+        value = np.log(shifted)
+
+        def vjp(g):
+            if not literal_sign:
+                g = cast(-g)
+            g = cast(np.broadcast_to(cast(g / shifted), num.shape))
+            g_num = cast(g / den)
+            g_norm = cast(cast(cast(-g * num / (den * den)) * t_norm) / (2.0 * norm))
+            g_maps = (cast(g_norm[:, None, None] * maps) + cast(g_norm[:, None, None] * maps)) + cast(
+                g_num[:, None, None] * target
+            )
+            h = shape[0]
+            return tuple(None if n.constant else g_maps[l * h : (l + 1) * h] for l, n in enumerate(attn_nodes))
+
+        node = tape.record(value if literal_sign else -value, attn_nodes, vjp, name="distribution")
+        return node, float(total)
 
     return _wrap_term("distribution", build)
 

@@ -12,8 +12,9 @@ where layer l > 0 plans from layer l-1's attention map in the same pass.
 Each activation site is quantized once per pass by ``group_quantize``, in
 one per-row rounding, and stays in token order on both paths.
 
-Attention runs over all heads at once: q, k and v split into [H, T, dh]
-once per layer, and each layer's probabilities are one [H, T, T] node.
+Attention runs over all heads at once as two tape nodes per layer:
+``gt.attention`` gives the causal [H, T, T] probabilities of q and k, and
+``gt.attend`` the [T, D] context of those probabilities and v.
 
 The architecture is written once. ``forward_tape`` and ``forward_int`` run
 the same forward and differ only in the six projections: on the tape each
@@ -267,7 +268,6 @@ def _forward(
         spec = QuantSpec(bits=cfg.weight_bits, scale=weight_scale(name)) if quantized else None
         return linear(xq, tp[name], tp[bias], spec, surrogate)
 
-    dh = cfg.head_dim
     pos_ids = np.arange(t_len)
     x = gt.add(gt.gather_rows(tp["tok_emb"], tokens), gt.gather_rows(tp["pos_emb"], pos_ids))
     attn_nodes, q_nodes, k_nodes, plans = [], [], [], []
@@ -285,12 +285,10 @@ def _forward(
         k, _ = fq_act(k, l, "k_post", plan)
         q_nodes.append(q)
         k_nodes.append(k)
-        qh, kh, vh = (gt.split_heads(t, cfg.heads) for t in (q, k, v))
-        scores = gt.mul_scalar(gt.matmul(qh, gt.transpose(kh)), 1.0 / math.sqrt(dh))
-        probs = gt.softmax_rows(scores, causal=True)
+        probs = gt.attention(q, k, cfg.heads, 1.0 / math.sqrt(cfg.head_dim))
         attn_nodes.append(probs)
         maps_so_far.append(probs.array)
-        ctx = fq_act(gt.merge_heads(gt.matmul(probs, vh)), l, "attn_out", plan)
+        ctx = fq_act(gt.attend(probs, v), l, "attn_out", plan)
         x = gt.add(x, projection(ctx, p + "attn.wo", p + "attn.bo"))
         h2 = gt.layernorm(x, tp[p + "ln2.g"], tp[p + "ln2.b"])
         hid = gt.gelu(projection(fq_act(h2, l, "mlp_in", plan), p + "mlp.w1", p + "mlp.b1"))

@@ -31,7 +31,6 @@ from .model import (
     MicroTransformerConfig,
     forward_int,
     forward_tape,
-    forward_teacher,
     init_params,
     params_to_tape,
     perplexity_eval,
@@ -110,7 +109,8 @@ def pretrain_teacher(
 
     The decay matters: at a flat rate the teacher either crawls (small lr)
     or bounces around the optimum (large lr); annealing to zero gets held-out
-    perplexity within a few percent of the corpus entropy floor.
+    perplexity within a few percent of the corpus entropy floor. A loss or
+    gradient that goes non-finite raises TrainingDiverged.
     """
     params = init_params(cfg)
     rng = substream(cfg.seed, "teacher.batches")
@@ -122,6 +122,9 @@ def pretrain_teacher(
             res = forward_tape(tape, tp, inputs, cfg, quantized=False)
             tape.backward(gt.cross_entropy(res.logits, targets))
             _sgd_update(params, tp, cosine_lr(lr, t, steps))
+        except ValueError as e:
+            dump = {"phase": "teacher", "step": t, "error": str(e)}
+            raise TrainingDiverged(f"teacher aborted at step {t}: {e}", dump) from e
         finally:
             tape.nodes.clear()  # breaks the tape's reference cycle: the step frees without the collector
     return params
@@ -139,12 +142,21 @@ class QatTrainer:
         self.corpus = corpus
         self.step_index = 0
         self.reports: list[LossReport] = []
+        self._teacher: tuple | None = None
+
+    def _teacher_forward(self, inputs):
+        """The frozen teacher's forward; its constant leaves are built once, by the first step."""
+        if self._teacher is None:
+            tape = gt.Tape(dtype=np.float32)  # a tape of constants records nothing
+            self._teacher = tape, params_to_tape(tape, self.teacher_params, trainable=False)
+        return forward_tape(*self._teacher, inputs, self.cfg)
 
     def sample_batch(self):
         return _sample_window(self.rng, self.corpus, self.cfg.seq_len)
 
     def step(self, batch=None) -> LossReport:
-        """One SGD step on the weighted total; raises TrainingDiverged on NaN.
+        """One SGD step on the weighted total; raises TrainingDiverged when the
+        teacher's forward, a loss or a gradient goes non-finite.
 
         The rate follows ``cosine_lr`` over ``cfg.steps`` for the same reason
         as in ``pretrain_teacher``: at batch size 1 a flat rate stops at a
@@ -153,9 +165,9 @@ class QatTrainer:
         """
         cfg = self.cfg
         inputs, targets = batch if batch is not None else self.sample_batch()
-        teacher = forward_teacher(cfg, self.teacher_params, inputs)
         tape = gt.Tape(dtype=np.float32)
         try:
+            teacher = self._teacher_forward(inputs)
             tp = params_to_tape(tape, self.params, trainable=True)
             res = forward_tape(
                 tape, tp, inputs, cfg, quantized=True, training=True, calib=self.calib
@@ -179,6 +191,7 @@ class QatTrainer:
             _sgd_update(self.params, tp, cosine_lr(cfg.lr, self.step_index, cfg.steps))
         except ValueError as e:
             dump = {
+                "phase": "student",
                 "step": self.step_index,
                 "error": str(e),
                 "last_report": self.reports[-1].to_dict() if self.reports else None,

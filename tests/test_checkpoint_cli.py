@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -679,3 +683,24 @@ class TestAblateCommand:
             assert float(r["mul_per_token"]) > 0
         assert cli_main(["ablate", "--config", str(cfg_path), "--out", str(out2)]) == 0
         assert (out1 / "ablation.csv").read_bytes() == (out2 / "ablation.csv").read_bytes()
+
+
+DIVERGING = {
+    "teacher": {"teacher_lr": 1e9, "teacher_steps": 5, "steps": 2, "corpus_length": 2048},
+    "student": {"lr": 1e8, "teacher_steps": 1, "steps": 50, "corpus_length": 2048},
+}
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("phase", sorted(DIVERGING))
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_exits_one_with_the_dump_and_no_traceback(self, tmp_path, command, phase):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(DIVERGING[phase]))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        argv = [sys.executable, "-m", "squant.cli", command, "--config", str(path), "--out", str(tmp_path / "out")]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        dump = json.loads(proc.stderr.splitlines()[-1])  # numpy's overflow warnings may come first
+        assert dump["phase"] == phase and "non-finite" in dump["error"]

@@ -261,6 +261,83 @@ class TestBatchedOps:
             np.testing.assert_array_equal(kn.grad[:, cols], (qb.T @ gs).T)
 
 
+def chain_attention(q, k, heads, scale):
+    """The op chain ``gt.attention`` replaces."""
+    scores = gt.matmul(gt.split_heads(q, heads), gt.transpose(gt.split_heads(k, heads)))
+    return gt.softmax_rows(gt.mul_scalar(scores, scale), causal=True)
+
+
+def chain_attend(probs, v):
+    """The op chain ``gt.attend`` replaces."""
+    return gt.merge_heads(gt.matmul(probs, gt.split_heads(v, probs.shape[0])))
+
+
+def same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestAttentionNodes:
+    """``attention`` and ``attend`` against the op chains they replace, byte for byte."""
+
+    def run(self, attention, attend, arrays, heads, dtype):
+        q, k, v, w_probs, w_ctx = arrays
+        tape = gt.Tape(dtype=dtype)
+        qn, kn, vn = (tape.parameter(a) for a in (q, k, v))
+        probs = attention(qn, kn, heads, 1.0 / np.sqrt(q.shape[1] // heads))
+        ctx = attend(probs, vn)
+        # probs gets two gradients, as in the model: from its context and from a loss on the maps
+        loss = gt.add(gt.sum_all(gt.mul(ctx, tape.constant(w_ctx))), gt.sum_all(gt.mul(probs, tape.constant(w_probs))))
+        tape.backward(loss)
+        return probs.array, ctx.array, qn.grad, kn.grad, vn.grad
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads,t_len,dh", [(1, 1, 4), (1, 6, 8), (2, 1, 4), (2, 32, 16), (4, 9, 3)])
+    def test_bits_equal_the_op_chain(self, dtype, heads, t_len, dh, sign):
+        rng = substream(7, f"gt-attn-{heads}-{t_len}")
+        d = heads * dh
+        q, k, v = (rng.normal(size=(t_len, d)).astype(dtype) for _ in range(3))
+        w_probs = (sign * rng.normal(size=(heads, t_len, t_len))).astype(dtype)  # mixed signs, flipped by sign
+        w_ctx = (sign * rng.normal(size=(t_len, d))).astype(dtype)
+        arrays = (q, k, v, w_probs, w_ctx)
+        fused = self.run(gt.attention, gt.attend, arrays, heads, dtype)
+        chain = self.run(chain_attention, chain_attend, arrays, heads, dtype)
+        for a, b in zip(fused, chain):
+            same_bytes(a, b)
+
+    def test_one_node_each(self):
+        tape = gt.Tape()
+        q, k, v = (tape.parameter(np.ones((3, 4), np.float32)) for _ in range(3))
+        gt.attend(gt.attention(q, k, 2, 0.5), v)
+        assert [n.name for n in tape.nodes[3:]] == ["attention", "attend"]
+
+    def test_gradients_match_finite_differences(self):
+        rng = substream(7, "gt-attn-fd")
+        q, k, v = (rng.normal(size=(5, 6)) for _ in range(3))
+        w = rng.normal(size=(3, 5, 5))
+        probs = rng.uniform(size=(3, 5, 5))
+        wc = rng.normal(size=(5, 6))
+
+        def loss(tape, node):
+            return gt.sum_all(gt.mul(node, tape.constant(w if node.shape == w.shape else wc)))
+
+        check(lambda tape, x: loss(tape, gt.attention(x, tape.constant(k), 3, 0.4)), q)
+        check(lambda tape, x: loss(tape, gt.attention(tape.constant(q), x, 3, 0.4)), k)
+        check(lambda tape, x: loss(tape, gt.attend(x, tape.constant(v))), probs)
+        check(lambda tape, x: loss(tape, gt.attend(tape.constant(probs), x)), v)
+
+    def test_shapes_validated(self):
+        tape = gt.Tape()
+        a = tape.parameter(np.ones((3, 4), np.float32))
+        with pytest.raises(ValueError, match="one shape"):
+            gt.attention(a, tape.parameter(np.ones((3, 2), np.float32)), 2, 1.0)
+        with pytest.raises(ValueError, match="divisible"):
+            gt.attention(a, a, 3, 1.0)
+        with pytest.raises(ValueError, match="attend"):
+            gt.attend(tape.parameter(np.ones((2, 3, 4), np.float32)), a)
+
+
 class TestFusedOps:
     def test_softmax_rows_grad(self):
         a = substream(7, "gt-sm").normal(size=(4, 5))

@@ -254,6 +254,156 @@ class TestDistributionLoss:
             assert node.item() == float(-np.log(total + np.float32(EPS)))
 
 
+def chain_entropy(q_nodes, k_nodes, heads, eps=EPS, ceiling=None):
+    """The op chain ``entropy_loss_node`` replaces."""
+    var_q, var_k = (
+        gt.variance_per(gt.concat([gt.split_heads(n, heads) for n in nodes])) for nodes in (q_nodes, k_nodes)
+    )
+    terms = gt.log(gt.add_scalar(gt.mul(var_q, var_k), 1.0))
+    if ceiling is not None:
+        terms = gt.clamp_max(terms, np.reshape(ceiling, terms.shape))
+    shape = (len(q_nodes), heads)
+    stats = GaussianStats(var_q=var_q.array.reshape(shape), var_k=var_k.array.reshape(shape))
+    return gt.neg(gt.log(gt.add_scalar(gt.sum_in_order(terms), eps))), stats
+
+
+def chain_distribution(attn_nodes, teacher_probs, eps=EPS, literal_sign=False):
+    """The op chain ``distribution_loss_node`` replaces."""
+    maps = gt.concat(attn_nodes)
+    tape = maps.tape
+    target = np.asarray(teacher_probs, dtype=np.float64).reshape(maps.shape).astype(tape.dtype)
+    flat = target.reshape(len(target), 1, -1)
+    t_norm = np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(-1)
+    num = gt.sum_per(gt.mul(maps, tape.constant(target)))
+    qq = gt.sqrt(gt.sum_per(gt.mul(maps, maps)))
+    total = gt.sum_in_order(gt.div(num, gt.mul(qq, tape.constant(t_norm))))
+    node = gt.log(gt.add_scalar(total, eps))
+    return (node if literal_sign else gt.neg(node)), float(total.array)
+
+
+def same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+# (layers, heads, tokens, width); 2 x 8 gives 16 (layer, head) terms, where numpy's pairwise sum would round differently
+SHAPES = [(1, 1, 1, 4), (1, 2, 1, 4), (2, 1, 6, 8), (2, 4, 5, 8), (2, 8, 3, 16), (2, 2, 32, 32)]
+
+
+class TestFusedNodes:
+    """Each aux loss as one node against the op chain it replaces, byte for byte."""
+
+    @staticmethod
+    def backward(tape, node, sign, parents):
+        tape.backward(gt.mul_scalar(node, 0.7 * sign))  # the downstream gradient's sign
+        return [p.grad for p in parents]
+
+    def entropy(self, build, qs, ks, heads, ceiling, sign, dtype, constant_k=False):
+        tape = gt.Tape(dtype=dtype)
+        q_nodes = [tape.parameter(q) for q in qs]
+        k_nodes = [(tape.constant if constant_k else tape.parameter)(k) for k in ks]
+        node, stats = build(q_nodes, k_nodes, heads, ceiling=ceiling)
+        return node.array, stats, self.backward(tape, node, sign, q_nodes + k_nodes)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layers,heads,t_len,d", SHAPES)
+    @pytest.mark.parametrize("clip", [None, "some", "none"])
+    def test_entropy_bits_equal_the_op_chain(self, layers, heads, t_len, d, dtype, sign, clip):
+        rng = substream(9, f"ent-fused-{layers}-{heads}-{t_len}")
+        qs = [rng.normal(size=(t_len, d)).astype(dtype) for _ in range(layers)]
+        ks = [rng.normal(scale=0.5, size=(t_len, d)).astype(dtype) for _ in range(layers)]
+        ceiling = None
+        if clip is not None:
+            _, stats, _ = self.entropy(chain_entropy, qs, ks, heads, None, sign, dtype)
+            terms = np.log1p(stats.var_q * stats.var_k)
+            lower = (np.arange(terms.size) % 2 == 0).reshape(terms.shape) if clip == "some" else False
+            ceiling = np.where(lower, 0.5 * terms, terms + 0.5)  # "some" clips every other head
+        fused = self.entropy(entropy_loss_node, qs, ks, heads, ceiling, sign, dtype)
+        chain = self.entropy(chain_entropy, qs, ks, heads, ceiling, sign, dtype)
+        same_bytes(fused[0], chain[0])
+        same_bytes(fused[1].var_q, chain[1].var_q)
+        same_bytes(fused[1].var_k, chain[1].var_k)
+        for a, b in zip(fused[2], chain[2]):
+            same_bytes(a, b)
+
+    def test_entropy_constant_parents_get_no_gradient(self):
+        rng = substream(9, "ent-fused-const")
+        qs, ks = ([rng.normal(size=(6, 8)).astype(np.float32)] for _ in range(2))
+        fused = self.entropy(entropy_loss_node, qs, ks, 2, None, 1.0, np.float32, constant_k=True)
+        chain = self.entropy(chain_entropy, qs, ks, 2, None, 1.0, np.float32, constant_k=True)
+        same_bytes(fused[2][0], chain[2][0])
+        assert fused[2][1] is None and chain[2][1] is None
+
+    def distribution(self, build, student, teacher, literal_sign, sign, dtype):
+        tape = gt.Tape(dtype=dtype)
+        nodes = [tape.parameter(m) for m in student]
+        node, alignment = build(nodes, teacher, literal_sign=literal_sign)
+        return node.array, alignment, self.backward(tape, node, sign, nodes)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layers,heads,t_len,d", SHAPES)
+    @pytest.mark.parametrize("literal_sign", [False, True])
+    def test_distribution_bits_equal_the_op_chain(self, layers, heads, t_len, d, dtype, sign, literal_sign):
+        rng = substream(9, f"dist-fused-{layers}-{heads}-{t_len}")
+        student = causal_softmax(rng.normal(size=(layers, heads, t_len, t_len))).astype(dtype)
+        teacher = causal_softmax(rng.normal(size=(layers, heads, t_len, t_len)))
+        fused = self.distribution(distribution_loss_node, student, teacher, literal_sign, sign, dtype)
+        chain = self.distribution(chain_distribution, student, teacher, literal_sign, sign, dtype)
+        same_bytes(fused[0], chain[0])
+        assert fused[1] == chain[1]
+        for a, b in zip(fused[2], chain[2]):
+            same_bytes(a, b)
+
+    def test_one_node_each(self):
+        tape = gt.Tape()
+        q, k = (tape.parameter(np.ones((4, 4), np.float32) + np.eye(4, dtype=np.float32)) for _ in range(2))
+        maps = tape.parameter(np.full((2, 4, 4), 0.25, np.float32))
+        entropy_loss_node([q], [k], heads=2)
+        distribution_loss_node([maps], np.full((1, 2, 4, 4), 0.25))
+        assert [n.name for n in tape.nodes[3:]] == ["entropy", "distribution"]
+
+    @staticmethod
+    def fd_check(value, x0):
+        """Float64 tape gradient of ``value(x) -> node`` against central differences."""
+        x = gt.Tape(dtype=np.float64).parameter(x0)
+        x.tape.backward(value(x))
+        h = 1e-6
+        fd = np.zeros_like(x0)
+        for i in range(x0.size):
+            for s in (1.0, -1.0):
+                bumped = x0.copy().reshape(-1)
+                bumped[i] += s * h
+                fd.reshape(-1)[i] += s * value(gt.Tape(dtype=np.float64).parameter(bumped.reshape(x0.shape))).item()
+        np.testing.assert_allclose(x.grad, fd / (2 * h), rtol=1e-6, atol=1e-8)
+
+    def test_entropy_gradient_vs_fd(self):
+        rng = substream(9, "ent-fused-fd")
+        q0, k0 = rng.normal(size=(5, 6)), rng.normal(scale=0.5, size=(5, 6))
+        ceiling = entropy_ceiling([q0], [k0], heads=3) * np.array([[0.5, 2.0, 2.0]])  # head 0 clipped
+
+        def value_q(x):
+            return entropy_loss_node([x], [x.tape.constant(k0)], heads=3, ceiling=ceiling)[0]
+
+        def value_k(x):
+            return entropy_loss_node([x.tape.constant(q0)], [x], heads=3, ceiling=ceiling)[0]
+
+        self.fd_check(value_q, q0)
+        self.fd_check(value_k, k0)
+
+    @pytest.mark.parametrize("literal_sign", [False, True])
+    def test_distribution_gradient_vs_fd(self, literal_sign):
+        rng = substream(9, "dist-fused-fd")
+        student = causal_softmax(rng.normal(size=(2, 2, 4, 4)))
+        teacher = causal_softmax(rng.normal(size=(2, 2, 4, 4)))
+
+        def value(x):
+            return distribution_loss_node([x, x.tape.constant(student[1])], teacher, literal_sign=literal_sign)[0]
+
+        self.fd_check(value, student[0])
+
+
 class TestDistillLoss:
     def setup_logits(self):
         rng = substream(9, "distill")

@@ -89,6 +89,23 @@ class TestPretrainTeacher:
         )
         assert taught < untrained
 
+    def test_tape_nodes_per_step(self, monkeypatch):
+        cfg = MicroTransformerConfig(seed=0)
+        corpus = make_corpus(0, 64, 1024)
+        nodes, built = count_per_step(monkeypatch, lambda: pretrain_teacher(cfg, corpus, 1, 0.3), 1)
+        # attention and each projection is one node; every tensor of a teacher step is recorded
+        assert nodes == [69]
+        assert built == [69]
+
+    def test_divergence_raises_with_a_dump(self):
+        cfg = MicroTransformerConfig(seed=0)
+        corpus = make_corpus(0, 64, 2048)
+        with pytest.raises(TrainingDiverged) as exc_info, np.errstate(all="ignore"):
+            pretrain_teacher(cfg, corpus, 5, 1e9)
+        dump = exc_info.value.dump
+        assert dump["phase"] == "teacher" and dump["step"] >= 1
+        assert "non-finite" in dump["error"]
+
     def test_deterministic(self):
         cfg = MicroTransformerConfig(seed=1)
         corpus = make_corpus(1, 64, 1024)
@@ -108,6 +125,29 @@ def tiny_setup(seed=0, **overrides):
     return cfg, teacher, train, held
 
 
+def count_per_step(monkeypatch, step, steps):
+    """Nodes recorded at each backward, and tensors built in each of ``steps`` calls of ``step``."""
+    nodes, tensors = [], [0]
+    backward, init = train_mod.gt.Tape.backward, train_mod.gt.Tensor.__init__
+
+    def counting_backward(tape, root):
+        nodes.append(len(tape.nodes))
+        return backward(tape, root)
+
+    def counting_init(tensor, *args, **kwargs):
+        tensors[0] += 1
+        init(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod.gt.Tape, "backward", counting_backward)
+    monkeypatch.setattr(train_mod.gt.Tensor, "__init__", counting_init)
+    built = []
+    for _ in range(steps):
+        tensors[0] = 0
+        step()
+        built.append(tensors[0])
+    return nodes, built
+
+
 class TestQatTrainer:
     def test_reports_bit_identical_across_runs(self):
         cfg, teacher, train, _ = tiny_setup()
@@ -121,28 +161,12 @@ class TestQatTrainer:
     @pytest.mark.parametrize("act_bits", ["adaptive", 4, 8])
     def test_tape_nodes_per_step(self, act_bits, monkeypatch):
         cfg, teacher, train, _ = tiny_setup(act_bits=act_bits)
-        nodes, tensors = [], [0]
-        backward, init = train_mod.gt.Tape.backward, train_mod.gt.Tensor.__init__
-
-        def counting_backward(tape, root):
-            nodes.append(len(tape.nodes))
-            return backward(tape, root)
-
-        def counting_init(tensor, *args, **kwargs):
-            tensors[0] += 1
-            init(tensor, *args, **kwargs)
-
-        monkeypatch.setattr(train_mod.gt.Tape, "backward", counting_backward)
-        monkeypatch.setattr(train_mod.gt.Tensor, "__init__", counting_init)
         trainer = QatTrainer(cfg, teacher, train)
-        built = []
-        for _ in range(2):
-            tensors[0] = 0
-            trainer.step()
-            built.append(tensors[0])
-        # heads run as one batched op, each projection is one node, and constants are not recorded
-        assert nodes == [131, 131]
-        assert built == [215, 215]  # the teacher forward's constants included
+        nodes, built = count_per_step(monkeypatch, trainer.step, 3)
+        # attention, each aux loss and each projection is one node, and constants are not recorded
+        assert nodes == [91, 91, 91]
+        # the teacher forward's constants included; the first step also builds its 36 leaves
+        assert built == [123 + 36, 123, 123]
 
     def test_one_rounding_per_weight_and_site(self, monkeypatch):
         # every quantizer takes its codes, values and straight-through mask from one rounding
@@ -204,6 +228,14 @@ class TestQatTrainer:
         dump = exc_info.value.dump
         assert set(dump) >= {"step", "error", "last_report"}
         assert dump["step"] >= 1
+
+    def test_non_finite_teacher_diverges(self):
+        cfg, teacher, train, _ = tiny_setup()
+        for bad in (np.nan, 1e30):  # a non-finite leaf, and a finite one whose forward overflows
+            trainer = QatTrainer(cfg, {**teacher, "l0.attn.wq": np.full_like(teacher["l0.attn.wq"], bad)}, train)
+            with pytest.raises(TrainingDiverged) as exc_info, np.errstate(all="ignore"):
+                trainer.step()
+            assert exc_info.value.dump["step"] == 0 and trainer.reports == []
 
     @staticmethod
     def unreachable_after(fn):
