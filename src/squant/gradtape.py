@@ -352,7 +352,7 @@ def transpose(x: Tensor) -> Tensor:
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
     """[T, D] -> [H, T, D/H]: head h owns the column block [h*dh, (h+1)*dh)."""
-    a = _heads(x, heads)  # value and gradient in C order, as downstream BLAS products round by layout
+    a = _heads(x.array, heads)  # value and gradient in C order, as downstream BLAS products round by layout
     t, d = x.shape
     return Tensor(x.tape, a, (x,), lambda g: (_merge(g, t, d),), name="split_heads")
 
@@ -364,7 +364,7 @@ def merge_heads(x: Tensor) -> Tensor:
     h, t, dh = x.shape
 
     def vjp(g):
-        return (np.ascontiguousarray(g.reshape(t, h, dh).transpose(1, 0, 2)),)
+        return (_heads(g, h),)
 
     return Tensor(x.tape, _merge(x.array, t, h * dh), (x,), vjp, name="merge_heads")
 
@@ -441,7 +441,7 @@ def attention(q: Tensor, k: Tensor, heads: int, scale: float) -> Tensor:
     tape = _same_tape(q, k)
     if q.shape != k.shape:
         raise ValueError(f"attention needs q and k of one shape, got {q.shape} and {k.shape}")
-    qh, kh = (_heads(n, heads) for n in (q, k))
+    qh, kh = (_heads(n.array, heads) for n in (q, k))
     kht = _t(kh).copy()
     c = tape.dtype.type(scale)
     y = softmax_forward((qh @ kht) * c, causal=True).astype(tape.dtype)
@@ -465,22 +465,27 @@ def attend(probs: Tensor, v: Tensor) -> Tensor:
     if probs.array.ndim != 3 or v.array.ndim != 2 or probs.shape[1:] != (v.shape[0],) * 2:
         raise ValueError(f"attend needs [H, T, T] probabilities and [T, D] values, got {probs.shape} and {v.shape}")
     h = probs.shape[0]
-    vh = _heads(v, h)
+    vh = _heads(v.array, h)
     t, d = v.shape
 
     def vjp(g):
-        gh = np.ascontiguousarray(g.reshape(t, h, d // h).transpose(1, 0, 2))
+        gh = _heads(g, h)
         return _cast(tape, gh @ _t(vh)), _merge(_cast(tape, _t(probs.array) @ gh), t, d)
 
     return Tensor(tape, _merge(probs.array @ vh, t, d), (probs, v), vjp, name="attend")
 
 
-def _heads(x: Tensor, heads: int) -> np.ndarray:
-    """The C-ordered [H, T, D/H] array ``split_heads(x, heads)`` holds."""
-    if x.array.ndim != 2 or x.shape[1] % heads:
-        raise ValueError(f"width of {x.shape} not divisible by {heads} heads")
-    t, d = x.shape
-    return np.ascontiguousarray(x.array.reshape(t, heads, d // heads).transpose(1, 0, 2))
+def _head_view(a: np.ndarray, heads: int) -> np.ndarray:
+    """[T, D] -> [H, T, D/H] view, no copy: head h owns the column block [h*dh, (h+1)*dh)."""
+    if a.ndim != 2 or a.shape[1] % heads:
+        raise ValueError(f"width of {a.shape} not divisible by {heads} heads")
+    t, d = a.shape
+    return a.reshape(t, heads, d // heads).transpose(1, 0, 2)
+
+
+def _heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """The C-ordered [H, T, D/H] array ``split_heads`` holds for [T, D] values ``a``."""
+    return np.ascontiguousarray(_head_view(a, heads))
 
 
 def _merge(a: np.ndarray, t: int, d: int) -> np.ndarray:

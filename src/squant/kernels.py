@@ -9,8 +9,12 @@ Three multiply paths over int8 operands, each bit-exact to the int32 sum:
   low-lane partial product is bounded by 8*128 = 1024 < 2^15.
 - ``gemm_mixed``: per-token dispatch in token order: a site's 8-bit token
   columns go through the byte kernel and its 4-bit columns through the
-  packed kernel, each group dequantized by its own scale pair, and the
-  result comes back in the order the tokens came in.
+  packed kernel, and the int32 sums come back in the order the tokens came
+  in.
+
+Every kernel returns int32 sums and takes no scale: the caller dequantizes
+each token's column by alpha_w * alpha_token, in one place
+(``model._linear_int``).
 
 Both kernels run as float BLAS products of the integer codes. That is exact
 for the reason behind the Ozaki scheme (Ozaki, Ogita, Oishi & Rump, Numer.
@@ -214,20 +218,14 @@ def gemm_i4_packed(wp: PackedInt4Matrix, x: np.ndarray, cost: CostCounter) -> np
     return out[:m]
 
 
-def gemm_mixed(
-    wp: PackedInt4Matrix,
-    x: np.ndarray,
-    bits: np.ndarray,
-    scales: dict,
-    cost: CostCounter,
-) -> np.ndarray:
+def gemm_mixed(wp: PackedInt4Matrix, x: np.ndarray, bits: np.ndarray, cost: CostCounter) -> np.ndarray:
     """Two-kernel dispatch over one site's tokens, in token order.
 
     ``x`` [K, N] holds the int8 codes of N tokens and ``bits`` [N] each
     token's activation bits. 8-bit token columns take the byte kernel on the
     matrix's int8 codes, 4-bit columns the packed kernel (values must fit 4
-    bits). Returns float32 [M, N] in token order, each column scaled by
-    alpha_w * alpha_hi or alpha_w * alpha_lo by its bits.
+    bits). Returns the int32 [M, N] sums in token order; dequantizing them is
+    the caller's step.
     """
     x = _check_int8(x, "x")
     bits = np.asarray(bits)
@@ -241,14 +239,11 @@ def gemm_mixed(
     x_lo = tokens[lo].T
     if x_lo.size and (x_lo.min() < -8 or x_lo.max() > 7):
         raise ValueError("4-bit tokens hold values outside [-8, 7]")
-    out = np.empty((x.shape[1], wp.logical_rows), dtype=np.float32)
-    a_w = np.float32(scales["alpha_w"])
+    out = np.empty((x.shape[1], wp.logical_rows), dtype=np.int32)
     if hi.size:
-        acc = gemm_i8(wp.codes, tokens[hi].T, cost)
-        out[hi] = (acc.astype(np.float32) * (a_w * np.float32(scales["alpha_hi"]))).T
+        out[hi] = gemm_i8(wp.codes, tokens[hi].T, cost).T
     if lo.size:
-        acc = gemm_i4_packed(wp, x_lo, cost)
-        out[lo] = (acc.astype(np.float32) * (a_w * np.float32(scales["alpha_lo"]))).T
+        out[lo] = gemm_i4_packed(wp, x_lo, cost).T
     return out.T
 
 

@@ -123,7 +123,7 @@ def entropy_ceiling(q_arrays: list, k_arrays: list, heads: int) -> np.ndarray:
     """
     rows = []
     for q, k in zip(q_arrays, k_arrays):
-        blocks = zip(np.split(q, heads, axis=1), np.split(k, heads, axis=1))
+        blocks = zip(gt._head_view(q, heads), gt._head_view(k, heads))
         rows.append([np.log1p(qb.var() * kb.var()) for qb, kb in blocks])
     return np.array(rows)
 
@@ -202,8 +202,7 @@ def entropy_loss_node(
             return np.asarray(a, dtype=dt)
 
         def rows(group):  # [L*H, N*dh]: each (layer, head) block in split_heads order
-            blocks = [n.array.reshape(t, heads, d // heads).transpose(1, 0, 2) for n in group]
-            return np.concatenate(blocks).reshape(layers * heads, -1)
+            return np.concatenate([gt._head_view(n.array, heads) for n in group]).reshape(layers * heads, -1)
 
         centered, var = [], []
         for a in (rows(q_nodes), rows(k_nodes)):
@@ -228,7 +227,7 @@ def entropy_loss_node(
             grads = []
             for dvar, c in ((cast(g * var_k), centered[0]), (cast(g * var_q), centered[1])):
                 full = cast(dvar[:, None] * 2.0 * c / c.shape[1]).reshape(layers, heads, t, d // heads)
-                grads += [np.ascontiguousarray(full[l].transpose(1, 0, 2)).reshape(t, d) for l in range(layers)]
+                grads += [gt._merge(full[l], t, d) for l in range(layers)]
             return tuple(None if n.constant else grad for n, grad in zip(nodes, grads))
 
         node = tape.record(-np.log(inner), nodes, vjp, name="entropy")

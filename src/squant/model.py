@@ -21,10 +21,12 @@ the same forward and differ only in the six projections: on the tape each
 projection is one ``quant.linear`` node (fake-quantized activation times the
 once-rounded weight plus bias, or the float product on the float path), the
 integer path runs the kernels on the activation's int8 codes in token order,
-on a constant tape, scales each token's row by alpha_w * alpha_x, adds the
-bias, and reports its instruction cost. A tape of constants records no
-nodes, so the teacher and integer forwards leave nothing behind for the
-collector.
+on a constant tape, and reports their instruction cost. The kernels return
+int32 sums; ``_linear_int`` is the one place that dequantizes them, each
+token's row times alpha_w * alpha_x for 4-bit and 8-bit weights alike,
+before the bias is added. A tape of constants records no nodes, so the
+teacher and integer forwards, and ``perplexity_eval``'s windows, which share
+one such tape per call, leave nothing behind for the collector.
 
 The integer student follows compile once, run many: ``compile_int``
 quantizes every projection weight and lays it out for the kernels (int8
@@ -364,14 +366,17 @@ def _compile_projection(name: str, w: np.ndarray, bits: int) -> IntProjection:
 
 
 def _linear_int(gq, proj: IntProjection, cost) -> np.ndarray:
-    """Integer-kernel product of a site's codes and a compiled weight, in token order."""
+    """Integer-kernel product of a site's codes and a compiled weight, in token order.
+
+    The integer path's one dequantization: each token's int32 sums times
+    alpha_w * alpha_x, for either weight width.
+    """
     x = gq.codes.T  # kernel layout: [K, tokens]
-    if proj.packed is not None:
-        scales = {"alpha_w": proj.scale, "alpha_hi": gq.spec_hi.scale, "alpha_lo": gq.spec_lo.scale}
-        return gemm_mixed(proj.packed, x, gq.plan.bits, scales, cost).T
-    # no packed path exists for 8-bit weights: one byte-kernel product over all tokens
-    alpha = np.float32(proj.scale) * gq.scale.T.astype(np.float32)  # alpha_w * alpha_x per token
-    return (gemm_i8(proj.codes, x, cost).astype(np.float32) * alpha).T
+    if proj.packed is None:  # 8-bit weights have no packed path: one byte-kernel product over all tokens
+        acc = gemm_i8(proj.codes, x, cost)
+    else:
+        acc = gemm_mixed(proj.packed, x, gq.plan.bits, cost)
+    return (acc.astype(np.float32) * (np.float32(proj.scale) * gq.scale.T.astype(np.float32))).T
 
 
 def forward_int(
@@ -414,11 +419,11 @@ def perplexity_eval(
     n = cfg.seq_len
     if corpus.size < n + 1:
         raise ValueError(f"corpus of {corpus.size} tokens is too short for eval")
+    tape = gt.Tape(dtype=np.float32)  # records nothing: every window shares its constant leaves
+    tp = params_to_tape(tape, params, trainable=False)
     ces = []
     for start in range(0, corpus.size - n, n):
         window = corpus[start : start + n + 1]
-        tape = gt.Tape(dtype=np.float32)
-        tp = params_to_tape(tape, params, trainable=False)
         res = forward_tape(
             tape, tp, window[:-1], cfg, quantized=quantized, training=False, calib=calib
         )

@@ -138,7 +138,7 @@ class EmaState:
 
 
 def calibrate_scale(x: np.ndarray, bits: int, ema: EmaState | None = None) -> float:
-    """Max-abs scale: m / (2^(b-1)-1), falling back to 1 when m is zero.
+    """The max-abs scale of x at ``bits`` (the rule is ``_max_abs_scale``).
 
     With an EmaState the observation updates the running max first and the
     scale derives from the updated running value (training-time activations).
@@ -149,9 +149,12 @@ def calibrate_scale(x: np.ndarray, bits: int, ema: EmaState | None = None) -> fl
     m = float(max(abs(x.max()), abs(x.min()))) if x.size else 0.0  # max |x|, without an |x| array
     if ema is not None:
         m = ema.update(m)
-    if m == 0.0:
-        return 1.0
-    return m / float((1 << (bits - 1)) - 1)
+    return _max_abs_scale(m, bits)
+
+
+def _max_abs_scale(m: float, bits: int) -> float:
+    """The max-abs rule: m / (2^(b-1)-1), or 1 when m is zero; a NaN or Inf m stays non-finite."""
+    return 1.0 if m == 0.0 else m / float((1 << (bits - 1)) - 1)
 
 
 def _ste_mask(rounded: np.ndarray, qmin, qmax) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Per-token activation bit planning driven by attention to the initial token.
 
-A token's importance is its averaged attention probability toward position 0
-across heads. The top floor(rho * N) tokens by that score are quantized at
-8 bits, the rest at 4; each group gets one layer-wise scale. Layer l > 0
-plans from layer l-1's map within the same forward pass; layer 0 has no map
-yet and defaults to all-8 (all-4 when rho is 0, so the rho=0 plan degenerates
-to the uniform 4-bit path everywhere).
+A token's importance (``token_importance``, of one layer's [H, N, N] map) is
+its averaged attention probability toward position 0 across heads. The top
+floor(rho * N) tokens by that score are quantized at 8 bits, the rest at 4;
+each group gets one layer-wise scale. Layer l > 0 plans from layer l-1's map
+within the same forward pass; layer 0 has no map yet and defaults to all-8
+(all-4 when rho is 0, so the rho=0 plan degenerates to the uniform 4-bit path
+everywhere).
 
 An activation site's quantizer, ``GroupQuant``, stays in token order: row t
 takes its group's scale and its planned range as [N, 1] columns, so
@@ -13,10 +14,12 @@ takes its group's scale and its planned range as [N, 1] columns, so
 weight's ``QuantSpec``, and the int8 codes, the dequantized values and the
 straight-through mask all come from one float64 round(x / scale), with no
 gather or scatter of rows. The integer path hands those codes, with the
-per-token bits, to the kernel dispatch in the same order. A plan caches its
-8-bit and 4-bit positions (``hi``, ``lo``) for the group scales and for
+per-token bits, to the kernel dispatch in the same order. A plan is its bits
+alone: it caches its 8-bit and 4-bit positions (``hi``, ``lo``), and its
+8-bit count ``k`` is ``hi.size``. The positions serve the group scales and
 ``gather_tokens``/``scatter_tokens``, the grouped reference the tests hold
-the token-order path to.
+the token-order path to. A group's scale follows the max-abs rule of
+``quant``, on the group's rows or on its frozen EMA.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .quant import EmaState, QuantSpec, calibrate_scale, round_clip
+from .quant import EmaState, QuantSpec, _max_abs_scale, calibrate_scale, round_clip
 
 __all__ = [
-    "AttentionMap",
     "GroupQuant",
     "TokenBitPlan",
     "assign_bits",
@@ -45,49 +47,19 @@ __all__ = [
 
 
 @dataclass
-class AttentionMap:
-    """Causal attention probabilities, [layers, heads, tokens, tokens]."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs)
-        if p.ndim != 4 or p.shape[-1] != p.shape[-2]:
-            raise ValueError(f"probs must be [L,H,N,N], got shape {p.shape}")
-        rows = p.sum(axis=-1)
-        if not np.allclose(rows, 1.0, atol=1e-6):
-            raise ValueError("attention rows must sum to 1")
-        n = p.shape[-1]
-        if n > 1 and np.abs(p[..., np.triu_indices(n, k=1)[0], np.triu_indices(n, k=1)[1]]).max() > 0:
-            raise ValueError("causal map has nonzero attention above the diagonal")
-        self.probs = p
-
-    @property
-    def layers(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def heads(self) -> int:
-        return self.probs.shape[1]
-
-    @property
-    def tokens(self) -> int:
-        return self.probs.shape[2]
-
-
-@dataclass
 class TokenBitPlan:
-    """Bit width per token; exactly k tokens at 8 bits."""
+    """Bit width per token, 4 or 8; ``k`` counts the 8-bit tokens."""
 
     bits: np.ndarray
-    k: int
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=np.int64)
         if not np.all(np.isin(self.bits, (4, 8))):
             raise ValueError("bit plan entries must be 4 or 8")
-        if int((self.bits == 8).sum()) != self.k:
-            raise ValueError(f"plan has {(self.bits == 8).sum()} 8-bit tokens, expected {self.k}")
+
+    @property
+    def k(self) -> int:
+        return self.hi.size
 
     @cached_property
     def hi(self) -> np.ndarray:
@@ -139,11 +111,12 @@ class GroupQuant:
         return round_clip(self.x, self)[0]
 
 
-def token_importance(attn: AttentionMap, layer: int) -> np.ndarray:
-    """Mean over heads of the first attention column at the given layer."""
-    if not 0 <= layer < attn.layers:
-        raise IndexError(f"layer {layer} out of range for {attn.layers} layers")
-    return attn.probs[layer, :, :, 0].mean(axis=0)
+def token_importance(probs: np.ndarray) -> np.ndarray:
+    """Each token's score: its attention to token 0, averaged over the heads of one layer's [H, N, N] map."""
+    probs = np.asarray(probs)
+    if probs.ndim != 3 or probs.shape[1] != probs.shape[2]:
+        raise ValueError(f"probs must be one layer's [H, N, N] map, got shape {probs.shape}")
+    return probs[:, :, 0].mean(axis=0)
 
 
 def assign_bits(scores: np.ndarray, rho: float) -> TokenBitPlan:
@@ -157,14 +130,14 @@ def assign_bits(scores: np.ndarray, rho: float) -> TokenBitPlan:
     idx = np.argsort(-np.asarray(scores), kind="stable")[:k]
     bits = np.full(n, 4, dtype=np.int64)
     bits[idx] = 8
-    return TokenBitPlan(bits=bits, k=k)
+    return TokenBitPlan(bits)
 
 
 def uniform_plan(n: int, bits: int) -> TokenBitPlan:
     """Degenerate plan with one bit width everywhere."""
     if bits not in (4, 8):
         raise ValueError(f"bits must be 4 or 8, got {bits}")
-    return TokenBitPlan(bits=np.full(n, bits, dtype=np.int64), k=n if bits == 8 else 0)
+    return TokenBitPlan(np.full(n, bits, dtype=np.int64))
 
 
 def plan_source(layer_index: int) -> int | None:
@@ -185,9 +158,7 @@ def plan_for_layer(
     src = plan_source(layer_index)
     if src is None:
         return uniform_plan(n_tokens, 4 if rho == 0.0 else 8)
-    probs = np.asarray(maps_so_far[src])
-    scores = probs[:, :, 0].mean(axis=0)
-    return assign_bits(scores, rho)
+    return assign_bits(token_importance(maps_so_far[src]), rho)
 
 
 def gather_tokens(x: np.ndarray, plan: TokenBitPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -212,8 +183,7 @@ def _group_spec(
     elif rows.size * x.shape[1] == 0:
         scale = 1.0
     elif ema is not None and not training:
-        frozen = ema.running_max
-        scale = frozen / float((1 << (bits - 1)) - 1) if frozen > 0 else 1.0
+        scale = _max_abs_scale(ema.running_max, bits)
     else:
         scale = calibrate_scale(x if rows.size == x.shape[0] else x[rows], bits, ema)
     return QuantSpec(bits=bits, scale=scale)

@@ -470,6 +470,16 @@ class TestGemmBenchCommand:
         assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    @pytest.mark.parametrize("timing", [[], ["--no-time"]])
+    def test_reps_below_one_usage_error(self, tmp_path, capsys, reps, timing):
+        capsys.readouterr()
+        argv = ["gemm-bench", "--shapes", "8x8x8", "--reps", reps, *timing, "--out", str(tmp_path / "out")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "reps must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_timed_run_reports_positive_median(self, tmp_path):
         assert cli_main(["gemm-bench", "--shapes", "8x8x8", "--reps", "100", "--out", str(tmp_path)]) == 0
         with open(tmp_path / "gemm_bench.csv", newline="") as f:
@@ -701,6 +711,7 @@ class TestDivergence:
         argv = [sys.executable, "-m", "squant.cli", command, "--config", str(path), "--out", str(tmp_path / "out")]
         proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=600)
         assert proc.returncode == 1, proc.stderr
-        assert "Traceback" not in proc.stderr
-        dump = json.loads(proc.stderr.splitlines()[-1])  # numpy's overflow warnings may come first
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr  # the dump alone: no traceback, no numpy warnings
+        dump = json.loads(lines[0])
         assert dump["phase"] == phase and "non-finite" in dump["error"]

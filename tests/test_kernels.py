@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squant.kernels import (
     CostCounter,
@@ -236,55 +238,74 @@ class TestDepthLimit:
             gemm_i4_packed(wp, np.zeros((k, 1), dtype=np.int8), CostCounter())
 
 
+def mixed_operands(rng, m, k, bits):
+    """4-bit weights [m, k] and token codes [k, N]: full int8 range for 8-bit tokens, [-8, 7] for 4-bit ones."""
+    bits = np.asarray(bits)
+    w = rng.integers(-8, 8, size=(m, k)).astype(np.int8)
+    x = rng.integers(-8, 8, size=(k, bits.size)).astype(np.int8)
+    x[:, bits == 8] = rng.integers(-128, 128, size=(k, int((bits == 8).sum())))
+    return w, x
+
+
+def assert_token_sums(w, x, bits):
+    """gemm_mixed gives each token's int32 sums of the scalar oracle, in token order; returns its cost."""
+    cost = CostCounter()
+    out = gemm_mixed(pack_int4(w), x, bits, cost)
+    assert out.dtype == np.int32 and out.shape == (w.shape[0], x.shape[1])
+    for t in range(x.shape[1]):
+        np.testing.assert_array_equal(out[:, t], scalar_reference_gemm(w, x[:, t : t + 1])[:, 0])
+    return cost
+
+
 class TestGemmMixed:
-    def scales(self):
-        return {"alpha_w": 0.05, "alpha_hi": 0.02, "alpha_lo": 0.3}
-
-    def test_lo_empty_equals_packed_path(self):
+    def test_lo_empty_is_the_byte_kernel(self):
         rng = substream(3, "mix-lo0")
-        w = rng.integers(-8, 8, size=(6, 5)).astype(np.int8)
-        x = rng.integers(-128, 128, size=(5, 4)).astype(np.int8)
-        wp = pack_int4(w)
-        out = gemm_mixed(wp, x, np.full(4, 8), self.scales(), CostCounter())
-        want = gemm_i4_packed(wp, x, CostCounter()).astype(np.float32) * np.float32(
-            np.float32(0.05) * np.float32(0.02)
-        )
-        np.testing.assert_array_equal(out, want)
+        bits = np.full(4, 8)
+        w, x = mixed_operands(rng, 6, 5, bits)
+        cost = assert_token_sums(w, x, bits)
+        byte = CostCounter()
+        gemm_i8(w, x, byte)
+        assert cost == byte
 
-    def test_hi_empty_equals_w4a4_path(self):
+    def test_hi_empty_is_the_packed_kernel(self):
         rng = substream(3, "mix-hi0")
-        w = rng.integers(-8, 8, size=(4, 3)).astype(np.int8)
-        x = rng.integers(-8, 8, size=(3, 5)).astype(np.int8)
-        wp = pack_int4(w)
-        out = gemm_mixed(wp, x, np.full(5, 4), self.scales(), CostCounter())
-        want = gemm_i4_packed(wp, x, CostCounter()).astype(np.float32) * np.float32(
-            np.float32(0.05) * np.float32(0.3)
-        )
-        np.testing.assert_array_equal(out, want)
+        bits = np.full(5, 4)
+        w, x = mixed_operands(rng, 4, 3, bits)
+        cost = assert_token_sums(w, x, bits)
+        packed = CostCounter()
+        gemm_i4_packed(pack_int4(w), x, packed)
+        assert cost == packed
 
-    def test_random_split_matches_per_group_runs(self):
-        rng = substream(3, "mix-split")
+    def test_odd_rows_drop_the_pad_row(self):
+        rng = substream(3, "mix-odd")
+        bits = np.array([8, 4, 4, 8, 4])
+        for m in (1, 3, 7):
+            assert_token_sums(*mixed_operands(rng, m, 6, bits), bits)
+
+    def test_columns_stay_in_token_order(self):
+        rng = substream(3, "mix-order")
         for _ in range(20):
-            m, k = int(rng.integers(1, 12)), int(rng.integers(1, 12))
-            n_hi, n_lo = int(rng.integers(0, 8)), int(rng.integers(0, 8))
-            w = rng.integers(-8, 8, size=(m, k)).astype(np.int8)
-            x_hi = rng.integers(-128, 128, size=(k, n_hi)).astype(np.int8)
-            x_lo = rng.integers(-8, 8, size=(k, n_lo)).astype(np.int8)
-            wp = pack_int4(w)
-            sc = self.scales()
-            bits = np.repeat([8, 4], [n_hi, n_lo])
-            out = gemm_mixed(wp, np.concatenate([x_hi, x_lo], axis=1), bits, sc, CostCounter())
-            assert out.shape == (m, n_hi + n_lo)
-            if n_hi:
-                want_hi = gemm_i8(w, x_hi, CostCounter()).astype(np.float32) * np.float32(
-                    np.float32(sc["alpha_w"]) * np.float32(sc["alpha_hi"])
-                )
-                np.testing.assert_array_equal(out[:, :n_hi], want_hi)
-            if n_lo:
-                want_lo = gemm_i4_packed(wp, x_lo, CostCounter()).astype(np.float32) * np.float32(
-                    np.float32(sc["alpha_w"]) * np.float32(sc["alpha_lo"])
-                )
-                np.testing.assert_array_equal(out[:, n_hi:], want_lo)
+            m, k, n = (int(v) for v in rng.integers(1, 12, size=3))
+            bits = rng.permutation(np.repeat([8, 4], [n // 2, n - n // 2]))
+            assert_token_sums(*mixed_operands(rng, m, k, bits), bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 9),
+        k=st.integers(1, 9),
+        bits=st.lists(st.sampled_from([4, 8]), min_size=1, max_size=9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_token_sums_match_the_oracle(self, m, k, bits, seed):
+        bits = np.array(bits)
+        w, x = mixed_operands(substream(seed, "mix-prop"), m, k, bits)
+        cost = assert_token_sums(w, x, bits)
+        # the cost is each group's kernel on that group alone
+        want = CostCounter()
+        gemm_i8(w, x[:, bits == 8], want)
+        if (bits == 4).any():
+            gemm_i4_packed(pack_int4(w), x[:, bits == 4], want)
+        assert cost == want
 
     def test_mixed_cost_between_uniform_paths(self):
         m, k, n = 8, 6, 10
@@ -295,7 +316,7 @@ class TestGemmMixed:
         x4 = rng.integers(-8, 8, size=(k, n)).astype(np.int8)
         c_mixed = CostCounter()
         x = np.concatenate([x8[:, : n // 2], x4[:, n // 2 :]], axis=1)
-        gemm_mixed(wp, x, np.repeat([8, 4], [n // 2, n - n // 2]), self.scales(), c_mixed)
+        gemm_mixed(wp, x, np.repeat([8, 4], [n // 2, n - n // 2]), c_mixed)
         c4, c8 = CostCounter(), CostCounter()
         gemm_i4_packed(wp, x4, c4)
         gemm_i8(w, x8, c8)
@@ -305,33 +326,18 @@ class TestGemmMixed:
         wp = pack_int4(np.zeros((2, 3), dtype=np.int8))
         bad = np.zeros((4, 2), dtype=np.int8)
         with pytest.raises(ValueError, match="do not match K"):
-            gemm_mixed(wp, bad, np.full(2, 8), self.scales(), CostCounter())
+            gemm_mixed(wp, bad, np.full(2, 8), CostCounter())
 
     def test_lo_group_range_checked(self):
         wp = pack_int4(np.zeros((2, 3), dtype=np.int8))
         x_lo = np.full((3, 2), 9, dtype=np.int8)
         with pytest.raises(ValueError, match="outside"):
-            gemm_mixed(wp, x_lo, np.full(2, 4), self.scales(), CostCounter())
-
-
-    def test_columns_stay_in_token_order(self):
-        rng = substream(3, "mix-order")
-        w = rng.integers(-8, 8, size=(5, 6)).astype(np.int8)
-        bits = np.array([4, 8, 8, 4, 4, 8, 4])
-        x = rng.integers(-8, 8, size=(6, 7)).astype(np.int8)
-        x[:, bits == 8] = rng.integers(-128, 128, size=(6, 3))
-        wp = pack_int4(w)
-        sc = self.scales()
-        out = gemm_mixed(wp, x, bits, sc, CostCounter())
-        for t, b in enumerate(bits):
-            alpha = np.float32(sc["alpha_w"]) * np.float32(sc["alpha_hi" if b == 8 else "alpha_lo"])
-            want = scalar_reference_gemm(w, x[:, t : t + 1]).astype(np.float32) * alpha
-            np.testing.assert_array_equal(out[:, t : t + 1], want)
+            gemm_mixed(wp, x_lo, np.full(2, 4), CostCounter())
 
     def test_bits_must_be_four_or_eight(self):
         wp = pack_int4(np.zeros((2, 3), dtype=np.int8))
         with pytest.raises(ValueError, match="4 or 8"):
-            gemm_mixed(wp, np.zeros((3, 2), dtype=np.int8), np.array([8, 6]), self.scales(), CostCounter())
+            gemm_mixed(wp, np.zeros((3, 2), dtype=np.int8), np.array([8, 6]), CostCounter())
 
 
 class TestScalarOracle:

@@ -487,6 +487,31 @@ class TestPerplexity:
         with pytest.raises(ValueError, match="too short"):
             perplexity_eval(cfg, init_params(cfg), np.arange(3), quantized=False)
 
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_params_wrapped_once_per_call(self, quantized, monkeypatch):
+        import squant.model
+
+        cfg = small_cfg(act_bits="adaptive", rho=0.5)
+        params = init_params(cfg)
+        n = cfg.seq_len
+        corpus = tokens_for(cfg, length=4 * n + 1)
+        calib = Calibration()  # frozen EMA scales, filled by one training pass
+        tape = gt.Tape()
+        forward_tape(tape, params_to_tape(tape, params), corpus[:n], cfg, quantized=True, training=True, calib=calib)
+        # reference: a fresh constant tape per window, the bits the shared tape must keep
+        ces = []
+        for start in range(0, corpus.size - n, n):
+            tape = gt.Tape(dtype=np.float32)
+            tp = params_to_tape(tape, params, trainable=False)
+            res = forward_tape(tape, tp, corpus[start : start + n], cfg, quantized=quantized, calib=calib)
+            ces.append(gt.cross_entropy(res.logits, corpus[start + 1 : start + n + 1]).item())
+        wraps = []
+        original = squant.model.params_to_tape
+        monkeypatch.setattr(squant.model, "params_to_tape", lambda *a, **kw: wraps.append(1) or original(*a, **kw))
+        ppl = perplexity_eval(cfg, params, corpus, calib=calib, quantized=quantized)
+        assert len(wraps) == 1 and len(ces) == 4
+        assert ppl == float(np.exp(np.mean(ces)))
+
 
 class TestConfigValidation:
     def test_dim_head_divisibility(self):

@@ -10,7 +10,6 @@ from squant import gradtape as gt
 from squant.quant import EmaState, QuantizedTensor, QuantSpec, calibrate_scale, dequantize, fake_quant, quantize
 from squant.seeding import substream
 from squant.token_bits import (
-    AttentionMap,
     TokenBitPlan,
     assign_bits,
     gather_tokens,
@@ -45,36 +44,41 @@ def random_causal_map(rng, layers, heads, n):
     logits = np.where(mask, logits, -np.inf)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     e = np.where(mask, e, 0.0)
-    return AttentionMap(e / e.sum(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class TestImportance:
     def test_single_head_is_column_zero(self):
         m = random_causal_map(substream(5, "imp-1h"), 2, 1, 6)
-        np.testing.assert_allclose(token_importance(m, 1), m.probs[1, 0, :, 0])
+        np.testing.assert_allclose(token_importance(m[1]), m[1, 0, :, 0])
 
     def test_token_zero_scores_one(self):
         m = random_causal_map(substream(5, "imp-t0"), 1, 3, 5)
-        assert token_importance(m, 0)[0] == pytest.approx(1.0)
+        assert token_importance(m[0])[0] == pytest.approx(1.0)
 
     def test_hand_average(self):
-        probs = np.zeros((1, 2, 3, 3))
-        probs[0, 0] = [[1, 0, 0], [0.4, 0.6, 0], [0.2, 0.3, 0.5]]
-        probs[0, 1] = [[1, 0, 0], [0.2, 0.8, 0], [0.0, 0.45, 0.55]]
-        m = AttentionMap(probs)
-        np.testing.assert_allclose(token_importance(m, 0), [1.0, 0.3, 0.1])
+        probs = np.zeros((2, 3, 3))
+        probs[0] = [[1, 0, 0], [0.4, 0.6, 0], [0.2, 0.3, 0.5]]
+        probs[1] = [[1, 0, 0], [0.2, 0.8, 0], [0.0, 0.45, 0.55]]
+        np.testing.assert_allclose(token_importance(probs), [1.0, 0.3, 0.1])
 
-    def test_layer_out_of_range(self):
+    def test_one_layer_map_only(self):
         m = random_causal_map(substream(5, "imp-oor"), 2, 1, 4)
-        with pytest.raises(IndexError):
-            token_importance(m, 2)
+        with pytest.raises(ValueError, match=r"\[H, N, N\]"):
+            token_importance(m)  # the whole [L, H, N, N] stack, not one layer's map
+        with pytest.raises(ValueError, match=r"\[H, N, N\]"):
+            token_importance(m[0, :, :, :3])
 
-    def test_map_validation(self):
-        bad = np.full((1, 1, 2, 2), 0.5)
-        with pytest.raises(ValueError, match="above the diagonal"):
-            AttentionMap(bad)
-        with pytest.raises(ValueError, match="sum to 1"):
-            AttentionMap(np.tril(np.full((1, 1, 3, 3), 0.9)))
+    def test_plan_for_layer_scores_with_it(self, monkeypatch):
+        import squant.token_bits
+
+        m = random_causal_map(substream(5, "imp-plan"), 2, 2, 8)
+        seen = []
+        monkeypatch.setattr(squant.token_bits, "token_importance", lambda p: seen.append(p) or token_importance(p))
+        maps = [m[0], m[1]]
+        plan = plan_for_layer(1, maps, 0.5, 8)
+        assert len(seen) == 1 and seen[0] is maps[0]
+        np.testing.assert_array_equal(plan.bits, assign_bits(token_importance(maps[0]), 0.5).bits)
 
 
 class TestAssignBits:
@@ -149,6 +153,28 @@ class TestAssignBits:
             assign_bits(np.ones(3), 1.5)
 
 
+class TestPlanSize:
+    """A plan is its bits: k, the 8-bit count, is read from them."""
+
+    def test_assign_bits_k_is_floor_rho_n(self):
+        rng = substream(5, "plan-k")
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            rho = float(rng.uniform())
+            plan = assign_bits(rng.uniform(size=n), rho)
+            assert plan.k == math.floor(rho * n + 1e-9) == int((plan.bits == 8).sum())
+
+    def test_uniform_plan_k(self):
+        for n in (0, 1, 7):
+            assert uniform_plan(n, 8).k == n
+            assert uniform_plan(n, 4).k == 0
+
+    def test_k_follows_the_bits(self):
+        assert TokenBitPlan(np.array([4, 8, 8, 4, 8])).k == 3
+        with pytest.raises(ValueError, match="4 or 8"):
+            TokenBitPlan(np.array([4, 6]))
+
+
 class TestPlanSource:
     def test_layer_zero_has_no_map(self):
         assert plan_source(0) is None
@@ -164,14 +190,14 @@ class TestPlanSource:
 
     def test_deeper_layers_use_previous_map(self):
         m = random_causal_map(substream(5, "ps-prev"), 2, 2, 8)
-        maps = [m.probs[0], m.probs[1]]
+        maps = [m[0], m[1]]
         plan = plan_for_layer(1, maps, rho=0.5, n_tokens=8)
-        scores = m.probs[0][:, :, 0].mean(axis=0)
+        scores = m[0][:, :, 0].mean(axis=0)
         np.testing.assert_array_equal(plan.bits, assign_bits(scores, 0.5).bits)
 
     def test_identical_maps_identical_plans(self):
         m = random_causal_map(substream(5, "ps-same"), 1, 2, 8)
-        maps = [m.probs[0]] * 3
+        maps = [m[0]] * 3
         plans = [plan_for_layer(l, maps, 0.25, 8).bits for l in (1, 2, 3)]
         np.testing.assert_array_equal(plans[0], plans[1])
         np.testing.assert_array_equal(plans[1], plans[2])
