@@ -24,6 +24,7 @@ The record stays intact after ``backward`` for callers that read it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -403,10 +404,18 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
 # fused network ops
 
 
+@lru_cache(maxsize=64)
+def _causal_mask(rows: int, cols: int) -> np.ndarray:
+    """Read-only [rows, cols] mask, true where j <= i; built once per shape."""
+    mask = np.tril(np.ones((rows, cols), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 def softmax_forward(x: np.ndarray, causal: bool = False) -> np.ndarray:
     """Numerically stabilized row softmax; causal masks j > i to exact zero."""
     if causal:
-        mask = np.tril(np.ones(x.shape[-2:], dtype=bool))
+        mask = _causal_mask(*x.shape[-2:])
         shifted = np.where(mask, x, -np.inf)
         e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
         e = np.where(mask, e, 0.0)

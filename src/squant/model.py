@@ -31,9 +31,11 @@ one such tape per call, leave nothing behind for the collector.
 The integer student follows compile once, run many: ``compile_int``
 quantizes every projection weight and lays it out for the kernels (int8
 codes, and for 4-bit weights the packed units with their float64 lanes) in an
-``IntModel``. ``forward_int`` runs an ``IntModel`` as it is; given float
-parameters it compiles them first, so a per-call caller pays the quantize and
-pack steps and nothing more.
+``IntModel``, whose arrays are read-only. ``forward_int`` runs an
+``IntModel`` as it is. Given float parameters it keeps, per (weight name,
+weight bits), the float32 values it last compiled and their compiled form,
+so a per-call caller pays one bitwise compare per projection weight, and
+only a first or changed weight is quantized and packed again.
 """
 
 from __future__ import annotations
@@ -344,11 +346,15 @@ def compile_int(cfg: MicroTransformerConfig, params: dict) -> IntModel:
     Each weight takes its max-abs scale at ``cfg.weight_bits``, as the
     fake-quant path's weights do. A non-finite weight raises ValueError.
     """
+    return _compile(cfg, params, _compile_projection)
+
+
+def _compile(cfg, params, compile_projection) -> IntModel:
     projections = {}
     for l in range(cfg.layers):
         for w in WEIGHT_NAMES:
             name = f"l{l}.{w}"
-            projections[name] = _compile_projection(name, params[name], cfg.weight_bits)
+            projections[name] = compile_projection(name, params[name], cfg.weight_bits)
     rest = {name: arr for name, arr in params.items() if name not in projections}
     return IntModel(cfg.weight_bits, rest, projections)
 
@@ -361,8 +367,35 @@ def _compile_projection(name: str, w: np.ndarray, bits: int) -> IntProjection:
     codes = quantize(w, QuantSpec(bits=bits, scale=scale)).ints.T  # kernel layout: [out_dim, K]
     if bits == 4:
         packed = pack_int4(codes)
+        _freeze(packed.packed, packed.codes, packed.lanes)
         return IntProjection(scale, packed.codes, packed)
+    _freeze(codes)
     return IntProjection(scale, codes, None)
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    """Mark arrays read-only: a compiled projection may be shared by many calls."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+# Per (weight name, weight bits): the float32 values last compiled and their
+# projection, replaced on a miss. One tuple per entry, so a reader never pairs
+# one call's snapshot with another call's projection.
+_COMPILED: dict[tuple[str, int], tuple[np.ndarray, IntProjection]] = {}
+
+
+def _compiled_projection(name: str, w: np.ndarray, bits: int) -> IntProjection:
+    """``_compile_projection``, reused while the weight's float32 bits are unchanged."""
+    w = np.asarray(w, dtype=np.float32)
+    entry = _COMPILED.get((name, bits))
+    if entry is not None and np.array_equal(entry[0].view(np.uint32), w.view(np.uint32)):
+        return entry[1]
+    proj = _compile_projection(name, w, bits)  # raises on a non-finite weight before anything is stored
+    snapshot = w.copy()  # the caller may edit its weight in place after this call
+    _freeze(snapshot)
+    _COMPILED[(name, bits)] = (snapshot, proj)
+    return proj
 
 
 def _linear_int(gq, proj: IntProjection, cost) -> np.ndarray:
@@ -390,10 +423,14 @@ def forward_int(
 
     The forward of ``forward_tape`` on a constant tape, with the six
     projections run on quantized operands through the kernel dispatch.
-    ``params`` is an ``IntModel`` from ``compile_int``, or float parameters,
-    which are compiled first. Uses frozen calibration scales.
+    ``params`` is an ``IntModel`` from ``compile_int``, or float parameters.
+    Float projection weights are compared bit for bit with the ones the last
+    call compiled under the same name and width: an equal weight reuses that
+    compiled form, and only a first or changed weight is quantized and packed.
+    Embeddings, layernorms and biases are always the caller's. Uses frozen
+    calibration scales.
     """
-    model = params if isinstance(params, IntModel) else compile_int(cfg, params)
+    model = params if isinstance(params, IntModel) else _compile(cfg, params, _compiled_projection)
     if model.weight_bits != cfg.weight_bits:
         raise ValueError(f"model compiled for {model.weight_bits}-bit weights, config has {cfg.weight_bits}")
     tape = gt.Tape(dtype=np.float32)

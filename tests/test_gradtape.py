@@ -368,6 +368,26 @@ class TestFusedOps:
 
         check(build, a)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t_len", [1, 2, 32, 128])
+    def test_causal_softmax_bits_of_the_per_call_mask(self, t_len, dtype):
+        def per_call_mask(x):  # the formula that built a fresh mask on every call
+            mask = np.tril(np.ones(x.shape[-2:], dtype=bool))
+            shifted = np.where(mask, x, -np.inf)
+            e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
+            e = np.where(mask, e, 0.0)
+            return e / e.sum(axis=-1, keepdims=True)
+
+        x = (substream(7, f"gt-mask-{t_len}").normal(size=(3, t_len, t_len)) * 4.0).astype(dtype)
+        for _ in range(2):  # a fresh mask, then the one kept for this length
+            got = gt.softmax_forward(x, causal=True)
+            want = per_call_mask(x)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        mask = gt._causal_mask(t_len, t_len)
+        assert mask is gt._causal_mask(t_len, t_len)
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = False
+
     def test_layernorm_all_three_inputs(self):
         rng = substream(7, "gt-ln")
         x = rng.normal(size=(4, 6))

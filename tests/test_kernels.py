@@ -340,6 +340,27 @@ class TestGemmMixed:
             gemm_mixed(wp, np.zeros((3, 2), dtype=np.int8), np.array([8, 6]), CostCounter())
 
 
+class TestReadOnlyOperands:
+    def test_no_kernel_writes_into_its_operands(self):
+        rng = substream(3, "ro-operands")
+        w, x = random_case(rng, max_dim=24)
+        x4 = np.clip(x, -8, 7)
+        wp = pack_int4(w)
+        bits = np.where(rng.uniform(size=x.shape[1]) < 0.5, 8, 4)
+        x_mixed = np.where(bits == 8, x, x4).astype(np.int8)
+        operands = (w, x, x4, x_mixed, bits, wp.packed, wp.codes, wp.lanes)
+        before = [a.copy() for a in operands]
+        for a in operands:
+            a.flags.writeable = False
+        ref = scalar_reference_gemm(w, x)
+        np.testing.assert_array_equal(gemm_i8(w, x, CostCounter()), ref)
+        np.testing.assert_array_equal(gemm_i4_packed(wp, x4, CostCounter()), scalar_reference_gemm(w, x4))
+        np.testing.assert_array_equal(gemm_mixed(wp, x_mixed, bits, CostCounter()), scalar_reference_gemm(w, x_mixed))
+        np.testing.assert_array_equal(unpack_int4(wp), w)
+        for a, b in zip(operands, before):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestScalarOracle:
     def test_identity_copy(self):
         x = substream(3, "so-id").integers(-128, 128, size=(4, 6)).astype(np.int8)

@@ -1,10 +1,13 @@
 """Forward-path contracts: teacher/student agreement, plan degeneracy, dual mode."""
 
+import copy
 import gc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from squant import gradtape as gt
 from squant.kernels import CostCounter, gemm_i4_packed, gemm_i8
@@ -391,18 +394,171 @@ class TestCompiledModel:
         assert calls == {"pack_int4": 0, "weight quantize": 0, "group_quantize": len(ACT_SITES) * cfg.layers}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_weight_rejected_at_compile(self, bad):
+    def test_non_finite_weight_rejected_at_compile(self, bad, fresh_memo):
         cfg = small_cfg()
         params = init_params(cfg)
+        forward_int(cfg, params, tokens_for(cfg), calib=None)  # keeps each weight's compiled form
         params["l1.mlp.w2"][3, 5] = bad
         with pytest.raises(ValueError, match="l1.mlp.w2"):
             compile_int(cfg, params)
+        with pytest.raises(ValueError, match="l1.mlp.w2"):  # written in place after a call, still refused
+            forward_int(cfg, params, tokens_for(cfg), calib=None)
+        assert np.isfinite(fresh_memo[("l1.mlp.w2", cfg.weight_bits)][0]).all()  # nothing non-finite was kept
+
+    @pytest.mark.parametrize("weight_bits", [4, 8])
+    def test_compiled_arrays_are_read_only(self, weight_bits):
+        cfg = small_cfg(weight_bits=weight_bits)
+        compiled = compile_int(cfg, init_params(cfg))
+        for proj in compiled.projections.values():
+            arrays = [proj.codes] if weight_bits == 8 else [proj.codes, proj.packed.packed, proj.packed.codes, proj.packed.lanes]
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 1
 
     def test_weight_bits_must_match_the_config(self):
         cfg = small_cfg(weight_bits=4)
         compiled = compile_int(cfg, init_params(cfg))
         with pytest.raises(ValueError, match="4-bit"):
             forward_int(small_cfg(weight_bits=8), compiled, tokens_for(cfg), calib=None)
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty compiled-projection memo for this test; the module's own is restored afterwards."""
+    import squant.model
+
+    memo = {}
+    monkeypatch.setattr(squant.model, "_COMPILED", memo)
+    return memo
+
+
+def count_weight_compiles(monkeypatch) -> dict:
+    """Count pack_int4 and weight quantize calls, as test_compiled_run_quantizes_only_activations does."""
+    import squant.kernels
+    import squant.quant
+
+    calls = {"pack_int4": 0, "weight quantize": 0}
+    for module_of, name, key in ((squant.kernels, "pack_int4", "pack_int4"), (squant.quant, "quantize", "weight quantize")):
+        original = getattr(module_of, name)
+
+        def wrapper(*args, original=original, key=key, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        for module in (squant.model, squant.kernels, squant.quant):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def int_run(cfg, model, toks):
+    """Logits bytes, plan bits and cost counts of one forward_int call."""
+    cost = CostCounter()
+    logits, plans = forward_int(cfg, model, toks, calib=None, cost=cost)
+    return logits.tobytes(), [p.bits.tobytes() for p in plans], (cost.mul_count, cost.add_count)
+
+
+def fresh_compile_run(cfg, params, toks):
+    return int_run(cfg, compile_int(cfg, copy.deepcopy(params)), toks)
+
+
+class TestProjectionMemo:
+    """forward_int on float parameters reuses a projection while its float32 bits are unchanged."""
+
+    def test_second_call_compiles_nothing(self, fresh_memo, monkeypatch):
+        calls = count_weight_compiles(monkeypatch)
+        cfg = small_cfg(weight_bits=4, act_bits="adaptive", rho=0.5)
+        params, toks = init_params(cfg), tokens_for(cfg)
+        projections = len(WEIGHT_NAMES) * cfg.layers
+        first = int_run(cfg, params, toks)
+        assert calls == {"pack_int4": projections, "weight quantize": projections}
+        calls.update(dict.fromkeys(calls, 0))
+        assert int_run(cfg, params, toks) == first
+        assert calls == {"pack_int4": 0, "weight quantize": 0}
+        assert len(fresh_memo) == projections
+
+    def test_equal_values_in_a_new_dict_hit(self, fresh_memo, monkeypatch):
+        cfg = small_cfg(weight_bits=4)
+        params, toks = init_params(cfg), tokens_for(cfg)
+        first = int_run(cfg, params, toks)
+        calls = count_weight_compiles(monkeypatch)
+        assert int_run(cfg, copy.deepcopy(params), toks) == first
+        assert int_run(cfg, init_params(cfg), toks) == first
+        assert calls == {"pack_int4": 0, "weight quantize": 0}
+
+    def test_in_place_edit_recompiles_that_weight_only(self, fresh_memo, monkeypatch):
+        cfg = small_cfg(weight_bits=4, act_bits="adaptive", rho=0.5)
+        params, toks = init_params(cfg), tokens_for(cfg)
+        before = int_run(cfg, params, toks)
+        calls = count_weight_compiles(monkeypatch)
+        params["l1.attn.wv"][2, 3] += 0.75
+        after = int_run(cfg, params, toks)
+        assert calls == {"pack_int4": 1, "weight quantize": 1}
+        assert after != before
+        assert after == fresh_compile_run(cfg, params, toks)
+        calls.update(dict.fromkeys(calls, 0))
+        assert int_run(cfg, params, toks) == after
+        assert calls == {"pack_int4": 0, "weight quantize": 0}
+
+    def test_other_parameters_always_read_from_the_caller(self, fresh_memo):
+        cfg = small_cfg()
+        params, toks = init_params(cfg), tokens_for(cfg)
+        before = int_run(cfg, params, toks)
+        for name in ("tok_emb", "l0.ln2.b", "l1.attn.bo"):
+            params[name] += 0.25
+            after = int_run(cfg, params, toks)
+            assert after != before and after == fresh_compile_run(cfg, params, toks)
+            before = after
+
+    def test_negative_zero_misses(self, fresh_memo, monkeypatch):
+        cfg = small_cfg(weight_bits=4)
+        params, toks = init_params(cfg), tokens_for(cfg)
+        params["l0.mlp.w1"][1, 4] = 0.0
+        zero = int_run(cfg, params, toks)
+        calls = count_weight_compiles(monkeypatch)
+        params["l0.mlp.w1"][1, 4] = -0.0  # equal as a float, different bits
+        assert int_run(cfg, params, toks) == zero
+        assert calls == {"pack_int4": 1, "weight quantize": 1}
+        assert np.signbit(fresh_memo[("l0.mlp.w1", 4)][0][1, 4])
+
+    def test_weight_widths_do_not_collide(self, fresh_memo, monkeypatch):
+        cfg4, cfg8 = small_cfg(weight_bits=4), small_cfg(weight_bits=8)
+        params, toks = init_params(cfg4), tokens_for(cfg4)
+        runs = {bits: int_run(cfg, params, toks) for bits, cfg in ((4, cfg4), (8, cfg8))}
+        calls = count_weight_compiles(monkeypatch)
+        for bits, cfg in ((4, cfg4), (8, cfg8)):
+            assert int_run(cfg, params, toks) == runs[bits] == fresh_compile_run(cfg, params, toks)
+        projections = len(WEIGHT_NAMES) * cfg4.layers
+        # the fresh compiles quantize every weight and pack the 4-bit ones; the memoized calls add nothing
+        assert calls == {"pack_int4": projections, "weight quantize": 2 * projections}
+        assert {bits for _, bits in fresh_memo} == {4, 8} and len(fresh_memo) == 2 * projections
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        weight_bits=st.sampled_from([4, 8]),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["edit", "reset"]),
+                st.integers(0, 2 * len(WEIGHT_NAMES) - 1),
+                st.integers(0, 2**16),
+                st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0, width=32)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_edits_and_resets_match_a_fresh_compile(self, fresh_memo, weight_bits, steps):
+        cfg = small_cfg(weight_bits=weight_bits, act_bits="adaptive", rho=0.5)
+        params, toks = init_params(cfg), tokens_for(cfg)
+        original = copy.deepcopy(params)
+        names = [f"l{l}.{w}" for l in range(cfg.layers) for w in WEIGHT_NAMES]
+        for action, which, where, value in steps:
+            name = names[which]
+            if action == "edit":
+                params[name].reshape(-1)[where % params[name].size] = value
+            else:
+                params[name][...] = original[name]
+            assert int_run(cfg, params, toks) == fresh_compile_run(cfg, params, toks)
 
 
 def grouped_linear(gq, proj, cost):
