@@ -341,10 +341,10 @@ def cmd_train(args) -> int:
     teacher = pretrain_teacher(cfg, train_split, rc.teacher_steps, rc.teacher_lr)
     teacher_ppl = perplexity_eval(cfg, teacher, heldout, quantized=False)
     trainer = QatTrainer(cfg, teacher, train_split)
-    trainer.run(cfg.steps)
+    reports = trainer.run(cfg.steps)
     student_ppl = perplexity_eval(cfg, trainer.params, heldout, calib=trainer.calib, quantized=True)
     with open(out_dir / "loss_log.jsonl", "w") as f:
-        for report in trainer.reports:
+        for report in reports:
             f.write(json.dumps({k: float(v) for k, v in report.to_dict().items()}, sort_keys=True) + "\n")
     save_checkpoint(
         out_dir / "teacher.ckpt",
@@ -364,7 +364,7 @@ def cmd_train(args) -> int:
         "steps": cfg.steps,
         "teacher_ppl": teacher_ppl,
         "student_ppl": student_ppl,
-        "final_loss": float(trainer.reports[-1].total) if trainer.reports else None,
+        "final_loss": float(reports[-1].total) if reports else None,
     }
     _write_json(out_dir / "summary.json", summary)
     print(f"train: teacher ppl {teacher_ppl:.4f}, student ppl {student_ppl:.4f} -> {out_dir}")
@@ -394,7 +394,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    rc = load_run_config(args.config, seed=args.seed)
+    rc = load_run_config(args.config)
     if rc.corpus is not None:
         raise RunConfigError(
             f"ablate synthesizes one corpus per seed from corpus_length and cannot read corpus {rc.corpus!r}"
@@ -411,7 +411,6 @@ def cmd_ablate(args) -> int:
         heldout_fraction=rc.heldout_fraction,
     )
     rows = ablation_run(rc.model, settings)
-    n_seeds = len(settings.seeds)
     header = (
         ["loss_cell", "quant_cell"]
         + [f"ppl_seed{s}" for s in settings.seeds]
@@ -425,7 +424,7 @@ def cmd_ablate(args) -> int:
     ]
     _write_csv(out_dir / "ablation.csv", header, csv_rows)
     _write_json(out_dir / "ablation.json", {"rows": rows, "config_hash": chash, "seeds": list(settings.seeds)})
-    print(f"ablate: {len(rows)} cells x {n_seeds} seeds -> {out_dir / 'ablation.csv'}")
+    print(f"ablate: {len(rows)} cells x {len(settings.seeds)} seeds -> {out_dir / 'ablation.csv'}")
     return 0
 
 
@@ -589,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="loss-cell x quant-cell grid over seeds")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ablate)
 

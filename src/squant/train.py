@@ -12,7 +12,9 @@ step from the student's own forward pass.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -141,7 +143,7 @@ class QatTrainer:
         self.rng = substream(cfg.seed, "student.batches")
         self.corpus = corpus
         self.step_index = 0
-        self.reports: list[LossReport] = []
+        self.last_report: LossReport | None = None
         self._teacher: tuple | None = None
 
     def _teacher_forward(self, inputs):
@@ -194,19 +196,17 @@ class QatTrainer:
                 "phase": "student",
                 "step": self.step_index,
                 "error": str(e),
-                "last_report": self.reports[-1].to_dict() if self.reports else None,
+                "last_report": self.last_report.to_dict() if self.last_report is not None else None,
             }
             raise TrainingDiverged(f"aborted at step {self.step_index}: {e}", dump) from e
         finally:
             tape.nodes.clear()  # as in pretrain_teacher
         self.step_index += 1
-        self.reports.append(report)
+        self.last_report = report
         return report
 
     def run(self, steps: int | None = None) -> list[LossReport]:
-        for _ in range(steps if steps is not None else self.cfg.steps):
-            self.step()
-        return self.reports
+        return [self.step() for _ in range(steps if steps is not None else self.cfg.steps)]
 
 
 LOSS_CELLS = ("none", "entropy", "distribution", "both")
@@ -214,14 +214,15 @@ QUANT_CELLS = ("uniform_a4", "uniform_a8", "adaptive_0.25", "adaptive_0.5", "ada
 
 
 def _cell_config(cfg: MicroTransformerConfig, loss_cell: str, quant_cell: str):
+    """``cfg`` with one cell's aux-loss weights and activation bits; an unknown cell name raises ValueError."""
+    if loss_cell not in LOSS_CELLS:
+        raise ValueError(f"unknown loss cell {loss_cell!r}, expected one of {', '.join(LOSS_CELLS)}")
+    adaptive = re.fullmatch(r"adaptive_(\d+(\.\d+)?)", quant_cell)
+    if not adaptive and quant_cell not in ("uniform_a4", "uniform_a8"):
+        raise ValueError(f"unknown quant cell {quant_cell!r}, expected uniform_a4, uniform_a8 or adaptive_<rho>")
+    quant = {"act_bits": "adaptive", "rho": float(adaptive[1])} if adaptive else {"act_bits": int(quant_cell[-1])}
     r_e = cfg.r_E if loss_cell in ("entropy", "both") else 0.0
     r_d = cfg.r_D if loss_cell in ("distribution", "both") else 0.0
-    if quant_cell == "uniform_a4":
-        quant = {"act_bits": 4}
-    elif quant_cell == "uniform_a8":
-        quant = {"act_bits": 8}
-    else:
-        quant = {"act_bits": "adaptive", "rho": float(quant_cell.split("_")[1])}
     return replace(cfg, r_E=r_e, r_D=r_d, **quant)
 
 
@@ -248,44 +249,43 @@ class AblationSettings:
     teacher_lr: float = 0.3
     corpus_length: int = 32768
     heldout_fraction: float = 0.125
-    loss_cells: tuple = LOSS_CELLS
-    quant_cells: tuple = QUANT_CELLS
+    cells: tuple = tuple(product(LOSS_CELLS, QUANT_CELLS))  # (loss cell, quant cell) pairs
 
 
 def ablation_run(cfg: MicroTransformerConfig, settings: AblationSettings | None = None) -> list:
-    """Loss-term grid x quantization grid, each cell averaged over seeds.
+    """One row per (loss cell, quant cell) pair of ``settings.cells``, in that order, over ``settings.seeds``.
 
-    Returns one row dict per (loss_cell, quant_cell) with per-seed final
-    perplexities, their mean, and the integer-path cost per token.
+    Jobs run in order: one corpus and one teacher per seed, then one student
+    per (cell, seed), cells outer, annealed over ``settings.steps``. Each job
+    is a pure function of its seed and cell, so a row does not depend on the
+    other cells or their order; an unknown cell name raises ValueError before
+    any training. Rows hold per-seed held-out perplexities and integer-path
+    multiplies per token, and their means.
     """
     settings = settings or AblationSettings()
-    corpora, teachers = {}, {}  # per seed, shared by every cell
+    cell_cfgs = [_cell_config(cfg, *cell) for cell in settings.cells]
+    seeded = []  # per seed: the seed, its teacher, its train and held-out splits
+    for s in settings.seeds:
+        train, heldout = split_corpus(make_corpus(s, cfg.vocab, settings.corpus_length), settings.heldout_fraction)
+        teacher = pretrain_teacher(replace(cfg, seed=s), train, settings.teacher_steps, settings.teacher_lr)
+        seeded.append((s, teacher, train, heldout))
+    results = []
+    for cell_cfg in cell_cfgs:
+        for s, teacher, train, heldout in seeded:
+            run_cfg = replace(cell_cfg, seed=s, steps=settings.steps)
+            trainer = QatTrainer(run_cfg, teacher, train)
+            trainer.run()
+            results.append(evaluate_student(run_cfg, trainer.params, trainer.calib, heldout))
     rows = []
-    for loss_cell in settings.loss_cells:
-        for quant_cell in settings.quant_cells:
-            ppls, muls = [], []
-            for seed in settings.seeds:
-                run_cfg = _cell_config(replace(cfg, seed=seed), loss_cell, quant_cell)
-                if seed not in corpora:
-                    corpora[seed] = split_corpus(
-                        make_corpus(seed, cfg.vocab, settings.corpus_length), settings.heldout_fraction
-                    )
-                    teachers[seed] = pretrain_teacher(
-                        run_cfg, corpora[seed][0], settings.teacher_steps, settings.teacher_lr
-                    )
-                train, heldout = corpora[seed]
-                # anneal over the steps this grid runs, not the config's horizon
-                trainer = QatTrainer(replace(run_cfg, steps=settings.steps), teachers[seed], train)
-                trainer.run(settings.steps)
-                result = evaluate_student(run_cfg, trainer.params, trainer.calib, heldout)
-                ppls.append(result["ppl"])
-                muls.append(result["mul_per_token"])
-            row = {
-                "loss_cell": loss_cell,
-                "quant_cell": quant_cell,
-                "ppl_by_seed": ppls,
-                "ppl_mean": float(np.mean(ppls)),
-                "mul_per_token": float(np.mean(muls)),
-            }
-            rows.append(row)
+    for i, (loss_cell, quant_cell) in enumerate(settings.cells):
+        cell = results[i * len(settings.seeds) : (i + 1) * len(settings.seeds)]
+        ppls, muls = [r["ppl"] for r in cell], [r["mul_per_token"] for r in cell]
+        rows.append({
+            "loss_cell": loss_cell,
+            "quant_cell": quant_cell,
+            "ppl_by_seed": ppls,
+            "ppl_mean": float(np.mean(ppls)),
+            "mul_by_seed": muls,
+            "mul_per_token": float(np.mean(muls)),
+        })
     return rows

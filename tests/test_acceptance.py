@@ -3,7 +3,8 @@
 Each test prints a single PASS/FAIL line with its measured numbers, so a
 captured-output run reads as a checklist. The two training-protocol tests
 share one module-scoped bundle of runs (five seeded teachers, three student
-cells each) because teacher pretraining dominates their runtime.
+cells each) because teacher pretraining dominates their runtime. The bundle
+is one ``squant.train.ablation_run`` call, the same grid ``squant ablate`` runs.
 """
 
 import hashlib
@@ -40,19 +41,10 @@ from squant.model import (
     forward_teacher,
     init_params,
     params_to_tape,
-    perplexity_eval,
 )
 from squant.quant import QuantSpec, calibrate_scale, dequantize, quantize
 from squant.seeding import substream
-from squant.train import (
-    QatTrainer,
-    _cell_config,
-    _sgd_update,
-    evaluate_student,
-    make_corpus,
-    pretrain_teacher,
-    split_corpus,
-)
+from squant.train import AblationSettings, _sgd_update, ablation_run, make_corpus, split_corpus
 
 
 def _verdict(ok: bool, label: str, detail: str) -> bool:
@@ -276,22 +268,16 @@ PROTOCOL_CELLS = (("none", "uniform_a4"), ("both", "uniform_a4"), ("both", "adap
 
 @pytest.fixture(scope="module")
 def protocol_runs():
-    """Five seeded teachers, each distilled into three W4 student cells."""
-    rows = {}
-    for seed in range(5):
-        cfg = MicroTransformerConfig(seed=seed, weight_bits=4)
-        train, held = split_corpus(make_corpus(seed, cfg.vocab, 32768))
-        teacher = pretrain_teacher(cfg, train, 8000, 0.3)
-        out = {"teacher_ppl": perplexity_eval(cfg, teacher, held, quantized=False)}
-        for loss_cell, quant_cell in PROTOCOL_CELLS:
-            run_cfg = _cell_config(cfg, loss_cell, quant_cell)
-            trainer = QatTrainer(run_cfg, teacher, train)
-            trainer.run(1000)
-            out[(loss_cell, quant_cell)] = evaluate_student(
-                run_cfg, trainer.params, trainer.calib, held
-            )
-        rows[seed] = out
-    return rows
+    """Five seeded teachers, each distilled into three W4 student cells: per seed, per cell, ppl and cost."""
+    settings = AblationSettings(cells=PROTOCOL_CELLS)  # seeds 0-4, 8000 teacher and 1000 QAT steps
+    rows = ablation_run(MicroTransformerConfig(weight_bits=4), settings)
+    return {
+        seed: {
+            (r["loss_cell"], r["quant_cell"]): {"ppl": r["ppl_by_seed"][i], "mul_per_token": r["mul_by_seed"][i]}
+            for r in rows
+        }
+        for i, seed in enumerate(settings.seeds)
+    }
 
 
 @pytest.mark.protocol

@@ -1,8 +1,10 @@
 """Checkpoint round-trips and the command-line surface end to end."""
 
 import csv
+import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +32,7 @@ from squant.model import (
     params_to_tape,
 )
 from squant.seeding import substream
+from squant.train import LOSS_CELLS, QUANT_CELLS
 
 
 class TestCheckpointRoundTrip:
@@ -688,11 +691,21 @@ class TestAblateCommand:
         with open(out1 / "ablation.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 20  # 4 loss cells x 5 quant cells
+        assert [(r["loss_cell"], r["quant_cell"]) for r in rows] == [
+            (loss, quant) for loss in LOSS_CELLS for quant in QUANT_CELLS
+        ]
         for r in rows:
             assert float(r["ppl_mean"]) > 0
             assert float(r["mul_per_token"]) > 0
         assert cli_main(["ablate", "--config", str(cfg_path), "--out", str(out2)]) == 0
         assert (out1 / "ablation.csv").read_bytes() == (out2 / "ablation.csv").read_bytes()
+
+    def test_no_seed_flag(self, capsys):
+        # the grid runs each of its own seeds, so a seed flag would change nothing but the config hash
+        with pytest.raises(SystemExit) as exc_info:
+            cli_main(["ablate", "--seed", "1"])
+        assert exc_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 DIVERGING = {
@@ -715,3 +728,18 @@ class TestDivergence:
         assert len(lines) == 1, proc.stderr  # the dump alone: no traceback, no numpy warnings
         dump = json.loads(lines[0])
         assert dump["phase"] == phase and "non-finite" in dump["error"]
+
+
+def test_same_bits_script_hashes_the_fifteen_tiny_artifacts():
+    root = Path(__file__).resolve().parents[1]
+    script = root / "tools" / "same_bits.py"
+    assert runpy.run_path(str(script))["TINY"] == TINY
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, str(script)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    names = [line.split()[0] for line in lines[:-1]]
+    assert len(set(names)) == 15 and {"train/loss_log.jsonl", "ablate/ablation.csv"} <= set(names)
+    text = "".join(line + "\n" for line in lines[:-1])
+    assert lines[-1] == f"combined {hashlib.sha256(text.encode()).hexdigest()}"

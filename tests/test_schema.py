@@ -82,10 +82,10 @@ def test_rejected_value_exits_two_through_the_cli(tmp_path, capsys, cls, name, v
     "flags,name",
     [
         (["train", "--seed", "-1"], "seed"),
-        (["ablate", "--seed", "-1"], "seed"),
         (["gemm-bench", "--seed", "-1"], "seed"),
         (["gemm-bench", "--shapes", "0x8x8"], "bench_shapes"),
     ],
+    ids=["train-seed", "gemm-bench-seed", "gemm-bench-shapes"],
 )
 def test_flags_meet_the_field_rules(tmp_path, capsys, flags, name):
     path = tmp_path / "cfg.json"

@@ -2,6 +2,8 @@
 
 import gc
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,8 +156,7 @@ class TestQatTrainer:
         runs = []
         for _ in range(2):
             trainer = QatTrainer(cfg, teacher, train)
-            trainer.run(5)
-            runs.append([r.to_dict() for r in trainer.reports])
+            runs.append([r.to_dict() for r in trainer.run(5)])
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("act_bits", ["adaptive", 4, 8])
@@ -206,9 +207,9 @@ class TestQatTrainer:
         for seed in range(5):
             cfg, teacher, train, _ = tiny_setup(seed=seed)
             trainer = QatTrainer(cfg, teacher, train)
-            trainer.run(200)
-            first = np.mean([r.total for r in trainer.reports[:20]])
-            last = np.mean([r.total for r in trainer.reports[-20:]])
+            reports = trainer.run(200)
+            first = np.mean([r.total for r in reports[:20]])
+            last = np.mean([r.total for r in reports[-20:]])
             improved += last < first
         assert improved >= 4
 
@@ -235,7 +236,7 @@ class TestQatTrainer:
             trainer = QatTrainer(cfg, {**teacher, "l0.attn.wq": np.full_like(teacher["l0.attn.wq"], bad)}, train)
             with pytest.raises(TrainingDiverged) as exc_info, np.errstate(all="ignore"):
                 trainer.step()
-            assert exc_info.value.dump["step"] == 0 and trainer.reports == []
+            assert exc_info.value.dump["step"] == 0 and trainer.last_report is None
 
     @staticmethod
     def unreachable_after(fn):
@@ -291,9 +292,10 @@ class TestQatTrainer:
     def test_report_count_matches_steps(self):
         cfg, teacher, train, _ = tiny_setup()
         trainer = QatTrainer(cfg, teacher, train)
-        trainer.run(7)
+        reports = trainer.run(7)
         assert trainer.step_index == 7
-        assert len(trainer.reports) == 7
+        assert len(reports) == 7
+        assert trainer.last_report is reports[-1]
 
 
 def record_rates(monkeypatch):
@@ -385,6 +387,22 @@ class TestCellConfig:
         assert adaptive.act_bits == "adaptive"
         assert adaptive.rho == 0.25
 
+    @pytest.mark.parametrize(
+        "loss_cell,quant_cell,unknown",
+        [
+            ("Both", "uniform_a4", "Both"),
+            ("", "uniform_a4", ""),
+            ("none", "uniform_a2", "uniform_a2"),
+            ("none", "adaptive", "adaptive"),
+            ("none", "adaptive_x", "adaptive_x"),
+            ("none", "adaptive_nan", "adaptive_nan"),
+            ("none", "adaptive_0.5_", "adaptive_0.5_"),
+        ],
+    )
+    def test_unknown_cell_rejected(self, loss_cell, quant_cell, unknown):
+        with pytest.raises(ValueError, match=f"unknown .* cell {re.escape(repr(unknown))}"):
+            _cell_config(MicroTransformerConfig(), loss_cell, quant_cell)
+
 
 class TestAblationRun:
     def make_settings(self):
@@ -394,8 +412,7 @@ class TestAblationRun:
             teacher_steps=2,
             teacher_lr=0.3,
             corpus_length=512,
-            loss_cells=("none",),
-            quant_cells=("uniform_a4", "adaptive_0.5", "uniform_a8"),
+            cells=(("none", "uniform_a4"), ("none", "adaptive_0.5"), ("none", "uniform_a8")),
         )
 
     def test_cost_ordering_and_rows(self):
@@ -408,7 +425,21 @@ class TestAblationRun:
             < by_cell["uniform_a8"]["mul_per_token"]
         )
         for r in rows:
-            assert len(r["ppl_by_seed"]) == 2
+            assert len(r["ppl_by_seed"]) == len(r["mul_by_seed"]) == 2
+            assert r["mul_per_token"] == np.mean(r["mul_by_seed"])
+
+    def test_rows_independent_of_cell_order(self):
+        cells = (("none", "uniform_a4"), ("both", "adaptive_0.5"))
+        forward = ablation_run(MicroTransformerConfig(lr=0.05), replace(self.make_settings(), cells=cells))
+        backward = ablation_run(MicroTransformerConfig(lr=0.05), replace(self.make_settings(), cells=cells[::-1]))
+        assert [r["loss_cell"] for r in backward] == ["both", "none"]
+        assert forward == backward[::-1]
+
+    def test_unknown_cell_fails_before_training(self, monkeypatch):
+        monkeypatch.setattr(train_mod, "pretrain_teacher", lambda *_: pytest.fail("trained a teacher"))
+        settings = replace(self.make_settings(), cells=(("none", "uniform_a4"), ("Both", "uniform_a4")))
+        with pytest.raises(ValueError, match="'Both'"):
+            ablation_run(MicroTransformerConfig(lr=0.05), settings)
 
     def test_anneals_over_the_steps_it_runs(self, monkeypatch):
         # untrained teachers, so only the QAT updates are recorded

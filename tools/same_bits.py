@@ -1,0 +1,56 @@
+"""Hash the CLI artifacts of a tiny fixed config, to show that a refactor keeps the bits.
+
+Runs ``train``, ``eval`` of the student and of the teacher, ``inspect --teacher``,
+``gemm-bench --no-time --config`` and ``ablate`` (at ``steps: 1, teacher_steps: 1``)
+on the ``TINY`` config of ``tests/test_checkpoint_cli.py`` in a temporary
+directory. Prints ``name sha256`` for each of the 15 artifacts, then a
+``combined`` line: the sha256 of those lines. Run it on two trees and compare:
+
+    PYTHONPATH=src python3 tools/same_bits.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from squant.cli import main as cli_main
+
+TINY = {"steps": 5, "seed": 0, "corpus_length": 512, "teacher_steps": 5, "teacher_lr": 0.3, "lr": 0.05}
+
+
+def run(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(list(argv))
+    if code != 0:
+        sys.exit(f"squant {' '.join(argv)} exited {code}")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg = root / "tiny.json"
+        cfg.write_text(json.dumps(TINY))
+        ablate_cfg = root / "ablate.json"
+        ablate_cfg.write_text(json.dumps({**TINY, "steps": 1, "teacher_steps": 1}))
+        train = root / "train"
+        run("train", "--config", str(cfg), "--out", str(train))
+        run("eval", "--checkpoint", str(train / "student.ckpt"), "--out", str(root / "eval_student"))
+        run("eval", "--checkpoint", str(train / "teacher.ckpt"), "--out", str(root / "eval_teacher"))
+        run("inspect", "--checkpoint", str(train / "student.ckpt"), "--teacher", str(train / "teacher.ckpt"),
+            "--out", str(root / "inspect"))
+        run("gemm-bench", "--no-time", "--config", str(cfg), "--out", str(root / "gemm_bench"))
+        run("ablate", "--config", str(ablate_cfg), "--out", str(root / "ablate"))
+        text = "".join(
+            f"{path.relative_to(root)} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+            for path in sorted(root.glob("*/*"))
+        )
+    print(text, end="")
+    print(f"combined {hashlib.sha256(text.encode()).hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
