@@ -399,6 +399,10 @@ def cmd_ablate(args) -> int:
         raise RunConfigError(
             f"ablate synthesizes one corpus per seed from corpus_length and cannot read corpus {rc.corpus!r}"
         )
+    if rc.model.seed != 0:
+        raise RunConfigError(
+            f"ablate runs its own seeds {list(AblationSettings.seeds)} and cannot honour seed {rc.model.seed}"
+        )
     _check_splits(rc, rc.corpus_length)
     out_dir = Path(args.out or rc.report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

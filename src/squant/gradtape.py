@@ -1,14 +1,16 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-Deliberately small: matmul, row softmax with causal masking, layernorm,
-cross entropy, temperature-scaled KL, and the elementwise/reduction glue a
-micro decoder-only transformer needs. Matmul, transpose and softmax also take
-leading batch axes. Attention is two fused nodes over all heads at once:
-``attention`` gives the causal [H, T, T] probabilities of q and k, ``attend``
-the [T, D] context of those probabilities and v. Each records one node with
-the bits of the split/transpose/matmul/scale/softmax/merge chain it replaces,
-which stays here as the reference. Values are float32 by default; a tape can
-be built in float64 when tight finite-difference checks are wanted.
+Deliberately small: it holds the ops a micro decoder-only transformer runs
+(matmul, transpose, layernorm, gelu, cross entropy, temperature-scaled KL,
+row gathers, add and scalar multiply) and no others. Matmul, transpose and
+the row softmax also take leading batch axes. Attention is two fused nodes
+over all heads at once: ``attention`` gives the causal [H, T, T]
+probabilities of q and k, ``attend`` the [T, D] context of those
+probabilities and v. Each records one node with the bits of the
+split/transpose/matmul/scale/softmax/merge chain it replaces; that chain and
+its small ops live in ``tests/reference.py``. Values are float32 by
+default; a tape can be built in float64 when tight finite-difference checks
+are wanted.
 
 Nodes append to the tape in creation order, so the record is topologically
 sorted by construction and the backward sweep is a single reverse pass.
@@ -33,32 +35,17 @@ __all__ = [
     "Tape",
     "Tensor",
     "add",
-    "add_scalar",
     "attend",
     "attention",
-    "clamp_max",
-    "concat",
     "cross_entropy",
-    "div",
     "gather_rows",
     "gelu",
     "kl_divergence",
     "layernorm",
-    "log",
     "matmul",
-    "merge_heads",
-    "mul",
     "mul_scalar",
-    "neg",
-    "softmax_rows",
     "softmax_forward",
-    "split_heads",
-    "sqrt",
-    "sum_all",
-    "sum_in_order",
-    "sum_per",
     "transpose",
-    "variance_per",
 ]
 
 
@@ -153,7 +140,8 @@ class Tape:
     ) -> Tensor:
         """Record a custom op node; ``vjp(grad_out)`` must return one gradient
         (or None) per parent. Used by the quantizer and the losses to register
-        fused nodes without this module knowing about them."""
+        fused nodes without this module knowing about them, and by
+        ``tests/reference.py`` for the op chains those nodes replace."""
         for p in parents:
             _check_tape(self, p)
         return Tensor(self, array, parents=parents, vjp=vjp, name=name)
@@ -197,7 +185,7 @@ def _same_tape(*tensors: Tensor) -> Tape:
 
 
 # ---------------------------------------------------------------------------
-# elementwise / structural ops
+# elementwise ops
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -207,43 +195,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(tape, a.array + b.array, (a, b), lambda g: (g, g), name="add")
 
 
-def add_scalar(x: Tensor, c: float) -> Tensor:
-    return Tensor(x.tape, x.array + x.tape.dtype.type(c), (x,), lambda g: (g,), name="add_scalar")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
-    if a.shape != b.shape:
-        raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    return Tensor(tape, a.array * b.array, (a, b), lambda g: (g * b.array, g * a.array), name="mul")
-
-
 def mul_scalar(x: Tensor, c: float) -> Tensor:
     c = x.tape.dtype.type(c)
     return Tensor(x.tape, x.array * c, (x,), lambda g: (g * c,), name="mul_scalar")
-
-
-def neg(x: Tensor) -> Tensor:
-    return Tensor(x.tape, -x.array, (x,), lambda g: (-g,), name="neg")
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
-    if a.shape != b.shape:
-        raise ValueError(f"div shape mismatch: {a.shape} vs {b.shape}")
-    out = a.array / b.array
-    return Tensor(
-        tape, out, (a, b), lambda g: (g / b.array, -g * a.array / (b.array * b.array)), name="div"
-    )
-
-
-def log(x: Tensor) -> Tensor:
-    return Tensor(x.tape, np.log(x.array), (x,), lambda g: (g / x.array,), name="log")
-
-
-def sqrt(x: Tensor) -> Tensor:
-    out = np.sqrt(x.array)
-    return Tensor(x.tape, out, (x,), lambda g: (g / (2.0 * out),), name="sqrt")
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -260,61 +214,6 @@ def gelu(x: Tensor) -> Tensor:
         return (g * (0.5 * (1.0 + t) + 0.5 * a * (1.0 - t * t) * dinner),)
 
     return Tensor(x.tape, 0.5 * a * (1.0 + t), (x,), vjp, name="gelu")
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def sum_all(x: Tensor) -> Tensor:
-    return Tensor(
-        x.tape,
-        x.array.sum(dtype=x.tape.dtype),
-        (x,),
-        lambda g: (np.broadcast_to(g, x.shape),),
-        name="sum",
-    )
-
-
-def sum_in_order(x: Tensor) -> Tensor:
-    """Left-to-right sum of a 1-D tensor, as a chain of ``add`` rounds it
-    (numpy's pairwise ``sum`` rounds differently from 8 elements on)."""
-    if x.array.ndim != 1:
-        raise ValueError(f"sum_in_order needs a 1-D tensor, got {x.shape}")
-    out = np.cumsum(x.array)[-1]
-    return Tensor(x.tape, out, (x,), lambda g: (np.broadcast_to(g, x.shape),), name="sum_in_order")
-
-
-def sum_per(x: Tensor) -> Tensor:
-    """[B, ...] -> [B]: the sum over all trailing axes, per leading index."""
-    flat = x.array.reshape(len(x.array), -1)
-
-    def vjp(g):
-        return (np.broadcast_to(g[:, None], flat.shape).reshape(x.shape),)
-
-    return Tensor(x.tape, flat.sum(axis=1, dtype=x.tape.dtype), (x,), vjp, name="sum_per")
-
-
-def variance_per(x: Tensor) -> Tensor:
-    """[B, ...] -> [B]: population variance over all trailing axes, per leading index."""
-    a = x.array.reshape(len(x.array), -1)
-    mu = a.mean(axis=1, dtype=x.tape.dtype, keepdims=True)
-    out = ((a - mu) ** 2).mean(axis=1, dtype=x.tape.dtype)
-
-    def vjp(g):
-        return ((g[:, None] * 2.0 * (a - mu) / a.shape[1]).reshape(x.shape),)
-
-    return Tensor(x.tape, out, (x,), vjp, name="variance")
-
-
-def clamp_max(x: Tensor, ceiling) -> Tensor:
-    """min(x, ceiling) for a constant ceiling of x's shape; no gradient at or above it."""
-    c = np.asarray(ceiling)
-    if c.shape != x.shape:
-        raise ValueError(f"ceiling shape {c.shape} does not match {x.shape}")
-    below = x.array < c
-    out = np.where(below, x.array, c)
-    return Tensor(x.tape, out, (x,), lambda g: (np.where(below, g, 0.0),), name="clamp_max")
 
 
 # ---------------------------------------------------------------------------
@@ -349,39 +248,6 @@ def transpose(x: Tensor) -> Tensor:
     if x.array.ndim < 2:
         raise ValueError(f"transpose needs a 2-D tensor, got {x.shape}")
     return Tensor(x.tape, _t(x.array).copy(), (x,), lambda g: (_t(g),), name="transpose")
-
-
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """[T, D] -> [H, T, D/H]: head h owns the column block [h*dh, (h+1)*dh)."""
-    a = _heads(x.array, heads)  # value and gradient in C order, as downstream BLAS products round by layout
-    t, d = x.shape
-    return Tensor(x.tape, a, (x,), lambda g: (_merge(g, t, d),), name="split_heads")
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """[H, T, dh] -> [T, H*dh], the inverse of ``split_heads``."""
-    if x.array.ndim != 3:
-        raise ValueError(f"merge_heads needs an [H, T, dh] tensor, got {x.shape}")
-    h, t, dh = x.shape
-
-    def vjp(g):
-        return (_heads(g, h),)
-
-    return Tensor(x.tape, _merge(x.array, t, h * dh), (x,), vjp, name="merge_heads")
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Join tensors of equal trailing shape along the leading axis."""
-    tape = _same_tape(*parts)
-    for p in parts:
-        if p.array.ndim == 0 or p.shape[1:] != parts[0].shape[1:]:
-            raise ValueError("concat needs tensors with equal trailing shapes")
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def vjp(g):
-        return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(parts)))
-
-    return Tensor(tape, np.concatenate([p.array for p in parts]), tuple(parts), vjp, name="concat")
 
 
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -424,28 +290,14 @@ def softmax_forward(x: np.ndarray, causal: bool = False) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_rows(x: Tensor, causal: bool = False) -> Tensor:
-    """Softmax over the last axis; causal maps must be square in the last two."""
-    if x.array.ndim < 2:
-        raise ValueError(f"softmax_rows needs a 2-D tensor, got {x.shape}")
-    if causal and x.shape[-1] != x.shape[-2]:
-        raise ValueError(f"causal softmax needs a square tensor, got {x.shape}")
-    y = softmax_forward(x.array, causal).astype(x.tape.dtype)
-
-    def vjp(g):
-        # masked entries have y == 0, so their gradient is exactly 0
-        return ((g - (g * y).sum(axis=-1, keepdims=True)) * y,)
-
-    return Tensor(x.tape, y, (x,), vjp, name="softmax")
-
-
 def attention(q: Tensor, k: Tensor, heads: int, scale: float) -> Tensor:
     """Causal [H, T, T] probabilities softmax(scale * q_h @ k_h^T) of [T, D] q and k, as one node.
 
     The bits of ``softmax_rows(mul_scalar(matmul(split_heads(q),
-    transpose(split_heads(k))), scale), causal=True)``: the same C-ordered
-    operands go to the same BLAS calls, and each gradient is cast to the tape
-    dtype where that chain's tape would cast it.
+    transpose(split_heads(k))), scale), causal=True)`` (``chain_attention``
+    in ``tests/reference.py``): the same C-ordered operands go to the same
+    BLAS calls, and each gradient is cast to the tape dtype where that
+    chain's tape would cast it.
     """
     tape = _same_tape(q, k)
     if q.shape != k.shape:
@@ -468,7 +320,8 @@ def attention(q: Tensor, k: Tensor, heads: int, scale: float) -> Tensor:
 def attend(probs: Tensor, v: Tensor) -> Tensor:
     """[T, D] context of [H, T, T] probabilities and [T, D] values, as one node.
 
-    The bits of ``merge_heads(matmul(probs, split_heads(v)))``.
+    The bits of ``merge_heads(matmul(probs, split_heads(v)))``
+    (``chain_attend`` in ``tests/reference.py``).
     """
     tape = _same_tape(probs, v)
     if probs.array.ndim != 3 or v.array.ndim != 2 or probs.shape[1:] != (v.shape[0],) * 2:
@@ -493,7 +346,7 @@ def _head_view(a: np.ndarray, heads: int) -> np.ndarray:
 
 
 def _heads(a: np.ndarray, heads: int) -> np.ndarray:
-    """The C-ordered [H, T, D/H] array ``split_heads`` holds for [T, D] values ``a``."""
+    """The C-ordered [H, T, D/H] array of [T, D] values ``a``, the operand layout of every per-head product."""
     return np.ascontiguousarray(_head_view(a, heads))
 
 

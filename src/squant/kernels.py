@@ -76,10 +76,6 @@ class CostCounter:
     mul_count: int = 0
     add_count: int = 0
 
-    def reset(self) -> None:
-        self.mul_count = 0
-        self.add_count = 0
-
 
 @dataclass
 class PackedInt4Matrix:

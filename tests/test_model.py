@@ -25,7 +25,9 @@ from squant.model import (
     perplexity_eval,
 )
 from squant.seeding import substream
-from squant.token_bits import assign_bits, group_quantize, scatter_tokens
+from squant.token_bits import assign_bits, group_quantize
+
+import reference as ref
 
 
 def small_cfg(**kw):
@@ -579,7 +581,7 @@ def grouped_linear(gq, proj, cost):
         else:
             acc = gemm_i8(proj.codes, codes, cost)
         parts.append((acc.astype(np.float32) * (np.float32(proj.scale) * np.float32(spec.scale))).T)
-    return scatter_tokens(*parts, gq.plan)
+    return ref.scatter_tokens(*parts, gq.plan)
 
 
 class TestTokenOrderOracle:

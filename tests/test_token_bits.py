@@ -7,19 +7,19 @@ import numpy as np
 import pytest
 
 from squant import gradtape as gt
-from squant.quant import EmaState, QuantizedTensor, QuantSpec, calibrate_scale, dequantize, fake_quant, quantize
+from squant.quant import EmaState, QuantizedTensor, QuantSpec, calibrate_scale, fake_quant, quantize
 from squant.seeding import substream
 from squant.token_bits import (
     TokenBitPlan,
     assign_bits,
-    gather_tokens,
     group_quantize,
     plan_for_layer,
     plan_source,
-    scatter_tokens,
     token_importance,
     uniform_plan,
 )
+
+import reference as ref
 
 
 def sorted_topk_oracle(scores, k):
@@ -210,8 +210,8 @@ class TestGrouping:
             n = int(rng.integers(1, 20))
             x = rng.normal(size=(n, 5))
             plan = assign_bits(rng.uniform(size=n), float(rng.uniform()))
-            hi, lo = gather_tokens(x, plan)
-            np.testing.assert_array_equal(scatter_tokens(hi, lo, plan), x)
+            hi, lo = ref.gather_tokens(x, plan)
+            np.testing.assert_array_equal(ref.scatter_tokens(hi, lo, plan), x)
 
     def test_groups_partition_and_ascend(self):
         plan = assign_bits(np.array([0.9, 0.1, 0.5, 0.3, 0.7]), 0.5)
@@ -235,7 +235,7 @@ class TestGrouping:
         x = rng.normal(size=(8, 3))
         plan = assign_bits(rng.uniform(size=8), 0.5)
         gq = group_quantize(x, plan)
-        hi, lo = gather_tokens(x, plan)
+        hi, lo = ref.gather_tokens(x, plan)
         assert gq.spec_hi.scale == pytest.approx(np.abs(hi).max() / 127)
         assert gq.spec_lo.scale == pytest.approx(np.abs(lo).max() / 7)
 
@@ -262,10 +262,10 @@ class TestFakeQuantGrouped:
         tape = gt.Tape(dtype=np.float64)
         y = fq_grouped(tape.parameter(x), plan)
         gq = group_quantize(x, plan)
-        hi, lo = gather_tokens(gq.codes, plan)
-        want = scatter_tokens(
-            dequantize(QuantizedTensor(hi, gq.spec_hi.scale, 8), np.float64),
-            dequantize(QuantizedTensor(lo, gq.spec_lo.scale, 4), np.float64),
+        hi, lo = ref.gather_tokens(gq.codes, plan)
+        want = ref.scatter_tokens(
+            ref.dequantize(QuantizedTensor(hi, gq.spec_hi.scale, 8), np.float64),
+            ref.dequantize(QuantizedTensor(lo, gq.spec_lo.scale, 4), np.float64),
             plan,
         )
         np.testing.assert_array_equal(y.data, want)
@@ -290,7 +290,7 @@ class TestFakeQuantGrouped:
         w = rng.normal(size=(6, 4))
         tape = gt.Tape(dtype=np.float64)
         t = tape.parameter(x)
-        tape.backward(gt.sum_all(gt.mul(fq_grouped(t, plan), tape.parameter(w))))
+        tape.backward(ref.sum_all(ref.mul(fq_grouped(t, plan), tape.parameter(w))))
         # all values are far from clipping here, so the STE mask is all-ones
         # and the gradient is exactly w routed back through the permutation
         np.testing.assert_array_equal(t.grad, w)
@@ -304,13 +304,13 @@ class TestFakeQuantGrouped:
         tape = gt.Tape(dtype=np.float64)
         t = tape.parameter(x)
         y = fq_grouped(t, plan, scale_hi=scales[8], scale_lo=scales[4], training=False)
-        tape.backward(gt.sum_all(gt.mul(y, tape.constant(g))))
+        tape.backward(ref.sum_all(ref.mul(y, tape.constant(g))))
         mask = np.zeros_like(x)
         for bits, scale in scales.items():
             idx = np.flatnonzero(plan.bits == bits)
             ref_tape = gt.Tape(dtype=np.float64)
             rows = ref_tape.parameter(x[idx])
-            ref_tape.backward(gt.sum_all(fake_quant(rows, QuantSpec(bits=bits, scale=scale))))
+            ref_tape.backward(ref.sum_all(fake_quant(rows, QuantSpec(bits=bits, scale=scale))))
             assert 0 < rows.grad.sum() < rows.grad.size  # this group clips somewhere
             mask[idx] = rows.grad
         np.testing.assert_array_equal(t.grad, np.where(mask == 1.0, g, 0.0))
@@ -440,10 +440,10 @@ class TestOneRoundingOracle:
                 x, plan, ema_hi=emas[0], ema_lo=emas[1], scale_hi=fixed[0], scale_lo=fixed[1], training=training
             )
             y = fake_quant(t, gq, surrogate=surrogate)
-            tape.backward(gt.sum_all(gt.mul(y, tape.constant(g))))
+            tape.backward(ref.sum_all(ref.mul(y, tape.constant(g))))
 
             assert y.data.dtype == want_y.dtype and y.data.tobytes() == want_y.tobytes()
-            for rows, spec, (codes, scale) in zip(gather_tokens(gq.codes, plan), (gq.spec_hi, gq.spec_lo), want_groups):
+            for rows, spec, (codes, scale) in zip(ref.gather_tokens(gq.codes, plan), (gq.spec_hi, gq.spec_lo), want_groups):
                 assert rows.dtype == codes.dtype and rows.shape == codes.shape
                 assert rows.tobytes() == codes.tobytes()
                 assert spec.scale == scale
@@ -476,7 +476,7 @@ class TestOneRoundingOracle:
                 tape = gt.Tape(dtype=dtype)
                 t = tape.parameter(w)
                 y = fake_quant(t, spec)
-                tape.backward(gt.sum_all(gt.mul(y, tape.constant(g))))
+                tape.backward(ref.sum_all(ref.mul(y, tape.constant(g))))
                 want_y = ref_quantize(w, scale, bits).astype(dtype) * np.dtype(dtype).type(scale)
                 want_grad = g * ref_ste_mask(w, scale, bits) + 0.0
                 assert y.data.tobytes() == want_y.tobytes()
