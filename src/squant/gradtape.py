@@ -206,14 +206,21 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximate GELU."""
     a = x.array
-    inner = _GELU_C * (a + 0.044715 * a * a * a)
-    t = np.tanh(inner)
+    # _GELU_C * (a + 0.044715 * a * a * a), then 0.5 * a * (1.0 + t), in place
+    t = 0.044715 * a
+    t *= a
+    t *= a
+    t += a
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = 0.5 * a
+    y *= 1.0 + t
 
     def vjp(g):
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * a * a)
         return (g * (0.5 * (1.0 + t) + 0.5 * a * (1.0 - t * t) * dinner),)
 
-    return Tensor(x.tape, 0.5 * a * (1.0 + t), (x,), vjp, name="gelu")
+    return Tensor(x.tape, y, (x,), vjp, name="gelu")
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +290,7 @@ def softmax_forward(x: np.ndarray, causal: bool = False) -> np.ndarray:
     if causal:
         mask = _causal_mask(*x.shape[-2:])
         shifted = np.where(mask, x, -np.inf)
-        e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
-        e = np.where(mask, e, 0.0)
+        e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))  # exp(-inf) is exactly 0
     else:
         e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -305,7 +311,7 @@ def attention(q: Tensor, k: Tensor, heads: int, scale: float) -> Tensor:
     qh, kh = (_heads(n.array, heads) for n in (q, k))
     kht = _t(kh).copy()
     c = tape.dtype.type(scale)
-    y = softmax_forward((qh @ kht) * c, causal=True).astype(tape.dtype)
+    y = softmax_forward((qh @ kht) * c, causal=True).astype(tape.dtype, copy=False)
     t, d = q.shape
 
     def vjp(g):
@@ -367,22 +373,24 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(f"gain/bias must be shape ({d},), got {gain.shape}/{bias.shape}")
     a = x.array
-    mu = a.mean(axis=-1, keepdims=True)
-    var = ((a - mu) ** 2).mean(axis=-1, keepdims=True)
+    centered = a - a.mean(axis=-1, keepdims=True)
+    var = (centered**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + tape.dtype.type(eps))
-    xhat = (a - mu) * inv
+    xhat = centered * inv
+    y = gain.array * xhat
+    y += bias.array
 
     def vjp(g):
         dxhat = g * gain.array
-        dvar = (dxhat * (a - mu) * -0.5 * inv**3).sum(axis=-1, keepdims=True)
-        dmu = (-dxhat * inv).sum(axis=-1, keepdims=True) + dvar * (-2.0 * (a - mu)).mean(
+        dvar = (dxhat * centered * -0.5 * inv**3).sum(axis=-1, keepdims=True)
+        dmu = (-dxhat * inv).sum(axis=-1, keepdims=True) + dvar * (-2.0 * centered).mean(
             axis=-1, keepdims=True
         )
-        dx = dxhat * inv + dvar * 2.0 * (a - mu) / d + dmu / d
+        dx = dxhat * inv + dvar * 2.0 * centered / d + dmu / d
         axes = tuple(range(a.ndim - 1))
         return (dx, (g * xhat).sum(axis=axes), g.sum(axis=axes))
 
-    return Tensor(tape, gain.array * xhat + bias.array, (x, gain, bias), vjp, name="layernorm")
+    return Tensor(tape, y, (x, gain, bias), vjp, name="layernorm")
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:

@@ -268,7 +268,9 @@ def _forward(
     def projection(act, name, bias):
         xq, gq = act
         if project is not None:
-            return tape.constant(project(gq, name) + tp[bias].array)
+            out = project(gq, name)
+            out += tp[bias].array
+            return tape.constant(out)
         spec = QuantSpec(bits=cfg.weight_bits, scale=weight_scale(name)) if quantized else None
         return linear(xq, tp[name], tp[bias], spec, surrogate)
 
@@ -409,7 +411,9 @@ def _linear_int(gq, proj: IntProjection, cost) -> np.ndarray:
         acc = gemm_i8(proj.codes, x, cost)
     else:
         acc = gemm_mixed(proj.packed, x, gq.plan.bits, cost)
-    return (acc.astype(np.float32) * (np.float32(proj.scale) * gq.scale.T.astype(np.float32))).T
+    out = acc.astype(np.float32)
+    out *= np.float32(proj.scale) * gq.scale.T.astype(np.float32)
+    return out.T
 
 
 def forward_int(

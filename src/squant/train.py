@@ -61,7 +61,17 @@ class TrainingDiverged(RuntimeError):
 
 
 def make_corpus(seed: int, vocab: int, length: int) -> np.ndarray:
-    """Markov chain: each token has 4 seeded successors at fixed probabilities."""
+    """Markov chain: each token has 4 seeded successors at fixed probabilities.
+
+    The walk draws all ``length`` successor picks in one ``choice`` call.
+    With ``p`` given, numpy's ``choice`` turns each pick into one double of
+    the stream, searched in the cumulative probabilities, whether it is asked
+    for one pick or for ``length``. So the batched draw takes the same doubles
+    in the same order as one call per token, and gives the same tokens
+    (``make_corpus_per_token`` in ``tests/reference.py``).
+    """
+    if isinstance(length, bool) or not isinstance(length, (int, np.integer)) or length < 0:
+        raise ValueError(f"length must be a non-negative integer, got {length!r}")
     if vocab < 4:
         raise ValueError("vocab must be at least 4 for the successor table")
     trans_rng = substream(seed, "corpus.transitions")
@@ -69,13 +79,14 @@ def make_corpus(seed: int, vocab: int, length: int) -> np.ndarray:
         [trans_rng.choice(vocab, size=4, replace=False) for _ in range(vocab)]
     )
     walk = substream(seed, "corpus.walk")
-    probs = np.array(SUCCESSOR_PROBS)
-    out = np.empty(length, dtype=np.int64)
     state = int(walk.integers(vocab))
-    for i in range(length):
-        out[i] = state
-        state = int(successors[state][walk.choice(4, p=probs)])
-    return out
+    picks = walk.choice(4, size=length, p=np.array(SUCCESSOR_PROBS))
+    table = successors.tolist()
+    out = []
+    for pick in picks.tolist():
+        out.append(state)
+        state = table[state][pick]
+    return np.array(out, dtype=np.int64)
 
 
 def split_corpus(corpus: np.ndarray, heldout_fraction: float = 0.125):

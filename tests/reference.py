@@ -12,6 +12,8 @@
 - The ``LossReport`` recombination (``reassembled``, ``from_dict``), the
   grouped token layout (``gather_tokens``, ``scatter_tokens``) and plain
   ``round_half_away`` and ``dequantize``.
+- The corpus walk with one ``choice`` call per token
+  (``make_corpus_per_token``), which ``train.make_corpus`` draws in one batch.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 from squant import gradtape as gt
 from squant.losses import EPS, GaussianStats, LossReport
 from squant.quant import QuantizedTensor, _round_magnitude
+from squant.seeding import substream
 from squant.token_bits import TokenBitPlan
+from squant.train import SUCCESSOR_PROBS
 
 # ---------------------------------------------------------------------------
 # tape ops
@@ -270,3 +274,25 @@ def round_half_away(t: np.ndarray) -> np.ndarray:
 
 def dequantize(q: QuantizedTensor, dtype=np.float32) -> np.ndarray:
     return q.ints.astype(dtype) * np.dtype(dtype).type(q.scale)
+
+
+# ---------------------------------------------------------------------------
+# corpus
+
+
+def make_corpus_per_token(seed: int, vocab: int, length: int) -> np.ndarray:
+    """``train.make_corpus`` as a walk that draws each successor pick on its own."""
+    if vocab < 4:
+        raise ValueError("vocab must be at least 4 for the successor table")
+    trans_rng = substream(seed, "corpus.transitions")
+    successors = np.stack(
+        [trans_rng.choice(vocab, size=4, replace=False) for _ in range(vocab)]
+    )
+    walk = substream(seed, "corpus.walk")
+    probs = np.array(SUCCESSOR_PROBS)
+    out = np.empty(length, dtype=np.int64)
+    state = int(walk.integers(vocab))
+    for i in range(length):
+        out[i] = state
+        state = int(successors[state][walk.choice(4, p=probs)])
+    return out

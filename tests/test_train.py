@@ -1,12 +1,16 @@
 """Corpus generation, teacher pretraining, the QAT loop, and ablation grids."""
 
 import gc
+import hashlib
 import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from reference import make_corpus_per_token
 
 from squant import train as train_mod
 from squant.losses import EPS, entropy_ceiling
@@ -66,6 +70,34 @@ class TestMakeCorpus:
     def test_small_vocab_rejected(self):
         with pytest.raises(ValueError, match="vocab"):
             make_corpus(0, 3, 100)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(4, 299), length=st.integers(0, 2999))
+    @example(seed=0, vocab=4, length=0)
+    @example(seed=0, vocab=4, length=1)
+    def test_batched_walk_equals_per_token_walk(self, seed, vocab, length):
+        got = make_corpus(seed, vocab, length)
+        want = make_corpus_per_token(seed, vocab, length)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape == (length,)
+        np.testing.assert_array_equal(got, want)
+
+    def test_walk_hash_pinned(self):
+        # any change in how the walk consumes its stream changes these bytes
+        digest = hashlib.sha256(make_corpus(0, 64, 32768).tobytes()).hexdigest()
+        assert digest == "fba39065728c03c4ad83d9c274ffff858bd640e90694fe04115bfdc31d3852bf"
+
+    @pytest.mark.parametrize("length", [-1, 2.5, 8.0, True, False, "8", None])
+    def test_bad_length_rejected_before_drawing(self, length, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew a substream before checking length")
+
+        monkeypatch.setattr(train_mod, "substream", no_draws)
+        with pytest.raises(ValueError, match="length"):
+            make_corpus(0, 64, length)
+
+    def test_numpy_integer_length_accepted(self):
+        np.testing.assert_array_equal(make_corpus(1, 16, np.int64(300)), make_corpus(1, 16, 300))
 
 
 class TestSplitCorpus:
