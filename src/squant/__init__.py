@@ -8,7 +8,7 @@ Subpackage map:
 - ``token_bits``: attention-driven per-token bit-width planning
 - ``losses``: distillation plus quantization-shaping auxiliary losses
 - ``model``: the micro transformer and its quantized forward passes
-- ``train``: synthetic corpus, teacher pretraining, QAT loop, ablations
+- ``train``: the run config, synthetic corpus, teacher pretraining, QAT loop, ablations
 - ``checkpoint``: binary save/load for weights and calibration state
 - ``cli``: the ``squant`` command line entry point
 """

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +37,12 @@ from .model import (
     params_to_tape,
     perplexity_eval,
 )
-from .schema import check_fields, integer, is_int, number, rule, typed
 from .seeding import substream
 from .token_bits import token_importance
 from .train import (
-    AblationSettings,
+    SEEDS,
     QatTrainer,
+    RunConfig,
     TrainingDiverged,
     ablation_run,
     make_corpus,
@@ -52,50 +51,11 @@ from .train import (
 )
 from . import gradtape as gt
 
-DEFAULT_BENCH_SHAPES = ((8, 8, 8), (16, 16, 16), (32, 32, 32), (64, 64, 64), (64, 32, 8), (32, 8, 64))
-
 _MODEL_KEYS = {f.name for f in fields(MicroTransformerConfig)}
-
-
-def _is_shape_list(shapes) -> bool:
-    """True for a non-empty list of (M, K, N) triples of integers >= 1."""
-    return isinstance(shapes, (list, tuple)) and len(shapes) > 0 and all(
-        isinstance(s, (list, tuple)) and len(s) == 3 and all(is_int(v) and v >= 1 for v in s) for s in shapes
-    )
 
 
 class RunConfigError(ValueError):
     """Unknown keys, malformed values, or unreadable config files."""
-
-
-@dataclass
-class RunConfig:
-    """Model config plus paths and run-recipe knobs; every field checked by its rule."""
-
-    model: MicroTransformerConfig = typed(MicroTransformerConfig, default_factory=MicroTransformerConfig)
-    corpus: str | None = typed(str, type(None), default=None)  # optional .npy token stream; else synthesized
-    corpus_length: int = integer(32768, least=0)
-    heldout_fraction: float = number(0.125, "(0, 1)")
-    teacher_steps: int = integer(8000, least=0)
-    teacher_lr: float = number(0.3, "(0, inf)")
-    checkpoint: str | None = typed(str, type(None), default=None)
-    report_dir: str = typed(str, default="reports")
-    bench_shapes: tuple = rule(
-        "a non-empty list of [M, K, N] integer triples >= 1", _is_shape_list, default=DEFAULT_BENCH_SHAPES
-    )
-
-    def __post_init__(self):
-        check_fields(self)
-
-    def resolved(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "model"}
-        d["bench_shapes"] = [list(s) for s in self.bench_shapes]
-        d["model"] = self.model.to_dict()
-        return d
-
-    def config_hash(self) -> str:
-        blob = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def load_run_config(path: str | None, **flags) -> RunConfig:
@@ -132,7 +92,7 @@ def _check_splits(rc: RunConfig, n_tokens: int) -> None:
 
 def _run_config_from_echo(config: dict) -> RunConfig:
     """Rebuild a RunConfig from a checkpoint's config echo: run keys beside a 'model' object."""
-    model = config.get("model", {})
+    model = config.get("model")
     if not isinstance(model, dict):
         raise CheckpointError("config echo has no 'model' object")
     try:
@@ -372,8 +332,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    rc = load_run_config(args.config)
-    ckpt_path = args.checkpoint or rc.checkpoint
+    given = load_run_config(args.config)
+    ckpt_path = args.checkpoint or given.checkpoint
     if ckpt_path is None:
         print("eval requires --checkpoint or a checkpoint path in the config", file=sys.stderr)
         return 2
@@ -385,7 +345,8 @@ def cmd_eval(args) -> int:
         ppl = perplexity_eval(cfg, ckpt.params, heldout, calib=calib, quantized=True)
     else:
         ppl = perplexity_eval(cfg, ckpt.params, heldout, quantized=False)
-    out_dir = Path(args.out or rc.report_dir)
+    # the output directory of a --config file, else of the checkpoint's echo
+    out_dir = Path(args.out or (given if args.config else rc).report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = {"config_hash": rc.config_hash(), "ppl": ppl, "role": ckpt.extra.get("role")}
     _write_json(out_dir / "eval.json", result)
@@ -400,24 +361,15 @@ def cmd_ablate(args) -> int:
             f"ablate synthesizes one corpus per seed from corpus_length and cannot read corpus {rc.corpus!r}"
         )
     if rc.model.seed != 0:
-        raise RunConfigError(
-            f"ablate runs its own seeds {list(AblationSettings.seeds)} and cannot honour seed {rc.model.seed}"
-        )
+        raise RunConfigError(f"ablate runs its own seeds {list(SEEDS)} and cannot honour seed {rc.model.seed}")
     _check_splits(rc, rc.corpus_length)
     out_dir = Path(args.out or rc.report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = rc.config_hash()
-    settings = AblationSettings(
-        steps=rc.model.steps,
-        teacher_steps=rc.teacher_steps,
-        teacher_lr=rc.teacher_lr,
-        corpus_length=rc.corpus_length,
-        heldout_fraction=rc.heldout_fraction,
-    )
-    rows = ablation_run(rc.model, settings)
+    rows = ablation_run(rc)
     header = (
         ["loss_cell", "quant_cell"]
-        + [f"ppl_seed{s}" for s in settings.seeds]
+        + [f"ppl_seed{s}" for s in SEEDS]
         + ["ppl_mean", "mul_per_token", "config_hash"]
     )
     csv_rows = [
@@ -427,8 +379,8 @@ def cmd_ablate(args) -> int:
         for r in rows
     ]
     _write_csv(out_dir / "ablation.csv", header, csv_rows)
-    _write_json(out_dir / "ablation.json", {"rows": rows, "config_hash": chash, "seeds": list(settings.seeds)})
-    print(f"ablate: {len(rows)} cells x {len(settings.seeds)} seeds -> {out_dir / 'ablation.csv'}")
+    _write_json(out_dir / "ablation.json", {"rows": rows, "config_hash": chash, "seeds": list(SEEDS)})
+    print(f"ablate: {len(rows)} cells x {len(SEEDS)} seeds -> {out_dir / 'ablation.csv'}")
     return 0
 
 

@@ -7,10 +7,18 @@ are measurable. The student starts from the pretrained teacher and trains
 with cosine-annealed SGD on the distillation total, its entropy term
 anchored per head at the teacher's; bit plans and EMA scales refresh every
 step from the student's own forward pass.
+
+A ``RunConfig`` is the run recipe, each field checked by its rule. The
+ablation grid reads its ``model``, ``corpus_length``, ``heldout_fraction``,
+``teacher_steps`` and ``teacher_lr``. It synthesizes one corpus per seed of
+its own, so it reads neither ``corpus`` nor ``model.seed``; ``squant ablate``
+rejects a config that sets either.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -31,18 +39,22 @@ from .losses import (
 from .model import (
     Calibration,
     MicroTransformerConfig,
+    compile_int,
     forward_int,
     forward_tape,
     init_params,
     params_to_tape,
     perplexity_eval,
 )
+from .schema import check_fields, integer, is_int, number, rule, typed
 from .seeding import substream
 
 SUCCESSOR_PROBS = (0.7, 0.15, 0.1, 0.05)
+DEFAULT_BENCH_SHAPES = ((8, 8, 8), (16, 16, 16), (32, 32, 32), (64, 64, 64), (64, 32, 8), (32, 8, 64))
 
 __all__ = [
     "QatTrainer",
+    "RunConfig",
     "TrainingDiverged",
     "ablation_run",
     "cosine_lr",
@@ -50,6 +62,43 @@ __all__ = [
     "pretrain_teacher",
     "split_corpus",
 ]
+
+
+def _is_shape_list(shapes) -> bool:
+    """True for a non-empty list of (M, K, N) triples of integers >= 1."""
+    return isinstance(shapes, (list, tuple)) and len(shapes) > 0 and all(
+        isinstance(s, (list, tuple)) and len(s) == 3 and all(is_int(v) and v >= 1 for v in s) for s in shapes
+    )
+
+
+@dataclass
+class RunConfig:
+    """Model config plus paths and run-recipe knobs; every field checked by its rule."""
+
+    model: MicroTransformerConfig = typed(MicroTransformerConfig, default_factory=MicroTransformerConfig)
+    corpus: str | None = typed(str, type(None), default=None)  # optional .npy token stream; else synthesized
+    corpus_length: int = integer(32768, least=0)
+    heldout_fraction: float = number(0.125, "(0, 1)")
+    teacher_steps: int = integer(8000, least=0)
+    teacher_lr: float = number(0.3, "(0, inf)")
+    checkpoint: str | None = typed(str, type(None), default=None)
+    report_dir: str = typed(str, default="reports")
+    bench_shapes: tuple = rule(
+        "a non-empty list of [M, K, N] integer triples >= 1", _is_shape_list, default=DEFAULT_BENCH_SHAPES
+    )
+
+    def __post_init__(self):
+        check_fields(self)
+
+    def resolved(self) -> dict:
+        d = {k: v for k, v in self.__dict__.items() if k != "model"}
+        d["bench_shapes"] = [list(s) for s in self.bench_shapes]
+        d["model"] = self.model.to_dict()
+        return d
+
+    def config_hash(self) -> str:
+        blob = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class TrainingDiverged(RuntimeError):
@@ -222,6 +271,8 @@ class QatTrainer:
 
 LOSS_CELLS = ("none", "entropy", "distribution", "both")
 QUANT_CELLS = ("uniform_a4", "uniform_a8", "adaptive_0.25", "adaptive_0.5", "adaptive_0.75")
+CELLS = tuple(product(LOSS_CELLS, QUANT_CELLS))  # (loss cell, quant cell) pairs, loss cell outer
+SEEDS = (0, 1, 2, 3, 4)
 
 
 def _cell_config(cfg: MicroTransformerConfig, loss_cell: str, quant_cell: str):
@@ -240,11 +291,11 @@ def _cell_config(cfg: MicroTransformerConfig, loss_cell: str, quant_cell: str):
 def evaluate_student(
     cfg: MicroTransformerConfig, params: dict, calib: Calibration, heldout: np.ndarray
 ) -> dict:
-    """Held-out perplexity plus integer-path instruction cost per token."""
+    """Held-out perplexity plus integer-path instruction cost per token of the compiled student."""
     ppl = perplexity_eval(cfg, params, heldout, calib=calib, quantized=True)
     cost = CostCounter()
     window = heldout[: cfg.seq_len]
-    forward_int(cfg, params, window, calib=calib, cost=cost)
+    forward_int(cfg, compile_int(cfg, params), window, calib=calib, cost=cost)
     return {
         "ppl": ppl,
         "mul_per_token": cost.mul_count / window.size,
@@ -252,44 +303,35 @@ def evaluate_student(
     }
 
 
-@dataclass
-class AblationSettings:
-    steps: int = 1000
-    seeds: tuple = (0, 1, 2, 3, 4)
-    teacher_steps: int = 8000
-    teacher_lr: float = 0.3
-    corpus_length: int = 32768
-    heldout_fraction: float = 0.125
-    cells: tuple = tuple(product(LOSS_CELLS, QUANT_CELLS))  # (loss cell, quant cell) pairs
+def ablation_run(rc: RunConfig, cells: tuple = CELLS, seeds: tuple = SEEDS) -> list:
+    """One row per (loss cell, quant cell) pair of ``cells``, in that order, over ``seeds``.
 
-
-def ablation_run(cfg: MicroTransformerConfig, settings: AblationSettings | None = None) -> list:
-    """One row per (loss cell, quant cell) pair of ``settings.cells``, in that order, over ``settings.seeds``.
-
-    Jobs run in order: one corpus and one teacher per seed, then one student
-    per (cell, seed), cells outer, annealed over ``settings.steps``. Each job
-    is a pure function of its seed and cell, so a row does not depend on the
-    other cells or their order; an unknown cell name raises ValueError before
-    any training. Rows hold per-seed held-out perplexities and integer-path
-    multiplies per token, and their means.
+    Reads ``rc.model``, ``corpus_length``, ``heldout_fraction``,
+    ``teacher_steps`` and ``teacher_lr``; not ``corpus`` or ``model.seed``,
+    which ``squant ablate`` rejects. Jobs run in order: one corpus and one
+    teacher per seed, then one student per (cell, seed), cells outer, annealed
+    over ``rc.model.steps``. Each job is a pure function of its seed and cell,
+    so a row does not depend on the other cells or their order; an unknown
+    cell name raises ValueError before any training. Rows hold per-seed
+    held-out perplexities and integer-path multiplies per token, and their means.
     """
-    settings = settings or AblationSettings()
-    cell_cfgs = [_cell_config(cfg, *cell) for cell in settings.cells]
+    cfg = rc.model
+    cell_cfgs = [_cell_config(cfg, *cell) for cell in cells]
     seeded = []  # per seed: the seed, its teacher, its train and held-out splits
-    for s in settings.seeds:
-        train, heldout = split_corpus(make_corpus(s, cfg.vocab, settings.corpus_length), settings.heldout_fraction)
-        teacher = pretrain_teacher(replace(cfg, seed=s), train, settings.teacher_steps, settings.teacher_lr)
+    for s in seeds:
+        train, heldout = split_corpus(make_corpus(s, cfg.vocab, rc.corpus_length), rc.heldout_fraction)
+        teacher = pretrain_teacher(replace(cfg, seed=s), train, rc.teacher_steps, rc.teacher_lr)
         seeded.append((s, teacher, train, heldout))
     results = []
     for cell_cfg in cell_cfgs:
         for s, teacher, train, heldout in seeded:
-            run_cfg = replace(cell_cfg, seed=s, steps=settings.steps)
+            run_cfg = replace(cell_cfg, seed=s)
             trainer = QatTrainer(run_cfg, teacher, train)
             trainer.run()
             results.append(evaluate_student(run_cfg, trainer.params, trainer.calib, heldout))
     rows = []
-    for i, (loss_cell, quant_cell) in enumerate(settings.cells):
-        cell = results[i * len(settings.seeds) : (i + 1) * len(settings.seeds)]
+    for i, (loss_cell, quant_cell) in enumerate(cells):
+        cell = results[i * len(seeds) : (i + 1) * len(seeds)]
         ppls, muls = [r["ppl"] for r in cell], [r["mul_per_token"] for r in cell]
         rows.append({
             "loss_cell": loss_cell,

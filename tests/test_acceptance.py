@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import squant.gradtape as gt
-from squant.cli import DEFAULT_BENCH_SHAPES, main as cli_main
+from squant.cli import main as cli_main
 from squant.kernels import (
     CostCounter,
     gemm_i4_packed,
@@ -42,7 +42,15 @@ from squant.model import (
 )
 from squant.quant import QuantSpec, calibrate_scale, quantize
 from squant.seeding import substream
-from squant.train import AblationSettings, _sgd_update, ablation_run, make_corpus, split_corpus
+from squant.train import (
+    DEFAULT_BENCH_SHAPES,
+    SEEDS,
+    RunConfig,
+    _sgd_update,
+    ablation_run,
+    make_corpus,
+    split_corpus,
+)
 
 import reference as ref
 
@@ -269,14 +277,14 @@ PROTOCOL_CELLS = (("none", "uniform_a4"), ("both", "uniform_a4"), ("both", "adap
 @pytest.fixture(scope="module")
 def protocol_runs():
     """Five seeded teachers, each distilled into three W4 student cells: per seed, per cell, ppl and cost."""
-    settings = AblationSettings(cells=PROTOCOL_CELLS)  # seeds 0-4, 8000 teacher and 1000 QAT steps
-    rows = ablation_run(MicroTransformerConfig(weight_bits=4), settings)
+    # seeds 0-4, 8000 teacher and 1000 QAT steps
+    rows = ablation_run(RunConfig(model=MicroTransformerConfig(weight_bits=4)), cells=PROTOCOL_CELLS)
     return {
         seed: {
             (r["loss_cell"], r["quant_cell"]): {"ppl": r["ppl_by_seed"][i], "mul_per_token": r["mul_by_seed"][i]}
             for r in rows
         }
-        for i, seed in enumerate(settings.seeds)
+        for i, seed in enumerate(SEEDS)
     }
 
 

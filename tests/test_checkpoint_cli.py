@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import squant.cli
 import squant.gradtape as gt
 from squant.checkpoint import (
     MAGIC,
@@ -23,7 +24,7 @@ from squant.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from squant.cli import RunConfig, RunConfigError, _load_model_checkpoint, load_run_config, main as cli_main
+from squant.cli import RunConfigError, _load_model_checkpoint, load_run_config, main as cli_main
 from squant.model import (
     Calibration,
     MicroTransformerConfig,
@@ -32,7 +33,7 @@ from squant.model import (
     params_to_tape,
 )
 from squant.seeding import substream
-from squant.train import LOSS_CELLS, QUANT_CELLS
+from squant.train import LOSS_CELLS, QUANT_CELLS, RunConfig
 
 
 class TestCheckpointRoundTrip:
@@ -294,6 +295,12 @@ BAD_CHECKPOINTS = {
     "model key at run level": lambda p: _checkpoint_with(p, config=_echo_with(lr=0.1)),
     "invalid model value": lambda p: _checkpoint_with(p, config=_echo_with({"heads": 3})),
     "model not an object": lambda p: _checkpoint_with(p, config={**ECHO_RUN.resolved(), "model": 5}),
+    # default-model tensors and default run keys: only the missing 'model' can reject it
+    "no model object": lambda p: _checkpoint_with(
+        p,
+        params=init_params(MicroTransformerConfig()),
+        config={k: v for k, v in RunConfig().resolved().items() if k != "model"},
+    ),
     "dim of 2**64": _shape_entry([2**64]),
     "dims whose product overflows int64": _shape_entry([2**32, 2**32]),
     "zero-size shape too big for numpy": _shape_entry([0, 2**63]),
@@ -566,6 +573,17 @@ class TestTrainEvalCommands:
         assert result["role"] == "teacher"
         assert result["ppl"] == summary["teacher_ppl"]
 
+    def test_eval_writes_to_the_report_dir_of_its_config_else_of_the_echo(self, tiny_run, tmp_path, monkeypatch):
+        _, out = tiny_run
+        monkeypatch.chdir(tmp_path)  # the checkpoint echoes the relative default report_dir "reports"
+        Path("e.json").write_text(json.dumps({"checkpoint": str(out / "student.ckpt"), "report_dir": "evalout"}))
+        assert cli_main(["eval", "--config", "e.json"]) == 0
+        assert Path("evalout/eval.json").exists() and not Path("reports").exists()
+        assert cli_main(["eval", "--config", "e.json", "--out", "flag"]) == 0
+        assert Path("flag/eval.json").exists() and not Path("reports").exists()
+        assert cli_main(["eval", "--checkpoint", str(out / "student.ckpt")]) == 0  # no config: the echo's
+        assert Path("reports/eval.json").exists()
+
     def test_eval_without_checkpoint_usage_error(self):
         assert cli_main(["eval"]) == 2
 
@@ -710,6 +728,15 @@ class TestAblateCommand:
         assert len(err.splitlines()) == 1 and err.startswith("config error: ") and "seed" in err, err
         assert not (tmp_path / "out").exists()
 
+    def test_runs_the_grid_on_the_loaded_config(self, tmp_path, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "teacher_lr": 0.2, "heldout_fraction": 0.25, "steps": 3}))
+        seen = []
+        monkeypatch.setattr(squant.cli, "ablation_run", lambda rc: seen.append(rc) or [])
+        assert cli_main(["ablate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert seen == [load_run_config(path)]
+        assert (seen[0].teacher_lr, seen[0].heldout_fraction, seen[0].model.steps) == (0.2, 0.25, 3)
+
     def test_no_seed_flag(self, capsys):
         # the grid runs each of its own seeds, so a seed flag would change nothing but the config hash
         with pytest.raises(SystemExit) as exc_info:
@@ -753,3 +780,5 @@ def test_same_bits_script_hashes_the_fifteen_tiny_artifacts():
     assert len(set(names)) == 15 and {"train/loss_log.jsonl", "ablate/ablation.csv"} <= set(names)
     text = "".join(line + "\n" for line in lines[:-1])
     assert lines[-1] == f"combined {hashlib.sha256(text.encode()).hexdigest()}"
+    # a change that moves an artifact on purpose updates this pin and says why in CHANGES.md
+    assert lines[-1] == "combined 1feed6c787b9595be6bb9ebc10ce0cf50ea0c4ccc1074c9cd278b2e981becd73"

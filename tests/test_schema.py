@@ -5,8 +5,9 @@ from dataclasses import fields
 
 import pytest
 
-from squant.cli import RunConfig, main as cli_main
+from squant.cli import main as cli_main
 from squant.model import MicroTransformerConfig
+from squant.train import RunConfig
 
 NAN, INF = float("nan"), float("inf")
 

@@ -4,7 +4,6 @@ import gc
 import hashlib
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import make_corpus_per_token
 
+import squant.model
 from squant import train as train_mod
+from squant.kernels import CostCounter
 from squant.losses import EPS, entropy_ceiling
-from squant.model import MicroTransformerConfig, forward_teacher, init_params, perplexity_eval
+from squant.model import MicroTransformerConfig, forward_int, forward_teacher, init_params, perplexity_eval
 from squant.train import (
-    AblationSettings,
     QatTrainer,
+    RunConfig,
     TrainingDiverged,
     _cell_config,
     ablation_run,
@@ -399,6 +400,19 @@ class TestEvaluateStudent:
             costs[bits] = evaluate_student(cfg, trainer.params, trainer.calib, held)
         assert costs[4]["mul_per_token"] == costs[8]["mul_per_token"] / 2
 
+    def test_counts_cost_on_the_compiled_student(self, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(squant.model, "_COMPILED", memo)
+        cfg, teacher, train, held = tiny_setup(act_bits="adaptive")
+        trainer = QatTrainer(cfg, teacher, train)
+        trainer.run(2)
+        result = evaluate_student(cfg, trainer.params, trainer.calib, held)
+        assert memo == {}
+        cost, window = CostCounter(), held[: cfg.seq_len]
+        forward_int(cfg, trainer.params, window, calib=trainer.calib, cost=cost)
+        assert result["mul_per_token"] == cost.mul_count / window.size
+        assert result["add_per_token"] == cost.add_count / window.size
+
 
 class TestCellConfig:
     def test_loss_cells_zero_coefficients(self):
@@ -437,18 +451,15 @@ class TestCellConfig:
 
 
 class TestAblationRun:
-    def make_settings(self):
-        return AblationSettings(
-            steps=2,
-            seeds=(0, 1),
-            teacher_steps=2,
-            teacher_lr=0.3,
-            corpus_length=512,
-            cells=(("none", "uniform_a4"), ("none", "adaptive_0.5"), ("none", "uniform_a8")),
-        )
+    CELLS = (("none", "uniform_a4"), ("none", "adaptive_0.5"), ("none", "uniform_a8"))
+    SEEDS = (0, 1)
+
+    def make_config(self):
+        model = MicroTransformerConfig(lr=0.05, steps=2)
+        return RunConfig(model=model, teacher_steps=2, teacher_lr=0.3, corpus_length=512)
 
     def test_cost_ordering_and_rows(self):
-        rows = ablation_run(MicroTransformerConfig(lr=0.05), self.make_settings())
+        rows = ablation_run(self.make_config(), cells=self.CELLS, seeds=self.SEEDS)
         assert [r["quant_cell"] for r in rows] == ["uniform_a4", "adaptive_0.5", "uniform_a8"]
         by_cell = {r["quant_cell"]: r for r in rows}
         assert (
@@ -462,26 +473,26 @@ class TestAblationRun:
 
     def test_rows_independent_of_cell_order(self):
         cells = (("none", "uniform_a4"), ("both", "adaptive_0.5"))
-        forward = ablation_run(MicroTransformerConfig(lr=0.05), replace(self.make_settings(), cells=cells))
-        backward = ablation_run(MicroTransformerConfig(lr=0.05), replace(self.make_settings(), cells=cells[::-1]))
+        forward = ablation_run(self.make_config(), cells=cells, seeds=self.SEEDS)
+        backward = ablation_run(self.make_config(), cells=cells[::-1], seeds=self.SEEDS)
         assert [r["loss_cell"] for r in backward] == ["both", "none"]
         assert forward == backward[::-1]
 
     def test_unknown_cell_fails_before_training(self, monkeypatch):
         monkeypatch.setattr(train_mod, "pretrain_teacher", lambda *_: pytest.fail("trained a teacher"))
-        settings = replace(self.make_settings(), cells=(("none", "uniform_a4"), ("Both", "uniform_a4")))
+        cells = (("none", "uniform_a4"), ("Both", "uniform_a4"))
         with pytest.raises(ValueError, match="'Both'"):
-            ablation_run(MicroTransformerConfig(lr=0.05), settings)
+            ablation_run(self.make_config(), cells=cells, seeds=self.SEEDS)
 
     def test_anneals_over_the_steps_it_runs(self, monkeypatch):
         # untrained teachers, so only the QAT updates are recorded
         monkeypatch.setattr(train_mod, "pretrain_teacher", lambda cfg, *_: init_params(cfg))
         rates = record_rates(monkeypatch)
-        ablation_run(MicroTransformerConfig(lr=0.05, steps=1000), self.make_settings())
-        # 2 seeds x 3 quant cells, each annealed over its 2 steps
+        ablation_run(self.make_config(), cells=self.CELLS, seeds=self.SEEDS)
+        # 2 seeds x 3 quant cells, each annealed over its rc.model.steps = 2 steps
         assert rates == [0.05, cosine_lr(0.05, 1, 2)] * 6
 
     def test_bit_reproducible(self):
-        a = ablation_run(MicroTransformerConfig(lr=0.05), self.make_settings())
-        b = ablation_run(MicroTransformerConfig(lr=0.05), self.make_settings())
+        a = ablation_run(self.make_config(), cells=self.CELLS, seeds=self.SEEDS)
+        b = ablation_run(self.make_config(), cells=self.CELLS, seeds=self.SEEDS)
         assert a == b
