@@ -58,18 +58,22 @@ class RunConfigError(ValueError):
     """Unknown keys, malformed values, or unreadable config files."""
 
 
-def load_run_config(path: str | None, **flags) -> RunConfig:
-    """The config file at ``path`` (defaults when None), with the non-None ``flags`` laid over its keys."""
-    raw = {}
-    if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text())
-        except OSError as e:
-            raise RunConfigError(f"cannot read config {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise RunConfigError(f"config {path} is not valid JSON: {e}") from e
+def _read_config(path) -> dict:
+    """The JSON object in the config file at ``path``."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise RunConfigError(f"cannot read config {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise RunConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise RunConfigError("config root must be a JSON object")
+    return raw
+
+
+def load_run_config(path: str | None, **flags) -> RunConfig:
+    """The config file at ``path`` (defaults when None), with the non-None ``flags`` laid over its keys."""
+    raw = {} if path is None else _read_config(path)
     raw.update((key, value) for key, value in flags.items() if value is not None)
     model = {key: raw.pop(key) for key in raw.keys() & _MODEL_KEYS}
     try:  # the constructors reject unknown keys (TypeError) and values that break a field's rule
@@ -332,6 +336,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    raw = {} if args.config is None else _read_config(args.config)
+    stray = sorted(raw.keys() - {"checkpoint", "report_dir"})
+    if stray:  # the corpus, the split and the model come from the checkpoint's echo
+        raise RunConfigError(f"eval reads only checkpoint and report_dir from its config, not {stray[0]!r}")
     given = load_run_config(args.config)
     ckpt_path = args.checkpoint or given.checkpoint
     if ckpt_path is None:

@@ -10,7 +10,10 @@ residual adds, embeddings, and the tied head stay in float.
 Activation bit widths follow a per-token plan: uniform 4 or 8, or adaptive
 where layer l > 0 plans from layer l-1's attention map in the same pass.
 Each activation site is quantized once per pass by ``group_quantize``, in
-one per-row rounding, and stays in token order on both paths.
+one per-row rounding, and stays in token order on both paths. Its two group
+scales come from a test's override, else from the ``Calibration`` (a
+running max-abs per group, folded on training passes and read frozen on
+the others), else from the max-abs of the group's rows.
 
 Attention runs over all heads at once as two tape nodes per layer:
 ``gt.attention`` gives the causal [H, T, T] probabilities of q and k, and
@@ -47,10 +50,10 @@ import numpy as np
 
 from . import gradtape as gt
 from .kernels import CostCounter, PackedInt4Matrix, gemm_i8, gemm_mixed, pack_int4
-from .quant import EmaState, QuantSpec, calibrate_scale, check_momentum, fake_quant, linear, quantize
-from .schema import check_fields, integer, number, one_of, typed
+from .quant import QuantSpec, _max_abs, _max_abs_scale, calibrate_scale, fake_quant, linear, quantize
+from .schema import check_fields, integer, is_number, number, one_of, typed
 from .seeding import substream
-from .token_bits import group_quantize, plan_for_layer, uniform_plan
+from .token_bits import _group_rows, group_quantize, plan_for_layer, uniform_plan
 
 ACT_SITES = ("attn_in", "q_post", "k_post", "attn_out", "mlp_in", "mlp_hidden")
 
@@ -148,30 +151,54 @@ def init_params(cfg: MicroTransformerConfig) -> dict:
 
 
 class Calibration:
-    """EMA scale state per (layer, site, group) activation quantizer."""
+    """The activation scales: one running max-abs per (layer, site, group) quantizer.
+
+    ``ema`` maps each key "l{l}.{site}.{hi|lo}" to (running max, observed).
+    A training pass folds each group's max-abs into its running max at the
+    one ``momentum`` (the first observation sets it); any other pass reads
+    the running max frozen. The scale is the max-abs rule of that running max.
+    """
 
     def __init__(self, momentum: float = 0.95):
-        self.momentum = check_momentum(momentum)
-        self.ema: dict[str, EmaState] = {}
+        if not is_number(momentum, "(0, 1)"):
+            raise ValueError(f"momentum must be in (0,1), got {momentum!r}")
+        self.momentum = momentum
+        self.ema: dict[str, tuple[float, bool]] = {}
 
-    def get(self, key: str) -> EmaState:
-        if key not in self.ema:
-            self.ema[key] = EmaState(momentum=self.momentum)
-        return self.ema[key]
+    def group_scale(self, key: str, x: np.ndarray, rows: np.ndarray, bits: int, training: bool) -> float:
+        """The scale of the group of ``rows`` of site x at ``bits``; 1, and nothing observed, for an empty group."""
+        running_max, observed = self.ema.setdefault(key, (0.0, False))
+        if rows.size * x.shape[1] == 0:
+            return 1.0
+        if training:
+            m = _max_abs(_group_rows(x, rows))
+            running_max = self.momentum * running_max + (1.0 - self.momentum) * m if observed else m
+            self.ema[key] = (running_max, True)
+        return _max_abs_scale(running_max, bits)
 
     def state_dict(self) -> dict:
         return {
             "momentum": self.momentum,
-            "ema": {k: v.state_dict() for k, v in sorted(self.ema.items())},
+            "ema": {
+                k: {"momentum": self.momentum, "running_max": m, "initialized": seen}
+                for k, (m, seen) in sorted(self.ema.items())
+            },
         }
 
     @classmethod
     def from_state_dict(cls, d) -> "Calibration":
-        """Inverse of ``state_dict``; ValueError on a malformed state."""
+        """Inverse of ``state_dict``; ValueError on a malformed state or an entry at another momentum."""
         if not (isinstance(d, dict) and isinstance(d.get("ema"), dict)):
             raise ValueError(f"calibration state needs an 'ema' object, got {d!r}")
         out = cls(momentum=d.get("momentum"))
-        out.ema = {k: EmaState.from_state_dict(v) for k, v in d["ema"].items()}
+        for k, e in d["ema"].items():
+            if not (
+                isinstance(e, dict) and is_number(e.get("running_max"), "[0, inf)") and isinstance(e.get("initialized"), bool)
+            ):
+                raise ValueError(f"EMA state needs a finite running_max >= 0 and a boolean initialized, got {e!r}")
+            if e.get("momentum") != out.momentum:
+                raise ValueError(f"EMA entry {k!r} has momentum {e.get('momentum')!r}, the calibration {out.momentum!r}")
+            out.ema[k] = (float(e["running_max"]), e["initialized"])
         return out
 
 
@@ -250,14 +277,13 @@ def _forward(
         if not quantized:
             return node, None
         key = f"l{layer}.{site}"
-        kw = {}
-        for group in ("hi", "lo"):
-            gkey = f"{key}.{group}"
-            if gkey in overrides:
-                kw[f"scale_{group}"] = overrides[gkey]
-            elif calib is not None:
-                kw[f"ema_{group}"] = calib.get(gkey)
-        gq = group_quantize(node.array, plan, training=training, **kw)
+        scales = []
+        for group, rows, bits in (("hi", plan.hi, 8), ("lo", plan.lo, 4)):
+            scale = overrides.get(f"{key}.{group}")
+            if scale is None and calib is not None:
+                scale = calib.group_scale(f"{key}.{group}", node.array, rows, bits, training)
+            scales.append(scale)
+        gq = group_quantize(node.array, plan, *scales)
         for group, rows, spec in (("hi", plan.hi, gq.spec_hi), ("lo", plan.lo, gq.spec_lo)):
             if rows.size:
                 scales_used[f"{key}.{group}"] = spec.scale

@@ -14,7 +14,8 @@ node for both kinds; with ``surrogate=True`` it clips instead of rounding,
 for finite-difference checks of the backward. The mask is built only for an
 input a backward pass can reach. ``linear`` is a whole projection,
 x @ fake_quant(w) + b, as one node; without a quantizer it is the float
-projection.
+projection. ``calibrate_scale`` is the max-abs scale rule;
+``model.Calibration`` applies the same rule to its running activation maxima.
 """
 
 from __future__ import annotations
@@ -24,14 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradtape as gt
-from .schema import is_number
 
 __all__ = [
-    "EmaState",
     "QuantSpec",
     "QuantizedTensor",
     "calibrate_scale",
-    "check_momentum",
     "fake_quant",
     "linear",
     "quantize",
@@ -83,64 +81,16 @@ class QuantizedTensor:
             raise ValueError(f"int values outside [{lo}, {hi}] for bits={self.bits}")
 
 
-def check_momentum(momentum) -> float:
-    if not is_number(momentum, "(0, 1)"):
-        raise ValueError(f"momentum must be in (0,1), got {momentum!r}")
-    return momentum
-
-
-class EmaState:
-    """Running max-abs for activation calibration; single writer per tensor."""
-
-    def __init__(self, momentum: float = 0.95):
-        self.momentum = check_momentum(momentum)
-        self.running_max = 0.0
-        self.initialized = False
-
-    def update(self, observed_max: float) -> float:
-        observed_max = float(observed_max)
-        if observed_max < 0:
-            raise ValueError("max-abs observation cannot be negative")
-        if not self.initialized:
-            self.running_max = observed_max
-            self.initialized = True
-        else:
-            self.running_max = self.momentum * self.running_max + (1.0 - self.momentum) * observed_max
-        return self.running_max
-
-    def state_dict(self) -> dict:
-        return {
-            "momentum": self.momentum,
-            "running_max": self.running_max,
-            "initialized": self.initialized,
-        }
-
-    @classmethod
-    def from_state_dict(cls, d) -> "EmaState":
-        """Inverse of ``state_dict``; ValueError on a malformed state."""
-        if not (
-            isinstance(d, dict) and is_number(d.get("running_max"), "[0, inf)") and isinstance(d.get("initialized"), bool)
-        ):
-            raise ValueError(f"EMA state needs a finite running_max >= 0 and a boolean initialized, got {d!r}")
-        out = cls(momentum=d.get("momentum"))
-        out.running_max = float(d["running_max"])
-        out.initialized = d["initialized"]
-        return out
-
-
-def calibrate_scale(x: np.ndarray, bits: int, ema: EmaState | None = None) -> float:
-    """The max-abs scale of x at ``bits`` (the rule is ``_max_abs_scale``).
-
-    With an EmaState the observation updates the running max first and the
-    scale derives from the updated running value (training-time activations).
-    """
+def calibrate_scale(x: np.ndarray, bits: int) -> float:
+    """The max-abs scale of x at ``bits`` (the rule is ``_max_abs_scale``)."""
     if bits not in (4, 8):
         raise ValueError(f"bits must be 4 or 8, got {bits}")
-    x = np.asarray(x)
-    m = float(max(abs(x.max()), abs(x.min()))) if x.size else 0.0  # max |x|, without an |x| array
-    if ema is not None:
-        m = ema.update(m)
-    return _max_abs_scale(m, bits)
+    return _max_abs_scale(_max_abs(np.asarray(x)), bits)
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """max |x| without an |x| array; 0 for an empty x."""
+    return float(max(abs(x.max()), abs(x.min()))) if x.size else 0.0
 
 
 def _max_abs_scale(m: float, bits: int) -> float:

@@ -19,8 +19,9 @@ alone: it caches its 8-bit and 4-bit positions (``hi``, ``lo``), and its
 8-bit count ``k`` is ``hi.size``. The positions serve the group scales; the
 tests also gather each group's rows by them for the grouped reference
 (``gather_tokens``/``scatter_tokens`` in ``tests/reference.py``) that they
-hold the token-order path to. A group's scale follows the max-abs rule of
-``quant``, on the group's rows or on its frozen EMA.
+hold the token-order path to. A group's scale is given by the caller (the
+model reads it from its ``Calibration``), else it follows the max-abs rule
+of ``quant`` on the group's rows.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quant import EmaState, QuantSpec, _max_abs_scale, calibrate_scale, round_clip
+from .quant import QuantSpec, calibrate_scale, round_clip
 
 __all__ = [
     "GroupQuant",
@@ -160,35 +161,25 @@ def plan_for_layer(
     return assign_bits(token_importance(maps_so_far[src]), rho)
 
 
-def _group_spec(
-    x: np.ndarray, rows: np.ndarray, bits: int, ema: EmaState | None, fixed: float | None, training: bool
-) -> QuantSpec:
-    """The spec of the group of ``rows`` of x; only a max-abs calibration reads (and gathers) the rows."""
-    if fixed is not None:
-        scale = fixed
-    elif rows.size * x.shape[1] == 0:
-        scale = 1.0
-    elif ema is not None and not training:
-        scale = _max_abs_scale(ema.running_max, bits)
-    else:
-        scale = calibrate_scale(x if rows.size == x.shape[0] else x[rows], bits, ema)
+def _group_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows of x in one group; all of x is read without a gather."""
+    return x if rows.size == x.shape[0] else x[rows]
+
+
+def _group_spec(x: np.ndarray, rows: np.ndarray, bits: int, scale: float | None) -> QuantSpec:
+    """The spec of the group of ``rows`` of x; without a scale, the max-abs of the group's rows (1 when empty)."""
+    if scale is None:
+        scale = calibrate_scale(_group_rows(x, rows), bits) if rows.size * x.shape[1] else 1.0
     return QuantSpec(bits=bits, scale=scale)
 
 
 def group_quantize(
-    x: np.ndarray,
-    plan: TokenBitPlan,
-    ema_hi: EmaState | None = None,
-    ema_lo: EmaState | None = None,
-    scale_hi: float | None = None,
-    scale_lo: float | None = None,
-    training: bool = True,
+    x: np.ndarray, plan: TokenBitPlan, scale_hi: float | None = None, scale_lo: float | None = None
 ) -> GroupQuant:
     """The site's quantizer: one scale per group of the plan; the codes round on first read.
 
-    Scale precedence per group: explicit fixed scale, then EMA (updated only
-    when training), then plain max-abs of the group. Empty groups quantize
-    trivially at scale 1 and never touch their EMA. Row t is rounded at its
+    A group without a given scale takes the max-abs scale of its rows; an
+    empty group quantizes trivially at scale 1. Row t is rounded at its
     group's scale and clipped to its planned range, in token order; the
     quotient is elementwise, so each row's codes are those of its group
     quantized on its own.
@@ -196,6 +187,6 @@ def group_quantize(
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != plan.bits.size:
         raise ValueError(f"x must be [N,D] with N={plan.bits.size}, got {x.shape}")
-    spec_hi = _group_spec(x, plan.hi, 8, ema_hi, scale_hi, training)
-    spec_lo = _group_spec(x, plan.lo, 4, ema_lo, scale_lo, training)
+    spec_hi = _group_spec(x, plan.hi, 8, scale_hi)
+    spec_lo = _group_spec(x, plan.lo, 4, scale_lo)
     return GroupQuant(x, plan, spec_hi, spec_lo)

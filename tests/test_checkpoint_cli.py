@@ -63,18 +63,43 @@ class TestCheckpointRoundTrip:
 
     def test_calibration_floats_exact(self, tmp_path):
         calib = Calibration()
+        rows = np.arange(1)
         for i in range(6):
-            calib.get(f"l0.site{i}").update(0.1 + i / 7.0)
-            calib.get(f"l0.site{i}").update(0.3 + i / 11.0)
+            calib.group_scale(f"l0.site{i}", np.array([[0.1 + i / 7.0]]), rows, 8, training=True)
+            calib.group_scale(f"l0.site{i}", np.array([[0.3 + i / 11.0]]), rows, 8, training=True)
         path = tmp_path / "m.ckpt"
         save_checkpoint(
             path, Checkpoint(config={}, params={}, calibration=calib.state_dict())
         )
         loaded = Calibration.from_state_dict(load_checkpoint(path).calibration)
-        for key, state in calib.ema.items():
+        for key, (running_max, observed) in calib.ema.items():
             # float64 JSON round-trip must be lossless
-            assert loaded.ema[key].running_max == state.running_max
-            assert loaded.ema[key].initialized == state.initialized
+            assert loaded.ema[key][0] == running_max
+            assert loaded.ema[key][1] == observed
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        momentum=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        ema=st.dictionaries(
+            st.text(max_size=12),
+            st.tuples(st.floats(min_value=0.0, max_value=1e300, allow_nan=False), st.booleans()),
+            max_size=8,
+        ),
+    )
+    def test_calibration_table_round_trips(self, tmp_path, momentum, ema):
+        calib = Calibration(momentum=momentum)
+        calib.ema = dict(ema)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Checkpoint(config={}, params={}, calibration=calib.state_dict()))
+        loaded = Calibration.from_state_dict(load_checkpoint(path).calibration)
+        assert loaded.momentum == momentum and loaded.ema == ema
+        # one entry per key, each with the calibration's momentum, keys sorted
+        assert loaded.state_dict() == {
+            "momentum": momentum,
+            "ema": {
+                k: {"momentum": momentum, "running_max": m, "initialized": seen} for k, (m, seen) in sorted(ema.items())
+            },
+        }
 
     def test_forward_logits_bit_exact(self, tmp_path):
         cfg = MicroTransformerConfig(seed=3)
@@ -314,6 +339,13 @@ BAD_CHECKPOINTS = {
     "ema entry without running_max": lambda p: _checkpoint_with(
         p, calibration={"momentum": 0.95, "ema": {"l0.attn_in.hi": {"momentum": 0.95, "initialized": True}}}
     ),
+    "ema entry at another momentum": lambda p: _checkpoint_with(
+        p,
+        calibration={
+            "momentum": 0.95,
+            "ema": {"l0.attn_in.hi": {"momentum": 0.9, "running_max": 0.75, "initialized": True}},
+        },
+    ),
 }
 
 
@@ -365,7 +397,7 @@ def student_file(tmp_path_factory):
     """A valid student checkpoint (tensors, config echo, calibration) and its bytes."""
     calib = Calibration()
     for key in ("l0.attn_in.hi", "l0.attn_in.lo"):
-        calib.get(key).update(0.75)
+        calib.ema[key] = (0.75, True)
     path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
     _checkpoint_with(path, calibration=calib.state_dict())
     return path, path.read_bytes()
@@ -583,6 +615,18 @@ class TestTrainEvalCommands:
         assert Path("flag/eval.json").exists() and not Path("reports").exists()
         assert cli_main(["eval", "--checkpoint", str(out / "student.ckpt")]) == 0  # no config: the echo's
         assert Path("reports/eval.json").exists()
+
+    @pytest.mark.parametrize("key", [{"heldout_fraction": 0.5}, {"steps": 3}])
+    def test_eval_config_with_another_key_exits_two(self, tiny_run, tmp_path, capsys, monkeypatch, key):
+        # the corpus, the split and the model come from the checkpoint, so the config cannot set them
+        _, out = tiny_run
+        monkeypatch.chdir(tmp_path)
+        Path("e.json").write_text(json.dumps({"checkpoint": str(out / "student.ckpt"), "report_dir": "evalout", **key}))
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", "e.json", "--out", "flag"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: ") and repr(next(iter(key))) in err, err
+        assert sorted(os.listdir()) == ["e.json"]
 
     def test_eval_without_checkpoint_usage_error(self):
         assert cli_main(["eval"]) == 2

@@ -30,3 +30,9 @@ def test_all_names_exist_and_references_stay_in_tests(name):
     moved = MOVED.get(name, ())
     assert [n for n in moved if hasattr(mod, n)] == []
     assert all(callable(getattr(reference, n)) for n in moved)
+
+
+def test_activation_scales_have_one_owner():
+    # model.Calibration holds the running max-abs table and checks its own momentum
+    quant = importlib.import_module("squant.quant")
+    assert [n for n in ("EmaState", "check_momentum") if hasattr(quant, n)] == []

@@ -177,7 +177,7 @@ class TestStudentForward:
                 if (plan.bits == bits).any():
                     for site in ACT_SITES:
                         key = f"l{l}.{site}.{group}"
-                        expected[key] = calib.ema[key].running_max / ((1 << (bits - 1)) - 1)
+                        expected[key] = calib.ema[key][0] / ((1 << (bits - 1)) - 1)
         assert any(key.endswith(".lo") for key in expected)
         got = {key: res.scales_used[key] for key in res.scales_used if key.endswith((".hi", ".lo"))}
         assert got == expected
@@ -202,6 +202,63 @@ class TestStudentForward:
         )
         np.testing.assert_array_equal(res.logits.data, res2.logits.data)
         assert res2.scales_used == res.scales_used
+
+
+class TestCalibration:
+    """The one table of running max-abs activation scales."""
+
+    X = np.array([[1.0, -7.0], [14.0, 2.0], [-3.0, 0.5]])
+
+    def test_first_observation_sets_the_running_max(self):
+        calib = Calibration(momentum=0.9)
+        scale = calib.group_scale("l0.attn_in.lo", self.X, np.array([1, 2]), 4, training=True)
+        assert calib.ema == {"l0.attn_in.lo": (14.0, True)}
+        assert scale == 2.0  # 14 / (2^3 - 1)
+
+    def test_later_observations_fold_at_the_momentum(self):
+        calib = Calibration(momentum=0.9)
+        calib.group_scale("k", self.X, np.array([0]), 4, training=True)
+        scale = calib.group_scale("k", self.X, np.array([1]), 4, training=True)
+        folded = 0.9 * 7.0 + (1.0 - 0.9) * 14.0  # the float arithmetic of the fold, in this order
+        assert calib.ema["k"] == (folded, True)
+        assert scale == folded / 7.0
+
+    def test_a_frozen_read_leaves_the_running_max(self):
+        calib = Calibration()
+        calib.group_scale("k", self.X, np.array([1]), 8, training=True)
+        assert calib.group_scale("k", self.X, np.array([0, 2]), 8, training=False) == 14.0 / 127.0
+        assert calib.ema["k"] == (14.0, True)
+
+    def test_an_empty_group_enters_its_key_and_stays_unobserved(self):
+        calib = Calibration()
+        empty = np.array([], dtype=np.int64)
+        for training in (True, False):
+            assert calib.group_scale("k", self.X, empty, 8, training) == 1.0
+            assert calib.group_scale("d", np.zeros((3, 0)), np.arange(3), 4, training) == 1.0
+        assert calib.ema == {"k": (0.0, False), "d": (0.0, False)}
+
+    def test_a_frozen_read_of_an_unobserved_key_gives_scale_one(self):
+        calib = Calibration()
+        assert calib.group_scale("k", self.X, np.arange(3), 8, training=False) == 1.0
+        assert calib.ema == {"k": (0.0, False)}
+
+    def test_a_given_scale_beats_the_calibration(self):
+        cfg = small_cfg(act_bits=8)
+        tape = gt.Tape(dtype=np.float32)
+        tp = params_to_tape(tape, init_params(cfg))
+        calib = Calibration()
+        res = forward_tape(
+            tape, tp, tokens_for(cfg), cfg, quantized=True, training=True, calib=calib,
+            scale_overrides={"l0.attn_in.hi": 0.25},
+        )
+        assert res.scales_used["l0.attn_in.hi"] == 0.25
+        assert "l0.attn_in.hi" not in calib.ema  # the calibration is neither read nor folded
+        assert calib.ema["l0.mlp_in.hi"][1] and calib.ema["l1.attn_in.hi"][1]
+
+    @pytest.mark.parametrize("momentum", [0, 1, 1.5, -0.1, True, float("nan"), "0.9", None])
+    def test_momentum_outside_the_open_unit_interval_rejected(self, momentum):
+        with pytest.raises(ValueError, match="momentum"):
+            Calibration(momentum=momentum)
 
 
 class TestIntegerPath:
@@ -268,7 +325,7 @@ class TestIntegerPath:
         assert set(calib.ema) == {
             f"l{l}.{site}.{group}" for l in range(cfg.layers) for site in ACT_SITES for group in ("hi", "lo")
         }
-        assert not any(ema.initialized for ema in calib.ema.values())
+        assert not any(observed for _, observed in calib.ema.values())
 
     def test_no_mask_without_a_backward(self, monkeypatch):
         # constant inputs: the integer, teacher and eval forwards build no straight-through mask
@@ -615,7 +672,7 @@ class TestTokenOrderOracle:
             rho = float(rng.choice([0.0, 1.0, rng.uniform()]))  # rho 0 and 1 leave one group empty
             plan = assign_bits(rng.uniform(size=n), rho)
             x = rng.normal(size=(n, k)) * rng.choice([0.1, 1.0, 30.0])
-            gq = group_quantize(x, plan, training=False)
+            gq = group_quantize(x, plan)
             proj = _compile_projection("w", rng.normal(size=(k, m)), weight_bits)
             got_cost, want_cost = CostCounter(), CostCounter()
             got = _linear_int(gq, proj, got_cost)

@@ -7,7 +7,6 @@ import pytest
 
 from squant import gradtape as gt
 from squant.quant import (
-    EmaState,
     QuantSpec,
     calibrate_scale,
     fake_quant,
@@ -73,21 +72,6 @@ class TestCalibration:
     def test_rejects_bad_bits(self):
         with pytest.raises(ValueError):
             calibrate_scale(np.ones(3), 6)
-
-    def test_ema_path(self):
-        ema = EmaState(momentum=0.95)
-        calibrate_scale(np.array([7.0]), 4, ema)  # first touch seeds the EMA
-        assert ema.running_max == 7.0
-        s = calibrate_scale(np.array([14.0]), 4, ema)
-        assert ema.running_max == pytest.approx(0.95 * 7.0 + 0.05 * 14.0)
-        assert s == pytest.approx(ema.running_max / 7.0)
-
-    def test_ema_state_roundtrip(self):
-        ema = EmaState()
-        ema.update(3.0)
-        clone = EmaState.from_state_dict(ema.state_dict())
-        assert clone.running_max == ema.running_max
-        assert clone.initialized
 
 
 class TestQuantizeDequantize:

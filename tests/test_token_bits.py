@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from squant import gradtape as gt
-from squant.quant import EmaState, QuantizedTensor, QuantSpec, calibrate_scale, fake_quant, quantize
+from squant.model import Calibration
+from squant.quant import QuantizedTensor, QuantSpec, calibrate_scale, fake_quant, quantize
 from squant.seeding import substream
 from squant.token_bits import (
     TokenBitPlan,
@@ -32,9 +33,9 @@ def hi_tokens(scores, rho):
     return np.flatnonzero(assign_bits(np.asarray(scores), rho).bits == 8)
 
 
-def fq_grouped(x, plan, scale_hi=None, scale_lo=None, training=True):
+def fq_grouped(x, plan, scale_hi=None, scale_lo=None):
     """One grouped fake-quant node over ``group_quantize``'s codes of x."""
-    gq = group_quantize(x.array, plan, scale_hi=scale_hi, scale_lo=scale_lo, training=training)
+    gq = group_quantize(x.array, plan, scale_hi=scale_hi, scale_lo=scale_lo)
     return fake_quant(x, gq)
 
 
@@ -239,16 +240,6 @@ class TestGrouping:
         assert gq.spec_hi.scale == pytest.approx(np.abs(hi).max() / 127)
         assert gq.spec_lo.scale == pytest.approx(np.abs(lo).max() / 7)
 
-    def test_ema_only_updates_when_training(self):
-        x = np.ones((4, 2))
-        plan = uniform_plan(4, 8)
-        ema = EmaState()
-        ema.update(10.0)
-        group_quantize(x, plan, ema_hi=ema, training=False)
-        assert ema.running_max == 10.0
-        group_quantize(x, plan, ema_hi=ema, training=True)
-        assert ema.running_max == pytest.approx(0.95 * 10.0 + 0.05 * 1.0)
-
     def test_bad_rows_rejected(self):
         with pytest.raises(ValueError):
             group_quantize(np.zeros((3, 2)), uniform_plan(4, 8))
@@ -303,7 +294,7 @@ class TestFakeQuantGrouped:
         scales = {8: 0.006, 4: 0.15}  # small enough that both groups clip
         tape = gt.Tape(dtype=np.float64)
         t = tape.parameter(x)
-        y = fq_grouped(t, plan, scale_hi=scales[8], scale_lo=scales[4], training=False)
+        y = fq_grouped(t, plan, scale_hi=scales[8], scale_lo=scales[4])
         tape.backward(ref.sum_all(ref.mul(y, tape.constant(g))))
         mask = np.zeros_like(x)
         for bits, scale in scales.items():
@@ -322,7 +313,7 @@ class TestFakeQuantGrouped:
         x = np.ones((4, 2)) * 3.0
         tape = gt.Tape(dtype=np.float64)
         y = fq_grouped(
-            tape.parameter(x), uniform_plan(4, 8), scale_hi=1.0, training=False
+            tape.parameter(x), uniform_plan(4, 8), scale_hi=1.0
         )
         np.testing.assert_array_equal(y.data, x)  # 3.0 / 1.0 rounds to 3 exactly
 
@@ -355,7 +346,11 @@ def ref_clip(x, scale, bits):
     return np.clip(x, x.dtype.type(lo), x.dtype.type(hi)), ((x >= lo) & (x <= hi)).astype(x.dtype)
 
 
+MOMENTUM = 0.9
+
+
 def ref_group_scale(x, bits, ema, fixed, training):
+    """``ema`` is None or a [running_max, observed] pair, folded in place at MOMENTUM when training."""
     if fixed is not None:
         return fixed
     if x.size == 0:
@@ -363,8 +358,9 @@ def ref_group_scale(x, bits, ema, fixed, training):
     if ema is None:
         return calibrate_scale(x, bits)
     if training:
-        return calibrate_scale(x, bits, ema)
-    frozen = ema.running_max
+        m = float(np.abs(x).max())
+        ema[:] = [MOMENTUM * ema[0] + (1.0 - MOMENTUM) * m if ema[1] else m, True]
+    frozen = ema[0]
     return frozen / float((1 << (bits - 1)) - 1) if frozen > 0 else 1.0
 
 
@@ -403,13 +399,8 @@ def tie_rows(rng, n, d, scales, plan, dtype):
 
 
 def ema_pair(rng):
-    out = []
-    for _ in range(2):
-        ema = EmaState(momentum=0.9)
-        if rng.uniform() < 0.5:
-            ema.update(float(rng.uniform(0.1, 5.0)))
-        out.append(ema)
-    return out
+    """Two [running_max, observed] pairs, each unobserved or observed once."""
+    return [[float(rng.uniform(0.1, 5.0)), True] if rng.uniform() < 0.5 else [0.0, False] for _ in range(2)]
 
 
 class TestOneRoundingOracle:
@@ -436,9 +427,15 @@ class TestOneRoundingOracle:
 
             tape = gt.Tape(dtype=dtype)
             t = tape.parameter(x)
-            gq = group_quantize(
-                x, plan, ema_hi=emas[0], ema_lo=emas[1], scale_hi=fixed[0], scale_lo=fixed[1], training=training
-            )
+            scales = fixed
+            if emas[0] is not None:  # the scales as the model resolves them from its calibration
+                calib = Calibration(momentum=MOMENTUM)
+                calib.ema = {"hi": tuple(emas[0]), "lo": tuple(emas[1])}
+                scales = [
+                    calib.group_scale(group, x, rows, bits, training)
+                    for group, rows, bits in (("hi", plan.hi, 8), ("lo", plan.lo, 4))
+                ]
+            gq = group_quantize(x, plan, *scales)
             y = fake_quant(t, gq, surrogate=surrogate)
             tape.backward(ref.sum_all(ref.mul(y, tape.constant(g))))
 
@@ -447,10 +444,8 @@ class TestOneRoundingOracle:
                 assert rows.dtype == codes.dtype and rows.shape == codes.shape
                 assert rows.tobytes() == codes.tobytes()
                 assert spec.scale == scale
-            for got, want in zip(emas, ref_emas):
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert got.state_dict() == want.state_dict()
+            if emas[0] is not None:
+                assert calib.ema == {"hi": tuple(ref_emas[0]), "lo": tuple(ref_emas[1])}
             assert t.grad.dtype == want_grad.dtype and t.grad.tobytes() == want_grad.tobytes()
             blocked += int(np.count_nonzero(want_grad == 0))
         assert blocked > 100  # the mask did block gradients, so it was compared where it matters
