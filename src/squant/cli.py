@@ -52,6 +52,7 @@ from .train import (
 from . import gradtape as gt
 
 _MODEL_KEYS = {f.name for f in fields(MicroTransformerConfig)}
+DEFAULT_BENCH_SHAPES = ((8, 8, 8), (16, 16, 16), (32, 32, 32), (64, 64, 64), (64, 32, 8), (32, 8, 64))
 
 
 class RunConfigError(ValueError):
@@ -217,11 +218,15 @@ def cmd_verify_kernels(args) -> int:
 # gemm-bench
 
 
-def _parse_shapes(text: str):
+def _parse_shapes(text: str) -> tuple:
+    """The (M, K, N) triples of a non-empty ``--shapes`` list like '64x64x64;32x16x8', each size >= 1."""
     try:
-        return tuple(tuple(int(v) for v in part.strip().split("x")) for part in text.split(";"))
-    except ValueError as e:
-        raise RunConfigError(f"malformed shape spec {text!r}; expected 'MxKxN;MxKxN'") from e
+        shapes = tuple(tuple(int(v) for v in part.strip().split("x")) for part in text.split(";"))
+    except ValueError:
+        shapes = ()
+    if not shapes or not all(len(s) == 3 and min(s) >= 1 for s in shapes):
+        raise RunConfigError(f"--shapes must be a non-empty 'MxKxN;MxKxN' list of integers >= 1, got {text!r}")
+    return shapes
 
 
 def _bench_operands(seed: int, m: int, k: int, n: int):
@@ -255,14 +260,14 @@ def cmd_gemm_bench(args) -> int:
     if args.reps < 1:
         print("reps must be >= 1", file=sys.stderr)
         return 2
-    shapes = _parse_shapes(args.shapes) if args.shapes else None
-    rc = load_run_config(args.config, seed=args.seed, bench_shapes=shapes)
+    shapes = DEFAULT_BENCH_SHAPES if args.shapes is None else _parse_shapes(args.shapes)
+    rc = load_run_config(args.config, seed=args.seed)
     out_dir = Path(args.out or rc.report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = rc.config_hash()
     kernels = ("byte", "packed", "mixed")
     rows, json_rows = [], []
-    for m, k, n in rc.bench_shapes:
+    for m, k, n in shapes:
         w, x8, x4 = _bench_operands(rc.model.seed, m, k, n)
         for kernel in kernels:
             if kernel == "mixed" and n < 2:
@@ -296,11 +301,11 @@ def cmd_gemm_bench(args) -> int:
 
 def cmd_train(args) -> int:
     rc = load_run_config(args.config, seed=args.seed)
-    out_dir = Path(args.out or rc.report_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     chash = rc.config_hash()
     cfg = rc.model
     corpus = _load_corpus(rc)
+    out_dir = Path(args.out or rc.report_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     train_split, heldout = split_corpus(corpus, rc.heldout_fraction)
     teacher = pretrain_teacher(cfg, train_split, rc.teacher_steps, rc.teacher_lr)
     teacher_ppl = perplexity_eval(cfg, teacher, heldout, quantized=False)
@@ -575,6 +580,9 @@ def main(argv=None) -> int:
         return 2
     except CheckpointError as e:
         print(f"checkpoint error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # a legal config too large for this machine, such as a huge corpus_length or dim
+        print(f"config error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
     except TrainingDiverged as e:  # train and ablate: the offending step's dump, on one line
         print(json.dumps(e.dump, sort_keys=True), file=sys.stderr)

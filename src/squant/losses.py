@@ -8,9 +8,9 @@
   constant, restoring what quantization removed without sharpening
   attention past the teacher.
 - Distribution term: cosine alignment between the student's attention maps
-  and the full-precision teacher's. The default convention contributes
-  -log(eps + sum of cosines) so that minimizing the total raises similarity;
-  ``literal_sign=True`` keeps the positive-log form instead.
+  and the full-precision teacher's, contributing -log(eps + sum of cosines).
+  The paper prints the positive log, but a total that is minimized must
+  fall as the maps align, so the term takes the negative.
 - Distillation: (1 - gamma) * CE + gamma * tau^2 * KL at temperature tau.
 
 Total: distill + r_E * entropy + r_D * distribution, defaults r_E = 0.5,
@@ -120,7 +120,6 @@ def entropy_loss_node(
     q_nodes: list,
     k_nodes: list,
     heads: int,
-    eps: float = EPS,
     ceiling: np.ndarray | None = None,
 ) -> tuple[gt.Tensor, GaussianStats]:
     """Entropy term over per-layer [N, d] quantized q/k tape tensors, as one node.
@@ -171,7 +170,7 @@ def entropy_loss_node(
             cap = np.reshape(ceiling, terms.shape)
             below = terms < cap
             terms = cast(np.where(below, terms, cap))
-        inner = np.cumsum(terms)[-1] + dt.type(eps)  # summed left to right over (layer, head)
+        inner = np.cumsum(terms)[-1] + dt.type(EPS)  # summed left to right over (layer, head)
 
         def vjp(g):
             g = cast(cast(-g) / inner)
@@ -191,12 +190,7 @@ def entropy_loss_node(
     return _wrap_term("entropy", build)
 
 
-def distribution_loss_node(
-    attn_nodes: list,
-    teacher_probs: np.ndarray,
-    eps: float = EPS,
-    literal_sign: bool = False,
-) -> tuple[gt.Tensor, float]:
+def distribution_loss_node(attn_nodes: list, teacher_probs: np.ndarray) -> tuple[gt.Tensor, float]:
     """Alignment term over per-layer [H, N, N] student attention nodes, as one node.
 
     ``teacher_probs`` is the detached [L, H, N, N] teacher map stack. Returns
@@ -233,12 +227,11 @@ def distribution_loss_node(
         norm = np.sqrt((maps * maps).reshape(per_map).sum(axis=1, dtype=dt))
         den = norm * t_norm
         total = np.cumsum(num / den)[-1]
-        shifted = total + dt.type(eps)
+        shifted = total + dt.type(EPS)
         value = np.log(shifted)
 
         def vjp(g):
-            if not literal_sign:
-                g = cast(-g)
+            g = cast(-g)
             g = cast(np.broadcast_to(cast(g / shifted), num.shape))
             g_num = cast(g / den)
             g_norm = cast(cast(cast(-g * num / (den * den)) * t_norm) / (2.0 * norm))
@@ -248,7 +241,7 @@ def distribution_loss_node(
             h = shape[0]
             return tuple(None if n.constant else g_maps[l * h : (l + 1) * h] for l, n in enumerate(attn_nodes))
 
-        node = tape.record(value if literal_sign else -value, attn_nodes, vjp, name="distribution")
+        node = tape.record(-value, attn_nodes, vjp, name="distribution")
         return node, float(total)
 
     return _wrap_term("distribution", build)

@@ -7,8 +7,11 @@ linear projection (q, k, v, out, both MLP layers) plus the post-projection
 q/k values whose statistics feed the entropy term. Softmax, layernorm,
 residual adds, embeddings, and the tied head stay in float.
 
-Activation bit widths follow a per-token plan: uniform 4 or 8, or adaptive
-where layer l > 0 plans from layer l-1's attention map in the same pass.
+Activation bit widths follow a per-token plan set by ``rho``, the share of
+8-bit tokens: layer l > 0 gives 8 bits to its top floor(rho * N) tokens by
+layer l-1's attention map in the same pass, and layer 0, with no map yet,
+plans all-8 (all-4 at rho 0). So rho = 0 and rho = 1 are the uniform A4 and
+A8 runs, bit for bit.
 Each activation site is quantized once per pass by ``group_quantize``, in
 one per-row rounding, and stays in token order on both paths. Its two group
 scales come from a test's override, else from the ``Calibration`` (a
@@ -51,9 +54,9 @@ import numpy as np
 from . import gradtape as gt
 from .kernels import CostCounter, PackedInt4Matrix, gemm_i8, gemm_mixed, pack_int4
 from .quant import QuantSpec, _max_abs, _max_abs_scale, calibrate_scale, fake_quant, linear, quantize
-from .schema import check_fields, integer, is_number, number, one_of, typed
+from .schema import check_fields, integer, is_number, number, one_of
 from .seeding import substream
-from .token_bits import _group_rows, group_quantize, plan_for_layer, uniform_plan
+from .token_bits import _group_rows, group_quantize, plan_for_layer
 
 ACT_SITES = ("attn_in", "q_post", "k_post", "attn_out", "mlp_in", "mlp_hidden")
 
@@ -83,7 +86,6 @@ class MicroTransformerConfig:
     vocab: int = integer(64, least=4)  # the synthetic corpus draws 4 distinct successors per token
     seq_len: int = integer(32, least=1)
     weight_bits: int = one_of(4, 8, default=4)
-    act_bits: object = one_of(4, 8, "adaptive", default="adaptive")
     rho: float = number(0.5, "[0, 1]")
     r_E: float = number(0.5, "[0, inf)")
     r_D: float = number(1.0, "[0, inf)")
@@ -92,7 +94,6 @@ class MicroTransformerConfig:
     seed: int = integer(0, least=0)
     lr: float = number(0.05, "(0, inf)")
     steps: int = integer(1000, least=0)
-    literal_distribution_sign: bool = typed(bool, default=False)
 
     def __post_init__(self):
         check_fields(self)
@@ -218,14 +219,6 @@ def params_to_tape(tape: gt.Tape, params: dict, trainable: bool = True) -> dict:
     return {name: make(arr, name=name) for name, arr in sorted(params.items())}
 
 
-def _plan_for(cfg, layer, maps_so_far, n_tokens, plans_override):
-    if plans_override is not None:
-        return plans_override[layer]
-    if cfg.act_bits == "adaptive":
-        return plan_for_layer(layer, maps_so_far, cfg.rho, n_tokens)
-    return uniform_plan(n_tokens, int(cfg.act_bits))
-
-
 def forward_tape(
     tape: gt.Tape,
     tp: dict,
@@ -307,7 +300,9 @@ def _forward(
     for l in range(cfg.layers):
         p = f"l{l}."
         h1 = gt.layernorm(x, tp[p + "ln1.g"], tp[p + "ln1.b"])
-        plan = _plan_for(cfg, l, maps_so_far, t_len, plans_override) if quantized else None
+        plan = None
+        if quantized:
+            plan = plans_override[l] if plans_override is not None else plan_for_layer(l, maps_so_far, cfg.rho, t_len)
         plans.append(plan)
         qx = fq_act(h1, l, "attn_in", plan)
         q = projection(qx, p + "attn.wq", p + "attn.bq")

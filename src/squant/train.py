@@ -12,7 +12,9 @@ A ``RunConfig`` is the run recipe, each field checked by its rule. The
 ablation grid reads its ``model``, ``corpus_length``, ``heldout_fraction``,
 ``teacher_steps`` and ``teacher_lr``. It synthesizes one corpus per seed of
 its own, so it reads neither ``corpus`` nor ``model.seed``; ``squant ablate``
-rejects a config that sets either.
+rejects a config that sets either. Its quant cells are values of ``rho``, the
+share of 8-bit tokens: ``uniform_a4`` is 0, ``uniform_a8`` is 1 and
+``adaptive_<rho>`` is the number it names.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .schema import check_fields, integer, is_int, number, rule, typed
 from .seeding import substream
 
 SUCCESSOR_PROBS = (0.7, 0.15, 0.1, 0.05)
-DEFAULT_BENCH_SHAPES = ((8, 8, 8), (16, 16, 16), (32, 32, 32), (64, 64, 64), (64, 32, 8), (32, 8, 64))
 
 __all__ = [
     "QatTrainer",
@@ -64,37 +65,26 @@ __all__ = [
 ]
 
 
-def _is_shape_list(shapes) -> bool:
-    """True for a non-empty list of (M, K, N) triples of integers >= 1."""
-    return isinstance(shapes, (list, tuple)) and len(shapes) > 0 and all(
-        isinstance(s, (list, tuple)) and len(s) == 3 and all(is_int(v) and v >= 1 for v in s) for s in shapes
-    )
-
-
 @dataclass
 class RunConfig:
     """Model config plus paths and run-recipe knobs; every field checked by its rule."""
 
     model: MicroTransformerConfig = typed(MicroTransformerConfig, default_factory=MicroTransformerConfig)
     corpus: str | None = typed(str, type(None), default=None)  # optional .npy token stream; else synthesized
-    corpus_length: int = integer(32768, least=0)
+    corpus_length: int = rule(  # an array of 2**60 int64 tokens takes 2**63 bytes, past numpy's largest
+        "an integer in [0, 2**60)", lambda v: is_int(v) and 0 <= v < 2**60, default=32768
+    )
     heldout_fraction: float = number(0.125, "(0, 1)")
     teacher_steps: int = integer(8000, least=0)
     teacher_lr: float = number(0.3, "(0, inf)")
     checkpoint: str | None = typed(str, type(None), default=None)
     report_dir: str = typed(str, default="reports")
-    bench_shapes: tuple = rule(
-        "a non-empty list of [M, K, N] integer triples >= 1", _is_shape_list, default=DEFAULT_BENCH_SHAPES
-    )
 
     def __post_init__(self):
         check_fields(self)
 
     def resolved(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "model"}
-        d["bench_shapes"] = [list(s) for s in self.bench_shapes]
-        d["model"] = self.model.to_dict()
-        return d
+        return {**self.__dict__, "model": self.model.to_dict()}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
@@ -241,11 +231,7 @@ class QatTrainer:
                 [n.array for n in teacher.q_nodes], [n.array for n in teacher.k_nodes], cfg.heads
             )
             entropy, _ = entropy_loss_node(res.q_nodes, res.k_nodes, cfg.heads, ceiling=ceiling)
-            distribution, _ = distribution_loss_node(
-                res.attn_nodes,
-                teacher.attn_probs,
-                literal_sign=cfg.literal_distribution_sign,
-            )
+            distribution, _ = distribution_loss_node(res.attn_nodes, teacher.attn_probs)
             total, report = total_loss_node(
                 distill, ce, kl, entropy, distribution, cfg.r_E, cfg.r_D, cfg.gamma, cfg.tau
             )
@@ -276,16 +262,16 @@ SEEDS = (0, 1, 2, 3, 4)
 
 
 def _cell_config(cfg: MicroTransformerConfig, loss_cell: str, quant_cell: str):
-    """``cfg`` with one cell's aux-loss weights and activation bits; an unknown cell name raises ValueError."""
+    """``cfg`` with one cell's aux-loss weights and ``rho``; an unknown cell name raises ValueError."""
     if loss_cell not in LOSS_CELLS:
         raise ValueError(f"unknown loss cell {loss_cell!r}, expected one of {', '.join(LOSS_CELLS)}")
     adaptive = re.fullmatch(r"adaptive_(\d+(\.\d+)?)", quant_cell)
     if not adaptive and quant_cell not in ("uniform_a4", "uniform_a8"):
         raise ValueError(f"unknown quant cell {quant_cell!r}, expected uniform_a4, uniform_a8 or adaptive_<rho>")
-    quant = {"act_bits": "adaptive", "rho": float(adaptive[1])} if adaptive else {"act_bits": int(quant_cell[-1])}
+    rho = float(adaptive[1]) if adaptive else {"uniform_a4": 0.0, "uniform_a8": 1.0}[quant_cell]
     r_e = cfg.r_E if loss_cell in ("entropy", "both") else 0.0
     r_d = cfg.r_D if loss_cell in ("distribution", "both") else 0.0
-    return replace(cfg, r_E=r_e, r_D=r_d, **quant)
+    return replace(cfg, r_E=r_e, r_D=r_d, rho=rho)
 
 
 def evaluate_student(

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import squant.gradtape as gt
+from squant.cli import DEFAULT_BENCH_SHAPES
 from squant.cli import main as cli_main
 from squant.kernels import (
     CostCounter,
@@ -42,8 +43,8 @@ from squant.model import (
 )
 from squant.quant import QuantSpec, calibrate_scale, quantize
 from squant.seeding import substream
+from squant.token_bits import uniform_plan
 from squant.train import (
-    DEFAULT_BENCH_SHAPES,
     SEEDS,
     RunConfig,
     _sgd_update,
@@ -123,7 +124,7 @@ def test_ste_gradient_matches_finite_differences():
     # staircase with zero derivative almost everywhere
     cfg = MicroTransformerConfig(
         layers=2, heads=2, dim=16, vocab=24, seq_len=12, seed=0,
-        weight_bits=4, act_bits="adaptive", rho=0.5,
+        weight_bits=4, rho=0.5,
     )
     params = init_params(cfg)
     rng = substream(cfg.seed, "acceptance.fd")
@@ -148,10 +149,7 @@ def test_ste_gradient_matches_finite_differences():
             res.logits, teacher.logits.data, targets, cfg.gamma, cfg.tau
         )
         entropy, _ = entropy_loss_node(res.q_nodes, res.k_nodes, cfg.heads)
-        distribution, _ = distribution_loss_node(
-            res.attn_nodes, teacher.attn_probs,
-            literal_sign=cfg.literal_distribution_sign,
-        )
+        distribution, _ = distribution_loss_node(res.attn_nodes, teacher.attn_probs)
         total, _ = total_loss_node(
             distill, ce, kl, entropy, distribution, cfg.r_E, cfg.r_D, cfg.gamma, cfg.tau
         )
@@ -192,19 +190,18 @@ def test_degenerate_plans_bit_identical_to_uniform():
     toks = substream(0, "acceptance.plans").integers(0, 64, size=32)
     checks = []
     for rho, bits in ((1.0, 8), (0.0, 4)):
-        adaptive = MicroTransformerConfig(act_bits="adaptive", rho=rho)
-        uniform = MicroTransformerConfig(act_bits=bits)
+        cfg = MicroTransformerConfig(rho=rho)
+        uniform = [uniform_plan(toks.size, bits)] * cfg.layers
         fakes = []
-        for cfg in (adaptive, uniform):
+        for plans in (None, uniform):  # rho's own plans, then pinned uniform ones
             tape = gt.Tape(dtype=np.float32)
             tp = params_to_tape(tape, params)
             fakes.append(
-                forward_tape(tape, tp, toks, cfg, quantized=True, training=False, calib=None)
+                forward_tape(tape, tp, toks, cfg, quantized=True, training=False, calib=None, plans_override=plans)
             )
         fake_equal = np.array_equal(fakes[0].logits.data, fakes[1].logits.data)
-        int_a, _ = forward_int(adaptive, params, toks, calib=None)
-        int_u, _ = forward_int(uniform, params, toks, calib=None)
-        checks.append(fake_equal and np.array_equal(int_a, int_u))
+        _, int_plans = forward_int(cfg, params, toks, calib=None)
+        checks.append(fake_equal and all(np.array_equal(p.bits, u.bits) for p, u in zip(int_plans, uniform)))
     assert _verdict(
         all(checks), "degenerate plans",
         f"rho=1 matches A8: {checks[0]}, rho=0 matches A4: {checks[1]}",
@@ -309,7 +306,7 @@ def test_adaptive_bits_cost_between_uniforms_and_ppl_no_worse_than_a4(protocol_r
     for seed, out in protocol_runs.items():
         a4 = out[("both", "uniform_a4")]
         adaptive = out[("both", "adaptive_0.5")]
-        cfg = MicroTransformerConfig(seed=seed, weight_bits=4, act_bits=8)
+        cfg = MicroTransformerConfig(seed=seed, weight_bits=4, rho=1.0)
         window = split_corpus(make_corpus(seed, cfg.vocab, 32768))[1][: cfg.seq_len]
         cost = CostCounter()
         forward_int(cfg, init_params(cfg), window, calib=None, cost=cost)

@@ -195,15 +195,14 @@ class TestRunConfig:
             ({"heldout_fraction": "x"}, None),
             ({"heldout_fraction": 1.5}, None),
             ({"lr": float("inf")}, None),
-            ({"bench_shapes": [["a", 1, 2]]}, None),
             ({"corpus_length": 20}, None),  # training split shorter than one window
             ({"corpus_length": 40}, None),  # held-out split shorter than one window
             ({"seq_len": 600}, [0, 1, 2]),  # a file corpus too short to train on
             ({"vocab": 3}, None),  # the synthetic corpus needs 4 successors per token
             ({"corpus": 5}, None),
             ({"report_dir": 5}, None),
-            ({"literal_distribution_sign": 3}, None),
-            ({"act_bits": "8"}, None),  # no digit strings
+            ({"corpus_length": 10**18}, None),  # legal, but no address space holds its tokens
+            ({"corpus_length": 10**19}, None),  # more tokens than an int64 array can index
         ],
     )
     def test_train_rejects_bad_input_with_one_line(self, tmp_path, capsys, config, corpus):
@@ -216,6 +215,7 @@ class TestRunConfig:
         assert cli_main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+        assert not (tmp_path / "out").exists()
 
     def test_ablate_rejects_short_corpus_with_one_line(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -316,6 +316,7 @@ BAD_CHECKPOINTS = {
         p, params={**init_params(ECHO_RUN.model), "l9.attn.wq": np.zeros((8, 8), dtype=np.float32)}
     ),
     "unknown model key": lambda p: _checkpoint_with(p, config=_echo_with({"bogus": 1})),
+    "retired model key act_bits": lambda p: _checkpoint_with(p, config=_echo_with({"act_bits": 8})),
     "unknown run key": lambda p: _checkpoint_with(p, config=_echo_with(bogus=1)),
     "model key at run level": lambda p: _checkpoint_with(p, config=_echo_with(lr=0.1)),
     "invalid model value": lambda p: _checkpoint_with(p, config=_echo_with({"heads": 3})),
@@ -365,6 +366,20 @@ class TestCheckpointExitContract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("checkpoint error: "), err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "model,run",
+        [({"act_bits": 8}, {}), ({"literal_distribution_sign": False}, {}), ({}, {"bench_shapes": [[8, 8, 8]]})],
+        ids=["act_bits", "literal_distribution_sign", "bench_shapes"],
+    )
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_retired_echo_key_is_named(self, tmp_path, capsys, command, model, run):
+        _checkpoint_with(tmp_path / "m.ckpt", config=_echo_with(model, **run))
+        capsys.readouterr()
+        assert cli_main([command, "--checkpoint", str(tmp_path / "m.ckpt"), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        (key,) = {**model, **run}
+        assert len(err.splitlines()) == 1 and err.startswith("checkpoint error: ") and key in err, err
 
     def test_bad_teacher_checkpoint_exits_two(self, tmp_path, capsys):
         _checkpoint_with(tmp_path / "student.ckpt")
@@ -499,17 +514,12 @@ class TestGemmBenchCommand:
         assert len(hashes) == 1
         assert len(hashes.pop()) == 64
 
-    def test_malformed_shapes_exit_two(self, tmp_path):
-        assert cli_main(["gemm-bench", "--shapes", "8x8", "--out", str(tmp_path)]) == 2
-
-    @pytest.mark.parametrize("shapes", [[[8, 8]], "8x8x8", [[0, 8, 8]], [[8.5, 8, 8]], []])
-    def test_malformed_config_shapes_exit_two(self, tmp_path, capsys, shapes):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"bench_shapes": shapes}))
+    @pytest.mark.parametrize("shapes", ["8x8", "0x8x8", "8.5x8x8", ""])
+    def test_malformed_shapes_exit_two(self, tmp_path, capsys, shapes):
         capsys.readouterr()
-        assert cli_main(["gemm-bench", "--config", str(path), "--no-time", "--out", str(tmp_path / "out")]) == 2
+        assert cli_main(["gemm-bench", "--shapes", shapes, "--no-time", "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: ") and "--shapes" in err, err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("reps", ["0", "-3"])
@@ -820,9 +830,11 @@ def test_same_bits_script_hashes_the_fifteen_tiny_artifacts():
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    names = [line.split()[0] for line in lines[:-1]]
+    names = [line.split()[0] for line in lines[:-2]]
     assert len(set(names)) == 15 and {"train/loss_log.jsonl", "ablate/ablation.csv"} <= set(names)
-    text = "".join(line + "\n" for line in lines[:-1])
-    assert lines[-1] == f"combined {hashlib.sha256(text.encode()).hexdigest()}"
-    # a change that moves an artifact on purpose updates this pin and says why in CHANGES.md
-    assert lines[-1] == "combined 1feed6c787b9595be6bb9ebc10ce0cf50ea0c4ccc1074c9cd278b2e981becd73"
+    text = "".join(line + "\n" for line in lines[:-2])
+    assert lines[-2] == f"combined {hashlib.sha256(text.encode()).hexdigest()}"
+    # a change that moves an artifact on purpose updates these pins and says why in CHANGES.md;
+    # a change to the config alone moves combined and keeps content
+    assert lines[-2] == "combined 0f77d691bbcaba8861244b227be9c3219d3e3a08a1029bad0a36bd717706793e"
+    assert lines[-1] == "content ca205b4b6193221e3a21e8fbe6eed7f40df1054e4b9da7b2800e50d6156d557d"

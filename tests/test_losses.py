@@ -306,22 +306,21 @@ class TestFusedNodes:
         same_bytes(fused[2][0], chain[2][0])
         assert fused[2][1] is None and chain[2][1] is None
 
-    def distribution(self, build, student, teacher, literal_sign, sign, dtype):
+    def distribution(self, build, student, teacher, sign, dtype):
         tape = gt.Tape(dtype=dtype)
         nodes = [tape.parameter(m) for m in student]
-        node, alignment = build(nodes, teacher, literal_sign=literal_sign)
+        node, alignment = build(nodes, teacher)
         return node.array, alignment, self.backward(tape, node, sign, nodes)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layers,heads,t_len,d", SHAPES)
-    @pytest.mark.parametrize("literal_sign", [False, True])
-    def test_distribution_bits_equal_the_op_chain(self, layers, heads, t_len, d, dtype, sign, literal_sign):
+    def test_distribution_bits_equal_the_op_chain(self, layers, heads, t_len, d, dtype, sign):
         rng = substream(9, f"dist-fused-{layers}-{heads}-{t_len}")
         student = causal_softmax(rng.normal(size=(layers, heads, t_len, t_len))).astype(dtype)
         teacher = causal_softmax(rng.normal(size=(layers, heads, t_len, t_len)))
-        fused = self.distribution(distribution_loss_node, student, teacher, literal_sign, sign, dtype)
-        chain = self.distribution(ref.chain_distribution, student, teacher, literal_sign, sign, dtype)
+        fused = self.distribution(distribution_loss_node, student, teacher, sign, dtype)
+        chain = self.distribution(ref.chain_distribution, student, teacher, sign, dtype)
         same_bytes(fused[0], chain[0])
         assert fused[1] == chain[1]
         for a, b in zip(fused[2], chain[2]):
@@ -363,14 +362,13 @@ class TestFusedNodes:
         self.fd_check(value_q, q0)
         self.fd_check(value_k, k0)
 
-    @pytest.mark.parametrize("literal_sign", [False, True])
-    def test_distribution_gradient_vs_fd(self, literal_sign):
+    def test_distribution_gradient_vs_fd(self):
         rng = substream(9, "dist-fused-fd")
         student = causal_softmax(rng.normal(size=(2, 2, 4, 4)))
         teacher = causal_softmax(rng.normal(size=(2, 2, 4, 4)))
 
         def value(x):
-            return distribution_loss_node([x, x.tape.constant(student[1])], teacher, literal_sign=literal_sign)[0]
+            return distribution_loss_node([x, x.tape.constant(student[1])], teacher)[0]
 
         self.fd_check(value, student[0])
 

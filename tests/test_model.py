@@ -111,7 +111,7 @@ class TestStudentForward:
         np.testing.assert_array_equal(student.logits.data, teacher.logits.data)
 
     def test_w8a8_close_to_teacher(self):
-        cfg = small_cfg(weight_bits=8, act_bits=8)
+        cfg = small_cfg(weight_bits=8, rho=1.0)
         params = init_params(cfg)
         toks = tokens_for(cfg)
         teacher = forward_teacher(cfg, params, toks)
@@ -121,42 +121,18 @@ class TestStudentForward:
         diff = np.abs(student.logits.data - teacher.logits.data).max()
         assert diff < 0.1
 
-    def test_plans_follow_rho(self):
-        cfg = small_cfg(act_bits="adaptive", rho=0.5)
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    def test_plans_follow_rho(self, rho):
+        cfg = small_cfg(rho=rho)
         tape = gt.Tape(dtype=np.float32)
         tp = params_to_tape(tape, init_params(cfg))
         res = forward_tape(tape, tp, tokens_for(cfg), cfg, quantized=True)
-        assert np.all(res.plans[0].bits == 8)  # no map yet at layer 0
-        assert int((res.plans[1].bits == 8).sum()) == cfg.seq_len // 2
-
-    def test_rho_one_bit_identical_to_uniform_a8(self):
-        params = init_params(small_cfg())
-        toks = tokens_for(small_cfg())
-        outs = {}
-        for name, cfg in (
-            ("adaptive", small_cfg(act_bits="adaptive", rho=1.0)),
-            ("uniform", small_cfg(act_bits=8)),
-        ):
-            tape = gt.Tape(dtype=np.float32)
-            tp = params_to_tape(tape, params)
-            outs[name] = forward_tape(tape, tp, toks, cfg, quantized=True).logits.data
-        np.testing.assert_array_equal(outs["adaptive"], outs["uniform"])
-
-    def test_rho_zero_bit_identical_to_uniform_a4(self):
-        params = init_params(small_cfg())
-        toks = tokens_for(small_cfg())
-        outs = {}
-        for name, cfg in (
-            ("adaptive", small_cfg(act_bits="adaptive", rho=0.0)),
-            ("uniform", small_cfg(act_bits=4)),
-        ):
-            tape = gt.Tape(dtype=np.float32)
-            tp = params_to_tape(tape, params)
-            outs[name] = forward_tape(tape, tp, toks, cfg, quantized=True).logits.data
-        np.testing.assert_array_equal(outs["adaptive"], outs["uniform"])
+        first = 0 if rho == 0.0 else cfg.seq_len  # no map yet at layer 0: all-8, all-4 at rho 0
+        want = [first] + [int(rho * cfg.seq_len)] * (cfg.layers - 1)
+        assert [int((plan.bits == 8).sum()) for plan in res.plans] == want
 
     def test_training_updates_expected_ema_keys(self):
-        cfg = small_cfg(act_bits="adaptive", rho=0.5)
+        cfg = small_cfg(rho=0.5)
         calib = Calibration()
         tape = gt.Tape(dtype=np.float32)
         tp = params_to_tape(tape, init_params(cfg))
@@ -166,7 +142,7 @@ class TestStudentForward:
         assert "l1.attn_in.lo" in calib.ema  # layer 1 has a 4-bit group at rho=0.5
 
     def test_training_scales_follow_updated_ema(self):
-        cfg = small_cfg(act_bits="adaptive", rho=0.5)
+        cfg = small_cfg(rho=0.5)
         calib = Calibration()
         tape = gt.Tape(dtype=np.float32)
         tp = params_to_tape(tape, init_params(cfg))
@@ -183,7 +159,7 @@ class TestStudentForward:
         assert got == expected
 
     def test_scale_and_plan_overrides_pin_the_grid(self):
-        cfg = small_cfg(weight_bits=8, act_bits=8)
+        cfg = small_cfg(weight_bits=8, rho=1.0)
         params = init_params(cfg)
         toks = tokens_for(cfg)
         tape = gt.Tape(dtype=np.float32)
@@ -243,7 +219,7 @@ class TestCalibration:
         assert calib.ema == {"k": (0.0, False)}
 
     def test_a_given_scale_beats_the_calibration(self):
-        cfg = small_cfg(act_bits=8)
+        cfg = small_cfg(rho=1.0)
         tape = gt.Tape(dtype=np.float32)
         tp = params_to_tape(tape, init_params(cfg))
         calib = Calibration()
@@ -262,13 +238,13 @@ class TestCalibration:
 
 
 class TestIntegerPath:
-    @pytest.mark.parametrize("act_bits", [8, 4, "adaptive"])
+    @pytest.mark.parametrize("rho", [1.0, 0.0, 0.5])
     @pytest.mark.parametrize("weight_bits", [4, 8])
-    def test_dual_path_agreement(self, weight_bits, act_bits):
+    def test_dual_path_agreement(self, weight_bits, rho):
         # seed pinned away from rounding ties: the fake path accumulates in
         # float32 while the int path is exact, so an activation sitting on a
         # quantizer half-way point can round differently and jump by one bin
-        cfg = small_cfg(weight_bits=weight_bits, act_bits=act_bits, rho=0.5, seed=0)
+        cfg = small_cfg(weight_bits=weight_bits, rho=rho, seed=0)
         params = init_params(cfg)
         toks = tokens_for(cfg)
         tape = gt.Tape(dtype=np.float32)
@@ -280,7 +256,7 @@ class TestIntegerPath:
             np.testing.assert_array_equal(pa.bits, pb.bits)
 
     def test_cost_counted_per_projection(self):
-        cfg = small_cfg(weight_bits=4, act_bits=4)
+        cfg = small_cfg(weight_bits=4, rho=0.0)
         params = init_params(cfg)
         cost = CostCounter()
         forward_int(cfg, params, tokens_for(cfg), calib=None, cost=cost)
@@ -294,9 +270,9 @@ class TestIntegerPath:
         toks = tokens_for(small_cfg())
         counts = {}
         for name, cfg in (
-            ("a4", small_cfg(weight_bits=4, act_bits=4)),
-            ("mixed", small_cfg(weight_bits=4, act_bits="adaptive", rho=0.5)),
-            ("a8", small_cfg(weight_bits=4, act_bits=8)),
+            ("a4", small_cfg(weight_bits=4, rho=0.0)),
+            ("mixed", small_cfg(weight_bits=4, rho=0.5)),
+            ("a8", small_cfg(weight_bits=4, rho=1.0)),
         ):
             cost = CostCounter()
             forward_int(cfg, params, toks, calib=None, cost=cost)
@@ -318,7 +294,7 @@ class TestIntegerPath:
         for module in (squant.model, squant.token_bits):
             if getattr(module, "group_quantize", None) is original:
                 monkeypatch.setattr(module, "group_quantize", counting)
-        cfg = small_cfg(act_bits="adaptive", rho=0.5)
+        cfg = small_cfg(rho=0.5)
         calib = Calibration()
         forward_int(cfg, init_params(cfg), tokens_for(cfg), calib=calib)
         assert len(calls) == len(ACT_SITES) * cfg.layers
@@ -339,7 +315,7 @@ class TestIntegerPath:
             return original(*args)
 
         monkeypatch.setattr(squant.quant, "_ste_mask", counting)
-        cfg = small_cfg(act_bits="adaptive", rho=0.5)
+        cfg = small_cfg(rho=0.5)
         params = init_params(cfg)
         toks = tokens_for(cfg, length=4 * cfg.seq_len + 1)
         forward_int(cfg, params, toks[: cfg.seq_len], calib=None)
@@ -365,7 +341,7 @@ class TestIntegerPath:
             prop = cached_property(counting)
             prop.__set_name__(TokenBitPlan, name)
             monkeypatch.setattr(TokenBitPlan, name, prop)
-        cfg = small_cfg(act_bits="adaptive", rho=0.5)
+        cfg = small_cfg(rho=0.5)
         _, plans = forward_int(cfg, init_params(cfg), tokens_for(cfg), calib=None)
         # six sites per layer read each plan's positions; each array is built once
         assert sorted(built) == ["hi"] * cfg.layers + ["lo"] * cfg.layers
@@ -383,7 +359,7 @@ class TestIntegerPath:
             return original(w, x, cost)
 
         monkeypatch.setattr(squant.model, "gemm_i8", counting)
-        cfg = small_cfg(weight_bits=8, act_bits="adaptive", rho=0.5)
+        cfg = small_cfg(weight_bits=8, rho=0.5)
         cost = CostCounter()
         _, plans = forward_int(cfg, init_params(cfg), tokens_for(cfg), calib=None, cost=cost)
         assert 0 < plans[1].k < cfg.seq_len  # layer 1 holds both groups
@@ -400,12 +376,12 @@ class TestIntegerPath:
 
 class TestCompiledModel:
     @pytest.mark.parametrize("dim", [32, 128])
-    @pytest.mark.parametrize("act_bits", [4, 8, "adaptive"])
+    @pytest.mark.parametrize("rho", [0.0, 1.0, 0.5])
     @pytest.mark.parametrize("weight_bits", [4, 8])
-    def test_compiled_run_bit_identical_to_float_params(self, weight_bits, act_bits, dim):
+    def test_compiled_run_bit_identical_to_float_params(self, weight_bits, rho, dim):
         for seed in range(4):
             cfg = MicroTransformerConfig(
-                dim=dim, heads=4, seq_len=dim, seed=seed, weight_bits=weight_bits, act_bits=act_bits
+                dim=dim, heads=4, seq_len=dim, seed=seed, weight_bits=weight_bits, rho=rho
             )
             params = init_params(cfg)
             compiled = compile_int(cfg, params)
@@ -444,7 +420,7 @@ class TestCompiledModel:
             for module in (squant.model, squant.kernels, squant.quant, squant.token_bits):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, wrapper)
-        cfg = small_cfg(weight_bits=4, act_bits="adaptive", rho=0.5)
+        cfg = small_cfg(weight_bits=4, rho=0.5)
         compiled = compile_int(cfg, init_params(cfg))
         projections = len(WEIGHT_NAMES) * cfg.layers
         assert calls == {"pack_int4": projections, "weight quantize": projections, "group_quantize": 0}
@@ -526,7 +502,7 @@ class TestProjectionMemo:
 
     def test_second_call_compiles_nothing(self, fresh_memo, monkeypatch):
         calls = count_weight_compiles(monkeypatch)
-        cfg = small_cfg(weight_bits=4, act_bits="adaptive", rho=0.5)
+        cfg = small_cfg(weight_bits=4, rho=0.5)
         params, toks = init_params(cfg), tokens_for(cfg)
         projections = len(WEIGHT_NAMES) * cfg.layers
         first = int_run(cfg, params, toks)
@@ -546,7 +522,7 @@ class TestProjectionMemo:
         assert calls == {"pack_int4": 0, "weight quantize": 0}
 
     def test_in_place_edit_recompiles_that_weight_only(self, fresh_memo, monkeypatch):
-        cfg = small_cfg(weight_bits=4, act_bits="adaptive", rho=0.5)
+        cfg = small_cfg(weight_bits=4, rho=0.5)
         params, toks = init_params(cfg), tokens_for(cfg)
         before = int_run(cfg, params, toks)
         calls = count_weight_compiles(monkeypatch)
@@ -607,7 +583,7 @@ class TestProjectionMemo:
         ),
     )
     def test_edits_and_resets_match_a_fresh_compile(self, fresh_memo, weight_bits, steps):
-        cfg = small_cfg(weight_bits=weight_bits, act_bits="adaptive", rho=0.5)
+        cfg = small_cfg(weight_bits=weight_bits, rho=0.5)
         params, toks = init_params(cfg), tokens_for(cfg)
         original = copy.deepcopy(params)
         names = [f"l{l}.{w}" for l in range(cfg.layers) for w in WEIGHT_NAMES]
@@ -644,13 +620,13 @@ def grouped_linear(gq, proj, cost):
 class TestTokenOrderOracle:
     """The token-order integer projection against the grouped formulation, byte for byte."""
 
-    @pytest.mark.parametrize("act_bits", [4, 8, "adaptive"])
+    @pytest.mark.parametrize("rho", [0.0, 1.0, 0.5])
     @pytest.mark.parametrize("weight_bits", [4, 8])
-    def test_forward_int_matches_grouped_projection(self, weight_bits, act_bits, monkeypatch):
+    def test_forward_int_matches_grouped_projection(self, weight_bits, rho, monkeypatch):
         import squant.model
 
         for seed in range(3):
-            cfg = small_cfg(weight_bits=weight_bits, act_bits=act_bits, rho=0.5, seed=seed)
+            cfg = small_cfg(weight_bits=weight_bits, rho=rho, seed=seed)
             model = compile_int(cfg, init_params(cfg))
             for length in (cfg.seq_len, 7):
                 toks = tokens_for(cfg, length=length)
@@ -706,7 +682,7 @@ class TestPerplexity:
     def test_params_wrapped_once_per_call(self, quantized, monkeypatch):
         import squant.model
 
-        cfg = small_cfg(act_bits="adaptive", rho=0.5)
+        cfg = small_cfg(rho=0.5)
         params = init_params(cfg)
         n = cfg.seq_len
         corpus = tokens_for(cfg, length=4 * n + 1)
@@ -736,7 +712,3 @@ class TestConfigValidation:
     def test_rho_range(self):
         with pytest.raises(ValueError):
             MicroTransformerConfig(rho=-0.1)
-
-    def test_act_bits_values(self):
-        with pytest.raises(ValueError):
-            MicroTransformerConfig(act_bits=16)

@@ -20,7 +20,6 @@ FIELD_CASES = {
         "vocab": (4, [3, 0]),
         "seq_len": (1, [0, 8.5]),
         "weight_bits": (8, [2, 8.0, "8"]),
-        "act_bits": (4, [16, 4.0, "8", "Adaptive"]),
         "rho": (1, [1.5, -0.1, NAN]),
         "r_E": (0.0, [-0.5, "x"]),
         "r_D": (2, [INF, None, False]),
@@ -29,18 +28,16 @@ FIELD_CASES = {
         "seed": (7, [-1, 1.5]),
         "lr": (0.1, [0, NAN, "fast", 10**400]),
         "steps": (0, [-1, True]),
-        "literal_distribution_sign": (True, [3, "true", None]),
     },
     RunConfig: {
         "model": (MicroTransformerConfig(layers=1), [{"layers": 1}, 5]),
         "corpus": ("tokens.npy", [5, ["tokens.npy"]]),
-        "corpus_length": (0, [-1, 256.0]),
+        "corpus_length": (0, [-1, 256.0, 2**60]),
         "heldout_fraction": (0.5, [0, 1, 1.5, "x"]),
         "teacher_steps": (0, [-5, "ten"]),
         "teacher_lr": (1.0, [0, -0.3, INF]),
         "checkpoint": ("m.ckpt", [5, False]),
         "report_dir": ("out", [5, None]),
-        "bench_shapes": ([[4, 4, 4]], [[], [[8, 8]], [[0, 8, 8]], [[8.5, 8, 8]], "8x8x8"]),
     },
 }
 
@@ -84,15 +81,29 @@ def test_rejected_value_exits_two_through_the_cli(tmp_path, capsys, cls, name, v
     [
         (["train", "--seed", "-1"], "seed"),
         (["gemm-bench", "--seed", "-1"], "seed"),
-        (["gemm-bench", "--shapes", "0x8x8"], "bench_shapes"),
     ],
-    ids=["train-seed", "gemm-bench-seed", "gemm-bench-shapes"],
+    ids=["train-seed", "gemm-bench-seed"],
 )
 def test_flags_meet_the_field_rules(tmp_path, capsys, flags, name):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"steps": 1, "teacher_steps": 1, "corpus_length": 256, "bench_shapes": [[4, 4, 4]]}))
+    path.write_text(json.dumps({"steps": 1, "teacher_steps": 1, "corpus_length": 256}))
     capsys.readouterr()
     assert cli_main(flags + ["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error: ") and name in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key,value", [("act_bits", 8), ("literal_distribution_sign", False), ("bench_shapes", [[4, 4, 4]])]
+)
+@pytest.mark.parametrize("command", ["train", "gemm-bench"])
+def test_retired_key_exits_two_naming_it(tmp_path, capsys, command, key, value):
+    # rho alone plans the activation bits, the loss sign is fixed and --shapes sets the bench grid
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    capsys.readouterr()
+    assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ") and key in err, err
     assert not (tmp_path / "out").exists()

@@ -192,9 +192,9 @@ class TestQatTrainer:
             runs.append([r.to_dict() for r in trainer.run(5)])
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("act_bits", ["adaptive", 4, 8])
-    def test_tape_nodes_per_step(self, act_bits, monkeypatch):
-        cfg, teacher, train, _ = tiny_setup(act_bits=act_bits)
+    @pytest.mark.parametrize("rho", [0.5, 0.0, 1.0])
+    def test_tape_nodes_per_step(self, rho, monkeypatch):
+        cfg, teacher, train, _ = tiny_setup(rho=rho)
         trainer = QatTrainer(cfg, teacher, train)
         nodes, built = count_per_step(monkeypatch, trainer.step, 3)
         # attention, each aux loss and each projection is one node, and constants are not recorded
@@ -383,7 +383,7 @@ class TestLearningRateSchedule:
 
 class TestEvaluateStudent:
     def test_keys_and_positive_costs(self):
-        cfg, teacher, train, held = tiny_setup(act_bits=4)
+        cfg, teacher, train, held = tiny_setup(rho=0.0)
         trainer = QatTrainer(cfg, teacher, train)
         trainer.run(3)
         result = evaluate_student(cfg, trainer.params, trainer.calib, held)
@@ -393,17 +393,17 @@ class TestEvaluateStudent:
 
     def test_packed_path_cheaper_than_byte_path(self):
         costs = {}
-        for bits in (4, 8):
-            cfg, teacher, train, held = tiny_setup(act_bits=bits)
+        for rho in (0.0, 1.0):  # uniform A4, uniform A8
+            cfg, teacher, train, held = tiny_setup(rho=rho)
             trainer = QatTrainer(cfg, teacher, train)
             trainer.run(2)
-            costs[bits] = evaluate_student(cfg, trainer.params, trainer.calib, held)
-        assert costs[4]["mul_per_token"] == costs[8]["mul_per_token"] / 2
+            costs[rho] = evaluate_student(cfg, trainer.params, trainer.calib, held)
+        assert costs[0.0]["mul_per_token"] == costs[1.0]["mul_per_token"] / 2
 
     def test_counts_cost_on_the_compiled_student(self, monkeypatch):
         memo = {}
         monkeypatch.setattr(squant.model, "_COMPILED", memo)
-        cfg, teacher, train, held = tiny_setup(act_bits="adaptive")
+        cfg, teacher, train, held = tiny_setup(rho=0.5)
         trainer = QatTrainer(cfg, teacher, train)
         trainer.run(2)
         result = evaluate_student(cfg, trainer.params, trainer.calib, held)
@@ -427,11 +427,9 @@ class TestCellConfig:
 
     def test_quant_cells(self):
         base = MicroTransformerConfig()
-        assert _cell_config(base, "none", "uniform_a4").act_bits == 4
-        assert _cell_config(base, "none", "uniform_a8").act_bits == 8
-        adaptive = _cell_config(base, "none", "adaptive_0.25")
-        assert adaptive.act_bits == "adaptive"
-        assert adaptive.rho == 0.25
+        assert _cell_config(base, "none", "uniform_a4").rho == 0.0
+        assert _cell_config(base, "none", "uniform_a8").rho == 1.0
+        assert _cell_config(base, "none", "adaptive_0.25").rho == 0.25
 
     @pytest.mark.parametrize(
         "loss_cell,quant_cell,unknown",

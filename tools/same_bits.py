@@ -7,12 +7,18 @@ directory. Prints ``name sha256`` for each of the 15 artifacts, then a
 ``combined`` line: the sha256 of those lines. Run it on two trees and compare:
 
     PYTHONPATH=src python3 tools/same_bits.py
+
+A last ``content`` line hashes the artifacts again, with each 64-hex config
+hash masked and each checkpoint's config echo and ``extra.config_hash`` left
+out. A change to the config alone (a field added, renamed or removed) moves
+``combined`` but keeps ``content`` whenever it keeps the numbers.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -20,6 +26,7 @@ from pathlib import Path
 from squant.cli import main as cli_main
 
 TINY = {"steps": 5, "seed": 0, "corpus_length": 512, "teacher_steps": 5, "teacher_lr": 0.3, "lr": 0.05}
+CONFIG_HASH = re.compile(rb"[0-9a-f]{64}")
 
 
 def run(*argv: str) -> None:
@@ -27,6 +34,17 @@ def run(*argv: str) -> None:
         code = cli_main(list(argv))
     if code != 0:
         sys.exit(f"squant {' '.join(argv)} exited {code}")
+
+
+def content(path: Path) -> bytes:
+    """The artifact's bytes without the config: hashes masked, a checkpoint's echo left out."""
+    raw = path.read_bytes()
+    if path.suffix != ".ckpt":
+        return CONFIG_HASH.sub(b"<config_hash>", raw)
+    end = 12 + int.from_bytes(raw[8:12], "little")  # magic, version, header length, JSON header, tensors
+    header = json.loads(raw[12:end])
+    del header["config"], header["extra"]["config_hash"]
+    return raw[:8] + json.dumps(header, sort_keys=True).encode() + raw[end:]
 
 
 def main() -> None:
@@ -44,12 +62,12 @@ def main() -> None:
             "--out", str(root / "inspect"))
         run("gemm-bench", "--no-time", "--config", str(cfg), "--out", str(root / "gemm_bench"))
         run("ablate", "--config", str(ablate_cfg), "--out", str(root / "ablate"))
-        text = "".join(
-            f"{path.relative_to(root)} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
-            for path in sorted(root.glob("*/*"))
-        )
+        paths = sorted(root.glob("*/*"))
+        text = "".join(f"{p.relative_to(root)} {hashlib.sha256(p.read_bytes()).hexdigest()}\n" for p in paths)
+        masked = "".join(f"{p.relative_to(root)} {hashlib.sha256(content(p)).hexdigest()}\n" for p in paths)
     print(text, end="")
     print(f"combined {hashlib.sha256(text.encode()).hexdigest()}")
+    print(f"content {hashlib.sha256(masked.encode()).hexdigest()}")
 
 
 if __name__ == "__main__":
