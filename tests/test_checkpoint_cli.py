@@ -24,7 +24,7 @@ from squant.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from squant.cli import RunConfigError, _load_model_checkpoint, load_run_config, main as cli_main
+from squant.cli import RunConfigError, _load_model_checkpoint, _parse_shapes, load_run_config, main as cli_main
 from squant.model import (
     Calibration,
     MicroTransformerConfig,
@@ -514,7 +514,13 @@ class TestGemmBenchCommand:
         assert len(hashes) == 1
         assert len(hashes.pop()) == 64
 
-    @pytest.mark.parametrize("shapes", ["8x8", "0x8x8", "8.5x8x8", ""])
+    @pytest.mark.parametrize(
+        "text,want", [("64x64x64;32x16x8", ((64, 64, 64), (32, 16, 8))), (" 8x8x8 ; 1x1x1 ", ((8, 8, 8), (1, 1, 1)))]
+    )
+    def test_shapes_parse_to_triples(self, text, want):
+        assert _parse_shapes(text) == want
+
+    @pytest.mark.parametrize("shapes", ["8x8", "0x8x8", "8.5x8x8", "", "8x8x8x8", "8x8x-1", "axbxc", "8x8x8;", ";"])
     def test_malformed_shapes_exit_two(self, tmp_path, capsys, shapes):
         capsys.readouterr()
         assert cli_main(["gemm-bench", "--shapes", shapes, "--no-time", "--out", str(tmp_path / "out")]) == 2

@@ -315,10 +315,13 @@ class TestFusedNodes:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layers,heads,t_len,d", SHAPES)
-    def test_distribution_bits_equal_the_op_chain(self, layers, heads, t_len, d, dtype, sign):
+    @pytest.mark.parametrize("teacher_kind", ["drawn", "student"])
+    def test_distribution_bits_equal_the_op_chain(self, teacher_kind, layers, heads, t_len, d, dtype, sign):
         rng = substream(9, f"dist-fused-{layers}-{heads}-{t_len}")
         student = causal_softmax(rng.normal(size=(layers, heads, t_len, t_len))).astype(dtype)
         teacher = causal_softmax(rng.normal(size=(layers, heads, t_len, t_len)))
+        if teacher_kind == "student":  # every cosine at its maximum, where the two gradient terms cancel
+            teacher = student.astype(np.float64)
         fused = self.distribution(distribution_loss_node, student, teacher, sign, dtype)
         chain = self.distribution(ref.chain_distribution, student, teacher, sign, dtype)
         same_bytes(fused[0], chain[0])
@@ -362,15 +365,18 @@ class TestFusedNodes:
         self.fd_check(value_q, q0)
         self.fd_check(value_k, k0)
 
-    def test_distribution_gradient_vs_fd(self):
+    @pytest.mark.parametrize("free", [0, 1])
+    def test_distribution_gradient_vs_fd(self, free):
         rng = substream(9, "dist-fused-fd")
         student = causal_softmax(rng.normal(size=(2, 2, 4, 4)))
         teacher = causal_softmax(rng.normal(size=(2, 2, 4, 4)))
 
-        def value(x):
-            return distribution_loss_node([x, x.tape.constant(student[1])], teacher)[0]
+        def value(x):  # layer ``free`` is the parameter, the other layer a constant
+            nodes = [x.tape.constant(student[1 - free])]
+            nodes.insert(free, x)
+            return distribution_loss_node(nodes, teacher)[0]
 
-        self.fd_check(value, student[0])
+        self.fd_check(value, student[free])
 
 
 class TestDistillLoss:

@@ -121,13 +121,14 @@ class TestStudentForward:
         diff = np.abs(student.logits.data - teacher.logits.data).max()
         assert diff < 0.1
 
-    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.05, 0.25, 0.5, 0.75, 1.0])
     def test_plans_follow_rho(self, rho):
         cfg = small_cfg(rho=rho)
         tape = gt.Tape(dtype=np.float32)
         tp = params_to_tape(tape, init_params(cfg))
         res = forward_tape(tape, tp, tokens_for(cfg), cfg, quantized=True)
-        first = 0 if rho == 0.0 else cfg.seq_len  # no map yet at layer 0: all-8, all-4 at rho 0
+        # no map yet at layer 0: all-8, all-4 only at rho 0 (rho 0.05 keeps no 8-bit token later on)
+        first = 0 if rho == 0.0 else cfg.seq_len
         want = [first] + [int(rho * cfg.seq_len)] * (cfg.layers - 1)
         assert [int((plan.bits == 8).sum()) for plan in res.plans] == want
 

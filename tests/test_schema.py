@@ -81,8 +81,9 @@ def test_rejected_value_exits_two_through_the_cli(tmp_path, capsys, cls, name, v
     [
         (["train", "--seed", "-1"], "seed"),
         (["gemm-bench", "--seed", "-1"], "seed"),
+        (["gemm-bench", "--shapes", "0x8x8"], "--shapes"),
     ],
-    ids=["train-seed", "gemm-bench-seed"],
+    ids=["train-seed", "gemm-bench-seed", "gemm-bench-shapes"],
 )
 def test_flags_meet_the_field_rules(tmp_path, capsys, flags, name):
     path = tmp_path / "cfg.json"
@@ -97,7 +98,7 @@ def test_flags_meet_the_field_rules(tmp_path, capsys, flags, name):
 @pytest.mark.parametrize(
     "key,value", [("act_bits", 8), ("literal_distribution_sign", False), ("bench_shapes", [[4, 4, 4]])]
 )
-@pytest.mark.parametrize("command", ["train", "gemm-bench"])
+@pytest.mark.parametrize("command", ["train", "gemm-bench", "eval", "ablate"])
 def test_retired_key_exits_two_naming_it(tmp_path, capsys, command, key, value):
     # rho alone plans the activation bits, the loss sign is fixed and --shapes sets the bench grid
     path = tmp_path / "cfg.json"
