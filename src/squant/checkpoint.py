@@ -3,13 +3,17 @@
 Layout: 4 magic bytes, uint32 LE format version, uint32 LE header length,
 UTF-8 JSON header (config echo, named tensor index, calibration state),
 then concatenated C-order little-endian float32 tensor payloads.
+
+A checkpoint holds what the run needs and nothing else: the recipe it was
+trained under, its float32 parameters and, for a student, its frozen
+activation scales. A teacher has no calibration.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +30,6 @@ class Checkpoint:
     config: dict
     params: dict
     calibration: dict | None = None
-    version: int = VERSION
-    extra: dict = field(default_factory=dict)
 
 
 def _is_count(value) -> bool:
@@ -63,7 +65,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "config": ckpt.config,
         "tensors": index,
         "calibration": ckpt.calibration,
-        "extra": ckpt.extra,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
@@ -99,9 +100,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"unreadable header: {e}") from e
     if not (isinstance(header, dict) and isinstance(header.get("config"), dict) and isinstance(header.get("tensors"), list)):
         raise CheckpointError("header needs a 'config' object and a 'tensors' list")
-    calibration, extra = header.get("calibration"), header.get("extra", {})
-    if not (calibration is None or isinstance(calibration, dict)) or not isinstance(extra, dict):
-        raise CheckpointError("header 'calibration' must be an object or null, and 'extra' an object")
+    calibration = header.get("calibration")
+    if not (calibration is None or isinstance(calibration, dict)):
+        raise CheckpointError("header 'calibration' must be an object or null")
     params, spans = {}, []
     for entry in header["tensors"]:
         name, shape, offset = _index_entry(entry)
@@ -122,10 +123,4 @@ def load_checkpoint(path) -> Checkpoint:
         last = max(last, end)
     if last != len(raw):
         raise CheckpointError(f"{len(raw) - last} bytes after the last tensor payload")
-    return Checkpoint(
-        config=header["config"],
-        params=params,
-        calibration=calibration,
-        version=version,
-        extra=extra,
-    )
+    return Checkpoint(config=header["config"], params=params, calibration=calibration)

@@ -1,8 +1,11 @@
 """Command-line surface: kernel checks, benchmarks, training, eval, dumps.
 
-Every command resolves a RunConfig (JSON file plus flag overrides), stamps
-outputs with its sha256 hash, and is bit-reproducible for a fixed seed.
-Exit codes: 0 success, 1 verification or training failure, 2 usage/config.
+Every command resolves a RunConfig (JSON file plus flag overrides, or a
+checkpoint's echo for eval and inspect), stamps outputs with its sha256 hash,
+and is bit-reproducible for a fixed seed. Artifacts go into the ``--out``
+directory (``reports`` by default), made just before the first of them, so a
+run that fails leaves none. Exit codes: 0 success, 1 verification or training
+failure, 2 usage/config.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .train import (
 from . import gradtape as gt
 
 _MODEL_KEYS = {f.name for f in fields(MicroTransformerConfig)}
+DEFAULT_OUT = "reports"
 DEFAULT_BENCH_SHAPES = ((8, 8, 8), (16, 16, 16), (32, 32, 32), (64, 64, 64), (64, 32, 8), (32, 8, 64))
 
 
@@ -59,22 +63,16 @@ class RunConfigError(ValueError):
     """Unknown keys, malformed values, or unreadable config files."""
 
 
-def _read_config(path) -> dict:
-    """The JSON object in the config file at ``path``."""
+def load_run_config(path: str | None, **flags) -> RunConfig:
+    """The config file at ``path`` (defaults when None), with the non-None ``flags`` laid over its keys."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = {} if path is None else json.loads(Path(path).read_text())
     except OSError as e:
         raise RunConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise RunConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise RunConfigError("config root must be a JSON object")
-    return raw
-
-
-def load_run_config(path: str | None, **flags) -> RunConfig:
-    """The config file at ``path`` (defaults when None), with the non-None ``flags`` laid over its keys."""
-    raw = {} if path is None else _read_config(path)
     raw.update((key, value) for key, value in flags.items() if value is not None)
     model = {key: raw.pop(key) for key in raw.keys() & _MODEL_KEYS}
     try:  # the constructors reject unknown keys (TypeError) and values that break a field's rule
@@ -153,6 +151,13 @@ def _load_corpus(rc: RunConfig) -> np.ndarray:
         return tokens.astype(np.int64)
     _check_splits(rc, rc.corpus_length)
     return make_corpus(rc.model.seed, rc.model.vocab, rc.corpus_length)
+
+
+def _out_dir(args) -> Path:
+    """The ``--out`` directory, made on the spot: commands call it just before their first artifact."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _write_json(path: Path, obj) -> None:
@@ -262,8 +267,6 @@ def cmd_gemm_bench(args) -> int:
         return 2
     shapes = DEFAULT_BENCH_SHAPES if args.shapes is None else _parse_shapes(args.shapes)
     rc = load_run_config(args.config, seed=args.seed)
-    out_dir = Path(args.out or rc.report_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     chash = rc.config_hash()
     kernels = ("byte", "packed", "mixed")
     rows, json_rows = [], []
@@ -286,6 +289,7 @@ def cmd_gemm_bench(args) -> int:
             # wall time per modelled multiply, JSON only: the CSV header is fixed
             json_rows.append(rows[-1] + [median_ns / cost.mul_count])
     header = ["m", "k", "n", "kernel", "mul_count", "add_count", "median_wall_ns", "reps", "config_hash"]
+    out_dir = _out_dir(args)
     _write_csv(out_dir / "gemm_bench.csv", header, rows)
     _write_json(
         out_dir / "gemm_bench.json",
@@ -304,29 +308,20 @@ def cmd_train(args) -> int:
     chash = rc.config_hash()
     cfg = rc.model
     corpus = _load_corpus(rc)
-    out_dir = Path(args.out or rc.report_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_split, heldout = split_corpus(corpus, rc.heldout_fraction)
     teacher = pretrain_teacher(cfg, train_split, rc.teacher_steps, rc.teacher_lr)
     teacher_ppl = perplexity_eval(cfg, teacher, heldout, quantized=False)
     trainer = QatTrainer(cfg, teacher, train_split)
     reports = trainer.run(cfg.steps)
     student_ppl = perplexity_eval(cfg, trainer.params, heldout, calib=trainer.calib, quantized=True)
+    out_dir = _out_dir(args)
     with open(out_dir / "loss_log.jsonl", "w") as f:
         for report in reports:
             f.write(json.dumps({k: float(v) for k, v in report.to_dict().items()}, sort_keys=True) + "\n")
-    save_checkpoint(
-        out_dir / "teacher.ckpt",
-        Checkpoint(config=rc.resolved(), params=teacher, extra={"role": "teacher", "config_hash": chash}),
-    )
+    save_checkpoint(out_dir / "teacher.ckpt", Checkpoint(config=rc.resolved(), params=teacher))
     save_checkpoint(
         out_dir / "student.ckpt",
-        Checkpoint(
-            config=rc.resolved(),
-            params=trainer.params,
-            calibration=trainer.calib.state_dict(),
-            extra={"role": "student", "config_hash": chash},
-        ),
+        Checkpoint(config=rc.resolved(), params=trainer.params, calibration=trainer.calib.state_dict()),
     )
     summary = {
         "config_hash": chash,
@@ -341,27 +336,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    raw = {} if args.config is None else _read_config(args.config)
-    stray = sorted(raw.keys() - {"checkpoint", "report_dir"})
-    if stray:  # the corpus, the split and the model come from the checkpoint's echo
-        raise RunConfigError(f"eval reads only checkpoint and report_dir from its config, not {stray[0]!r}")
-    given = load_run_config(args.config)
-    ckpt_path = args.checkpoint or given.checkpoint
-    if ckpt_path is None:
-        print("eval requires --checkpoint or a checkpoint path in the config", file=sys.stderr)
+    if args.checkpoint is None:
+        print("eval requires --checkpoint", file=sys.stderr)
         return 2
-    ckpt, rc, calib = _load_model_checkpoint(ckpt_path)
+    ckpt, rc, calib = _load_model_checkpoint(args.checkpoint)
     cfg = rc.model
     corpus = _load_corpus(rc)
     _, heldout = split_corpus(corpus, rc.heldout_fraction)
-    if calib is not None:
-        ppl = perplexity_eval(cfg, ckpt.params, heldout, calib=calib, quantized=True)
-    else:
-        ppl = perplexity_eval(cfg, ckpt.params, heldout, quantized=False)
-    # the output directory of a --config file, else of the checkpoint's echo
-    out_dir = Path(args.out or (given if args.config else rc).report_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result = {"config_hash": rc.config_hash(), "ppl": ppl, "role": ckpt.extra.get("role")}
+    ppl = perplexity_eval(cfg, ckpt.params, heldout, calib=calib, quantized=calib is not None)
+    out_dir = _out_dir(args)
+    result = {"config_hash": rc.config_hash(), "ppl": ppl, "role": "teacher" if calib is None else "student"}
     _write_json(out_dir / "eval.json", result)
     print(f"eval: ppl {ppl:.4f} -> {out_dir / 'eval.json'}")
     return 0
@@ -376,8 +360,6 @@ def cmd_ablate(args) -> int:
     if rc.model.seed != 0:
         raise RunConfigError(f"ablate runs its own seeds {list(SEEDS)} and cannot honour seed {rc.model.seed}")
     _check_splits(rc, rc.corpus_length)
-    out_dir = Path(args.out or rc.report_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     chash = rc.config_hash()
     rows = ablation_run(rc)
     header = (
@@ -391,6 +373,7 @@ def cmd_ablate(args) -> int:
         + [f"{r['ppl_mean']:.6f}", f"{r['mul_per_token']:.2f}", chash]
         for r in rows
     ]
+    out_dir = _out_dir(args)
     _write_csv(out_dir / "ablation.csv", header, csv_rows)
     _write_json(out_dir / "ablation.json", {"rows": rows, "config_hash": chash, "seeds": list(SEEDS)})
     print(f"ablate: {len(rows)} cells x {len(SEEDS)} seeds -> {out_dir / 'ablation.csv'}")
@@ -454,8 +437,7 @@ def cmd_inspect(args) -> int:
     tape = gt.Tape(dtype=np.float32)
     tp = params_to_tape(tape, ckpt.params, trainable=False)
     student_res = forward_tape(tape, tp, tokens, cfg, quantized=calib is not None, training=False, calib=calib)
-    out_dir = Path(args.out or rc.report_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
 
     def head_stack(nodes):  # [L, H, T, dh]
         return np.stack([gt._head_view(node.array, cfg.heads) for node in nodes])
@@ -540,31 +522,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shapes", help="semicolon list like '64x64x64;32x16x8'")
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--no-time", action="store_true", help="zero the timing column for bit-stable output")
-    p.add_argument("--out")
+    p.add_argument("--out", default=DEFAULT_OUT)
     p.set_defaults(func=cmd_gemm_bench)
 
     p = sub.add_parser("train", help="pretrain teacher, then distillation QAT")
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", default=DEFAULT_OUT)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="held-out perplexity of a checkpoint")
-    p.add_argument("--config")
+    p = sub.add_parser("eval", help="held-out perplexity of a checkpoint, under the recipe it echoes")
     p.add_argument("--checkpoint")
-    p.add_argument("--out")
+    p.add_argument("--out", default=DEFAULT_OUT)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="loss-cell x quant-cell grid over seeds")
     p.add_argument("--config")
-    p.add_argument("--out")
+    p.add_argument("--out", default=DEFAULT_OUT)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("inspect", help="q/k stats, attention maps, scores, bit plans")
     p.add_argument("--checkpoint")
     p.add_argument("--teacher", help="separate teacher checkpoint for comparisons")
     p.add_argument("--tokens", help="comma-separated token ids; default first held-out window")
-    p.add_argument("--out")
+    p.add_argument("--out", default=DEFAULT_OUT)
     p.set_defaults(func=cmd_inspect)
     return parser
 

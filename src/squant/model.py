@@ -58,6 +58,7 @@ from .schema import check_fields, integer, is_number, number, one_of
 from .seeding import substream
 from .token_bits import _group_rows, group_quantize, plan_for_layer
 
+MOMENTUM = 0.95  # the share of itself a running max keeps at each training observation
 ACT_SITES = ("attn_in", "q_post", "k_post", "attn_out", "mlp_in", "mlp_hidden")
 
 __all__ = [
@@ -154,52 +155,38 @@ def init_params(cfg: MicroTransformerConfig) -> dict:
 class Calibration:
     """The activation scales: one running max-abs per (layer, site, group) quantizer.
 
-    ``ema`` maps each key "l{l}.{site}.{hi|lo}" to (running max, observed).
-    A training pass folds each group's max-abs into its running max at the
-    one ``momentum`` (the first observation sets it); any other pass reads
-    the running max frozen. The scale is the max-abs rule of that running max.
+    ``ema`` maps each observed key "l{l}.{site}.{hi|lo}" to its running max.
+    A training pass folds each non-empty group's max-abs into its running max
+    at ``MOMENTUM`` (the first observation enters the key with that max); any
+    other pass reads the running max frozen. The scale is the max-abs rule of
+    that running max, so a key never observed reads 0 and gives scale 1.
     """
 
-    def __init__(self, momentum: float = 0.95):
-        if not is_number(momentum, "(0, 1)"):
-            raise ValueError(f"momentum must be in (0,1), got {momentum!r}")
-        self.momentum = momentum
-        self.ema: dict[str, tuple[float, bool]] = {}
+    def __init__(self):
+        self.ema: dict[str, float] = {}
 
     def group_scale(self, key: str, x: np.ndarray, rows: np.ndarray, bits: int, training: bool) -> float:
         """The scale of the group of ``rows`` of site x at ``bits``; 1, and nothing observed, for an empty group."""
-        running_max, observed = self.ema.setdefault(key, (0.0, False))
         if rows.size * x.shape[1] == 0:
             return 1.0
         if training:
             m = _max_abs(_group_rows(x, rows))
-            running_max = self.momentum * running_max + (1.0 - self.momentum) * m if observed else m
-            self.ema[key] = (running_max, True)
-        return _max_abs_scale(running_max, bits)
+            self.ema[key] = MOMENTUM * self.ema[key] + (1.0 - MOMENTUM) * m if key in self.ema else m
+        return _max_abs_scale(self.ema.get(key, 0.0), bits)
 
     def state_dict(self) -> dict:
-        return {
-            "momentum": self.momentum,
-            "ema": {
-                k: {"momentum": self.momentum, "running_max": m, "initialized": seen}
-                for k, (m, seen) in sorted(self.ema.items())
-            },
-        }
+        return dict(sorted(self.ema.items()))
 
     @classmethod
     def from_state_dict(cls, d) -> "Calibration":
-        """Inverse of ``state_dict``; ValueError on a malformed state or an entry at another momentum."""
-        if not (isinstance(d, dict) and isinstance(d.get("ema"), dict)):
-            raise ValueError(f"calibration state needs an 'ema' object, got {d!r}")
-        out = cls(momentum=d.get("momentum"))
-        for k, e in d["ema"].items():
-            if not (
-                isinstance(e, dict) and is_number(e.get("running_max"), "[0, inf)") and isinstance(e.get("initialized"), bool)
-            ):
-                raise ValueError(f"EMA state needs a finite running_max >= 0 and a boolean initialized, got {e!r}")
-            if e.get("momentum") != out.momentum:
-                raise ValueError(f"EMA entry {k!r} has momentum {e.get('momentum')!r}, the calibration {out.momentum!r}")
-            out.ema[k] = (float(e["running_max"]), e["initialized"])
+        """Inverse of ``state_dict``; ValueError unless it maps keys to finite running maxima >= 0."""
+        if not isinstance(d, dict):
+            raise ValueError(f"calibration state must map keys to running maxima, got {d!r}")
+        out = cls()
+        for k, m in d.items():
+            if not is_number(m, "[0, inf)"):
+                raise ValueError(f"running max of {k!r} must be a finite number >= 0, got {m!r:.40}")
+            out.ema[k] = float(m)
         return out
 
 

@@ -8,13 +8,15 @@ with cosine-annealed SGD on the distillation total, its entropy term
 anchored per head at the teacher's; bit plans and EMA scales refresh every
 step from the student's own forward pass.
 
-A ``RunConfig`` is the run recipe, each field checked by its rule. The
-ablation grid reads its ``model``, ``corpus_length``, ``heldout_fraction``,
-``teacher_steps`` and ``teacher_lr``. It synthesizes one corpus per seed of
-its own, so it reads neither ``corpus`` nor ``model.seed``; ``squant ablate``
-rejects a config that sets either. Its quant cells are values of ``rho``, the
-share of 8-bit tokens: ``uniform_a4`` is 0, ``uniform_a8`` is 1 and
-``adaptive_<rho>`` is the number it names.
+A ``RunConfig`` is the run recipe, each field checked by its rule, and no
+more: a command's ``--out`` flag says where it writes, so ``config_hash``
+covers the recipe alone. The ablation grid reads its ``model``,
+``corpus_length``, ``heldout_fraction``, ``teacher_steps`` and
+``teacher_lr``. It synthesizes one corpus per seed of its own, so it reads
+neither ``corpus`` nor ``model.seed``; ``squant ablate`` rejects a config
+that sets either. Its quant cells are values of ``rho``, the share of 8-bit
+tokens: ``uniform_a4`` is 0, ``uniform_a8`` is 1 and ``adaptive_<rho>`` is
+the number it names.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ __all__ = [
 
 @dataclass
 class RunConfig:
-    """Model config plus paths and run-recipe knobs; every field checked by its rule."""
+    """Model config plus run-recipe knobs; every field checked by its rule."""
 
     model: MicroTransformerConfig = typed(MicroTransformerConfig, default_factory=MicroTransformerConfig)
     corpus: str | None = typed(str, type(None), default=None)  # optional .npy token stream; else synthesized
@@ -77,8 +79,6 @@ class RunConfig:
     heldout_fraction: float = number(0.125, "(0, 1)")
     teacher_steps: int = integer(8000, least=0)
     teacher_lr: float = number(0.3, "(0, inf)")
-    checkpoint: str | None = typed(str, type(None), default=None)
-    report_dir: str = typed(str, default="reports")
 
     def __post_init__(self):
         check_fields(self)

@@ -170,7 +170,7 @@ def chain_attend(probs, v):
     return merge_heads(gt.matmul(probs, split_heads(v, probs.shape[0])))
 
 
-def chain_entropy(q_nodes, k_nodes, heads, eps=EPS, ceiling=None):
+def chain_entropy(q_nodes, k_nodes, heads, ceiling=None):
     """The op chain ``entropy_loss_node`` replaces."""
     var_q, var_k = (
         variance_per(concat([split_heads(n, heads) for n in nodes])) for nodes in (q_nodes, k_nodes)
@@ -180,10 +180,10 @@ def chain_entropy(q_nodes, k_nodes, heads, eps=EPS, ceiling=None):
         terms = clamp_max(terms, np.reshape(ceiling, terms.shape))
     shape = (len(q_nodes), heads)
     stats = GaussianStats(var_q=var_q.array.reshape(shape), var_k=var_k.array.reshape(shape))
-    return neg(log(add_scalar(sum_in_order(terms), eps))), stats
+    return neg(log(add_scalar(sum_in_order(terms), EPS))), stats
 
 
-def chain_distribution(attn_nodes, teacher_probs, eps=EPS, literal_sign=False):
+def chain_distribution(attn_nodes, teacher_probs):
     """The op chain ``distribution_loss_node`` replaces."""
     maps = concat(attn_nodes)
     tape = maps.tape
@@ -193,8 +193,7 @@ def chain_distribution(attn_nodes, teacher_probs, eps=EPS, literal_sign=False):
     num = sum_per(mul(maps, tape.constant(target)))
     qq = sqrt(sum_per(mul(maps, maps)))
     total = sum_in_order(div(num, mul(qq, tape.constant(t_norm))))
-    node = log(add_scalar(total, eps))
-    return (node if literal_sign else neg(node)), float(total.array)
+    return neg(log(add_scalar(total, EPS))), float(total.array)
 
 
 # ---------------------------------------------------------------------------

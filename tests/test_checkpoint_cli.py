@@ -52,14 +52,21 @@ class TestCheckpointRoundTrip:
             assert loaded.params[name].dtype == np.float32
             np.testing.assert_array_equal(loaded.params[name], params[name])
 
-    def test_config_and_extra_echo(self, tmp_path):
+    def test_config_echo(self, tmp_path):
         path = tmp_path / "m.ckpt"
         cfg = {"model": {"dim": 32}, "corpus_length": 128}
-        save_checkpoint(path, Checkpoint(config=cfg, params={}, extra={"role": "teacher"}))
+        save_checkpoint(path, Checkpoint(config=cfg, params={}))
         loaded = load_checkpoint(path)
         assert loaded.config == cfg
-        assert loaded.extra["role"] == "teacher"
         assert loaded.calibration is None
+
+    def test_header_holds_the_echo_the_index_and_the_calibration_only(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Checkpoint(config={}, params={}, calibration={"l0.attn_in.hi": 0.5}))
+        raw = path.read_bytes()
+        assert np.frombuffer(raw[4:8], dtype="<u4")[0] == VERSION == 1  # the preamble keeps its version
+        header = json.loads(raw[12:])
+        assert header == {"calibration": {"l0.attn_in.hi": 0.5}, "config": {}, "tensors": []}
 
     def test_calibration_floats_exact(self, tmp_path):
         calib = Calibration()
@@ -72,34 +79,21 @@ class TestCheckpointRoundTrip:
             path, Checkpoint(config={}, params={}, calibration=calib.state_dict())
         )
         loaded = Calibration.from_state_dict(load_checkpoint(path).calibration)
-        for key, (running_max, observed) in calib.ema.items():
-            # float64 JSON round-trip must be lossless
-            assert loaded.ema[key][0] == running_max
-            assert loaded.ema[key][1] == observed
+        assert len(loaded.ema) == 6 and loaded.ema == calib.ema  # float64 JSON round-trip must be lossless
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
-        momentum=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        ema=st.dictionaries(
-            st.text(max_size=12),
-            st.tuples(st.floats(min_value=0.0, max_value=1e300, allow_nan=False), st.booleans()),
-            max_size=8,
-        ),
+        ema=st.dictionaries(st.text(max_size=12), st.floats(min_value=0.0, max_value=1e300, allow_nan=False), max_size=8)
     )
-    def test_calibration_table_round_trips(self, tmp_path, momentum, ema):
-        calib = Calibration(momentum=momentum)
+    def test_calibration_table_round_trips(self, tmp_path, ema):
+        calib = Calibration()
         calib.ema = dict(ema)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, Checkpoint(config={}, params={}, calibration=calib.state_dict()))
         loaded = Calibration.from_state_dict(load_checkpoint(path).calibration)
-        assert loaded.momentum == momentum and loaded.ema == ema
-        # one entry per key, each with the calibration's momentum, keys sorted
-        assert loaded.state_dict() == {
-            "momentum": momentum,
-            "ema": {
-                k: {"momentum": momentum, "running_max": m, "initialized": seen} for k, (m, seen) in sorted(ema.items())
-            },
-        }
+        assert loaded.ema == ema
+        # one running max per key, keys sorted
+        assert list(loaded.state_dict().items()) == sorted(ema.items())
 
     def test_forward_logits_bit_exact(self, tmp_path):
         cfg = MicroTransformerConfig(seed=3)
@@ -200,7 +194,7 @@ class TestRunConfig:
             ({"seq_len": 600}, [0, 1, 2]),  # a file corpus too short to train on
             ({"vocab": 3}, None),  # the synthetic corpus needs 4 successors per token
             ({"corpus": 5}, None),
-            ({"report_dir": 5}, None),
+            ({"report_dir": "out"}, None),  # a retired key: --out says where a command writes
             ({"corpus_length": 10**18}, None),  # legal, but no address space holds its tokens
             ({"corpus_length": 10**19}, None),  # more tokens than an int64 array can index
         ],
@@ -259,10 +253,9 @@ def _raw_checkpoint(path, header, payload=b""):
     path.write_bytes(MAGIC + np.array([VERSION, len(blob)], dtype="<u4").tobytes() + blob + payload)
 
 
-def _checkpoint_with(path, params=None, config=None, calibration=None, extra=None):
+def _checkpoint_with(path, params=None, config=None, calibration=None):
     params = init_params(ECHO_RUN.model) if params is None else params
-    extra = {} if extra is None else extra
-    save_checkpoint(path, Checkpoint(config or ECHO_RUN.resolved(), params, calibration=calibration, extra=extra))
+    save_checkpoint(path, Checkpoint(config or ECHO_RUN.resolved(), params, calibration=calibration))
 
 
 def _edited_checkpoint(path, edit_index=None, tail=b""):
@@ -330,23 +323,23 @@ BAD_CHECKPOINTS = {
     "dim of 2**64": _shape_entry([2**64]),
     "dims whose product overflows int64": _shape_entry([2**32, 2**32]),
     "zero-size shape too big for numpy": _shape_entry([0, 2**63]),
-    "extra not an object": lambda p: _checkpoint_with(p, extra=[1]),
     "overlapping payloads": lambda p: _edited_checkpoint(p, lambda t: t[1].update(offset=t[0]["offset"])),
     "tensor listed twice": lambda p: _edited_checkpoint(p, lambda t: t.append(dict(t[0]))),
     "bytes after the last payload": lambda p: _edited_checkpoint(p, tail=b"\0\0\0\0"),
-    "calibration without ema": lambda p: _checkpoint_with(p, calibration={"momentum": 0.95}),
     "calibration a list": lambda p: _checkpoint_with(p, calibration=[0.95]),
-    "calibration momentum 2": lambda p: _checkpoint_with(p, calibration={"momentum": 2, "ema": {}}),
-    "ema entry without running_max": lambda p: _checkpoint_with(
-        p, calibration={"momentum": 0.95, "ema": {"l0.attn_in.hi": {"momentum": 0.95, "initialized": True}}}
-    ),
-    "ema entry at another momentum": lambda p: _checkpoint_with(
+    "old-form calibration": lambda p: _checkpoint_with(
         p,
         calibration={
             "momentum": 0.95,
-            "ema": {"l0.attn_in.hi": {"momentum": 0.9, "running_max": 0.75, "initialized": True}},
+            "ema": {"l0.attn_in.hi": {"momentum": 0.95, "running_max": 0.75, "initialized": True}},
         },
     ),
+    "running max negative": lambda p: _checkpoint_with(p, calibration={"l0.attn_in.hi": -0.75}),
+    "running max NaN": lambda p: _checkpoint_with(p, calibration={"l0.attn_in.hi": float("nan")}),
+    "running max infinite": lambda p: _checkpoint_with(p, calibration={"l0.attn_in.hi": float("inf")}),
+    "running max null": lambda p: _checkpoint_with(p, calibration={"l0.attn_in.hi": None}),
+    "running max a string": lambda p: _checkpoint_with(p, calibration={"l0.attn_in.hi": "0.75"}),
+    "running max a bool": lambda p: _checkpoint_with(p, calibration={"l0.attn_in.hi": True}),
 }
 
 
@@ -369,8 +362,14 @@ class TestCheckpointExitContract:
 
     @pytest.mark.parametrize(
         "model,run",
-        [({"act_bits": 8}, {}), ({"literal_distribution_sign": False}, {}), ({}, {"bench_shapes": [[8, 8, 8]]})],
-        ids=["act_bits", "literal_distribution_sign", "bench_shapes"],
+        [
+            ({"act_bits": 8}, {}),
+            ({"literal_distribution_sign": False}, {}),
+            ({}, {"bench_shapes": [[8, 8, 8]]}),
+            ({}, {"checkpoint": "m.ckpt"}),
+            ({}, {"report_dir": "reports"}),
+        ],
+        ids=["act_bits", "literal_distribution_sign", "bench_shapes", "checkpoint", "report_dir"],
     )
     @pytest.mark.parametrize("command", ["eval", "inspect"])
     def test_retired_echo_key_is_named(self, tmp_path, capsys, command, model, run):
@@ -412,7 +411,7 @@ def student_file(tmp_path_factory):
     """A valid student checkpoint (tensors, config echo, calibration) and its bytes."""
     calib = Calibration()
     for key in ("l0.attn_in.hi", "l0.attn_in.lo"):
-        calib.ema[key] = (0.75, True)
+        calib.ema[key] = 0.75
     path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
     _checkpoint_with(path, calibration=calib.state_dict())
     return path, path.read_bytes()
@@ -609,6 +608,7 @@ class TestTrainEvalCommands:
         result = json.loads((tmp_path / "eval.json").read_text())
         assert result["ppl"] == summary["student_ppl"]
         assert result["config_hash"] == summary["config_hash"]
+        assert result["role"] == "student"  # a checkpoint with a calibration
 
     def test_eval_teacher_checkpoint_float_path(self, tiny_run, tmp_path):
         _, out = tiny_run
@@ -621,31 +621,31 @@ class TestTrainEvalCommands:
         assert result["role"] == "teacher"
         assert result["ppl"] == summary["teacher_ppl"]
 
-    def test_eval_writes_to_the_report_dir_of_its_config_else_of_the_echo(self, tiny_run, tmp_path, monkeypatch):
-        _, out = tiny_run
-        monkeypatch.chdir(tmp_path)  # the checkpoint echoes the relative default report_dir "reports"
-        Path("e.json").write_text(json.dumps({"checkpoint": str(out / "student.ckpt"), "report_dir": "evalout"}))
-        assert cli_main(["eval", "--config", "e.json"]) == 0
-        assert Path("evalout/eval.json").exists() and not Path("reports").exists()
-        assert cli_main(["eval", "--config", "e.json", "--out", "flag"]) == 0
-        assert Path("flag/eval.json").exists() and not Path("reports").exists()
-        assert cli_main(["eval", "--checkpoint", str(out / "student.ckpt")]) == 0  # no config: the echo's
-        assert Path("reports/eval.json").exists()
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect", "ablate", "gemm-bench"])
+    def test_out_defaults_to_reports(self, command):
+        assert squant.cli.build_parser().parse_args([command]).out == "reports"
 
-    @pytest.mark.parametrize("key", [{"heldout_fraction": 0.5}, {"steps": 3}])
-    def test_eval_config_with_another_key_exits_two(self, tiny_run, tmp_path, capsys, monkeypatch, key):
-        # the corpus, the split and the model come from the checkpoint, so the config cannot set them
+    def test_eval_writes_to_its_out_not_next_to_the_run(self, tiny_run, tmp_path, monkeypatch):
         _, out = tiny_run
         monkeypatch.chdir(tmp_path)
-        Path("e.json").write_text(json.dumps({"checkpoint": str(out / "student.ckpt"), "report_dir": "evalout", **key}))
-        capsys.readouterr()
-        assert cli_main(["eval", "--config", "e.json", "--out", "flag"]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("config error: ") and repr(next(iter(key))) in err, err
-        assert sorted(os.listdir()) == ["e.json"]
+        assert cli_main(["eval", "--checkpoint", str(out / "student.ckpt")]) == 0
+        assert sorted(os.listdir()) == ["reports"] and os.listdir("reports") == ["eval.json"]
+        assert cli_main(["eval", "--checkpoint", str(out / "student.ckpt"), "--out", "flag"]) == 0
+        assert Path("flag/eval.json").read_bytes() == Path("reports/eval.json").read_bytes()
 
-    def test_eval_without_checkpoint_usage_error(self):
-        assert cli_main(["eval"]) == 2
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_checkpoint_commands_have_no_config_flag(self, capsys, command):
+        # the corpus, the split and the model come from the checkpoint's echo
+        with pytest.raises(SystemExit) as exc_info:
+            cli_main([command, "--config", "e.json"])
+        assert exc_info.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_eval_without_checkpoint_usage_error(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert cli_main(["eval", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "eval requires --checkpoint\n"
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_bit_identical(self, tiny_run, tmp_path):
         cfg_path, out = tiny_run
@@ -825,6 +825,17 @@ class TestDivergence:
         assert len(lines) == 1, proc.stderr  # the dump alone: no traceback, no numpy warnings
         dump = json.loads(lines[0])
         assert dump["phase"] == phase and "non-finite" in dump["error"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_a_diverging_run_leaves_no_out_directory(self, tmp_path, capsys, command):
+        # the directory is made just before the first artifact, which a diverged run never writes
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"steps": 2, "seed": 0, "corpus_length": 512, "teacher_steps": 50, "teacher_lr": 1e30}))
+        capsys.readouterr()
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
 
 def test_same_bits_script_hashes_the_fifteen_tiny_artifacts():
@@ -836,11 +847,15 @@ def test_same_bits_script_hashes_the_fifteen_tiny_artifacts():
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    names = [line.split()[0] for line in lines[:-2]]
+    assert len(lines) == 32  # 15 artifacts, combined, 15 masked artifacts, content
+    names = [line.split()[0] for line in lines[:15]]
     assert len(set(names)) == 15 and {"train/loss_log.jsonl", "ablate/ablation.csv"} <= set(names)
-    text = "".join(line + "\n" for line in lines[:-2])
-    assert lines[-2] == f"combined {hashlib.sha256(text.encode()).hexdigest()}"
+    assert [line.split()[:2] for line in lines[16:31]] == [["content", name] for name in names]
+    text = "".join(line + "\n" for line in lines[:15])
+    assert lines[15] == f"combined {hashlib.sha256(text.encode()).hexdigest()}"
+    masked = "".join(line.removeprefix("content ") + "\n" for line in lines[16:31])
+    assert lines[31] == f"content {hashlib.sha256(masked.encode()).hexdigest()}"
     # a change that moves an artifact on purpose updates these pins and says why in CHANGES.md;
     # a change to the config alone moves combined and keeps content
-    assert lines[-2] == "combined 0f77d691bbcaba8861244b227be9c3219d3e3a08a1029bad0a36bd717706793e"
-    assert lines[-1] == "content ca205b4b6193221e3a21e8fbe6eed7f40df1054e4b9da7b2800e50d6156d557d"
+    assert lines[15] == "combined 0d5099d102b2c0bfaa1605ed0ec28cd9575744da70a12a2cc9d461ca0433b48f"
+    assert lines[31] == "content 2f3e6e502ec29a2ef8b8154fd37eaf08387d4118a6ebb5873585db70dab73806"

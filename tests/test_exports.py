@@ -33,6 +33,6 @@ def test_all_names_exist_and_references_stay_in_tests(name):
 
 
 def test_activation_scales_have_one_owner():
-    # model.Calibration holds the running max-abs table and checks its own momentum
+    # model.Calibration holds the running max-abs table, folded at model.MOMENTUM
     quant = importlib.import_module("squant.quant")
     assert [n for n in ("EmaState", "check_momentum") if hasattr(quant, n)] == []

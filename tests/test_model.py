@@ -13,6 +13,7 @@ from squant import gradtape as gt
 from squant.kernels import CostCounter, gemm_i4_packed, gemm_i8
 from squant.model import (
     ACT_SITES,
+    MOMENTUM,
     Calibration,
     WEIGHT_NAMES,
     MicroTransformerConfig,
@@ -154,7 +155,7 @@ class TestStudentForward:
                 if (plan.bits == bits).any():
                     for site in ACT_SITES:
                         key = f"l{l}.{site}.{group}"
-                        expected[key] = calib.ema[key][0] / ((1 << (bits - 1)) - 1)
+                        expected[key] = calib.ema[key] / ((1 << (bits - 1)) - 1)
         assert any(key.endswith(".lo") for key in expected)
         got = {key: res.scales_used[key] for key in res.scales_used if key.endswith((".hi", ".lo"))}
         assert got == expected
@@ -187,37 +188,45 @@ class TestCalibration:
     X = np.array([[1.0, -7.0], [14.0, 2.0], [-3.0, 0.5]])
 
     def test_first_observation_sets_the_running_max(self):
-        calib = Calibration(momentum=0.9)
+        calib = Calibration()
         scale = calib.group_scale("l0.attn_in.lo", self.X, np.array([1, 2]), 4, training=True)
-        assert calib.ema == {"l0.attn_in.lo": (14.0, True)}
+        assert calib.ema == {"l0.attn_in.lo": 14.0}
         assert scale == 2.0  # 14 / (2^3 - 1)
 
     def test_later_observations_fold_at_the_momentum(self):
-        calib = Calibration(momentum=0.9)
+        calib = Calibration()
         calib.group_scale("k", self.X, np.array([0]), 4, training=True)
         scale = calib.group_scale("k", self.X, np.array([1]), 4, training=True)
-        folded = 0.9 * 7.0 + (1.0 - 0.9) * 14.0  # the float arithmetic of the fold, in this order
-        assert calib.ema["k"] == (folded, True)
+        folded = MOMENTUM * 7.0 + (1.0 - MOMENTUM) * 14.0  # the float arithmetic of the fold, in this order
+        assert calib.ema["k"] == folded
         assert scale == folded / 7.0
 
     def test_a_frozen_read_leaves_the_running_max(self):
         calib = Calibration()
         calib.group_scale("k", self.X, np.array([1]), 8, training=True)
         assert calib.group_scale("k", self.X, np.array([0, 2]), 8, training=False) == 14.0 / 127.0
-        assert calib.ema["k"] == (14.0, True)
+        assert calib.ema["k"] == 14.0
 
-    def test_an_empty_group_enters_its_key_and_stays_unobserved(self):
+    def test_an_empty_group_gives_scale_one_and_adds_no_key(self):
         calib = Calibration()
         empty = np.array([], dtype=np.int64)
         for training in (True, False):
             assert calib.group_scale("k", self.X, empty, 8, training) == 1.0
             assert calib.group_scale("d", np.zeros((3, 0)), np.arange(3), 4, training) == 1.0
-        assert calib.ema == {"k": (0.0, False), "d": (0.0, False)}
+        assert calib.ema == {}
 
     def test_a_frozen_read_of_an_unobserved_key_gives_scale_one(self):
         calib = Calibration()
         assert calib.group_scale("k", self.X, np.arange(3), 8, training=False) == 1.0
-        assert calib.ema == {"k": (0.0, False)}
+        assert calib.ema == {}  # the key stays unseen: a later training pass enters it at its first max
+
+    def test_a_zero_running_max_is_observed_and_folds(self):
+        # a group of zeros enters its key at 0 (scale 1); the next observation folds into it
+        calib = Calibration()
+        assert calib.group_scale("k", np.zeros((2, 2)), np.arange(2), 8, training=True) == 1.0
+        assert calib.ema == {"k": 0.0}
+        calib.group_scale("k", self.X, np.array([1]), 8, training=True)
+        assert calib.ema == {"k": MOMENTUM * 0.0 + (1.0 - MOMENTUM) * 14.0}
 
     def test_a_given_scale_beats_the_calibration(self):
         cfg = small_cfg(rho=1.0)
@@ -230,12 +239,7 @@ class TestCalibration:
         )
         assert res.scales_used["l0.attn_in.hi"] == 0.25
         assert "l0.attn_in.hi" not in calib.ema  # the calibration is neither read nor folded
-        assert calib.ema["l0.mlp_in.hi"][1] and calib.ema["l1.attn_in.hi"][1]
-
-    @pytest.mark.parametrize("momentum", [0, 1, 1.5, -0.1, True, float("nan"), "0.9", None])
-    def test_momentum_outside_the_open_unit_interval_rejected(self, momentum):
-        with pytest.raises(ValueError, match="momentum"):
-            Calibration(momentum=momentum)
+        assert "l0.mlp_in.hi" in calib.ema and "l1.attn_in.hi" in calib.ema
 
 
 class TestIntegerPath:
@@ -299,10 +303,7 @@ class TestIntegerPath:
         calib = Calibration()
         forward_int(cfg, init_params(cfg), tokens_for(cfg), calib=calib)
         assert len(calls) == len(ACT_SITES) * cfg.layers
-        assert set(calib.ema) == {
-            f"l{l}.{site}.{group}" for l in range(cfg.layers) for site in ACT_SITES for group in ("hi", "lo")
-        }
-        assert not any(observed for _, observed in calib.ema.values())
+        assert calib.ema == {}  # the integer path reads the calibration frozen: it observes nothing
 
     def test_no_mask_without_a_backward(self, monkeypatch):
         # constant inputs: the integer, teacher and eval forwards build no straight-through mask

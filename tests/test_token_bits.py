@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from squant import gradtape as gt
-from squant.model import Calibration
+from squant.model import MOMENTUM, Calibration
 from squant.quant import QuantizedTensor, QuantSpec, calibrate_scale, fake_quant, quantize
 from squant.seeding import substream
 from squant.token_bits import (
@@ -346,9 +346,6 @@ def ref_clip(x, scale, bits):
     return np.clip(x, x.dtype.type(lo), x.dtype.type(hi)), ((x >= lo) & (x <= hi)).astype(x.dtype)
 
 
-MOMENTUM = 0.9
-
-
 def ref_group_scale(x, bits, ema, fixed, training):
     """``ema`` is None or a [running_max, observed] pair, folded in place at MOMENTUM when training."""
     if fixed is not None:
@@ -403,6 +400,11 @@ def ema_pair(rng):
     return [[float(rng.uniform(0.1, 5.0)), True] if rng.uniform() < 0.5 else [0.0, False] for _ in range(2)]
 
 
+def observed_maxima(emas):
+    """The calibration table of two [running_max, observed] pairs: the observed groups' running maxima."""
+    return {group: m for group, (m, observed) in zip(("hi", "lo"), emas) if observed}
+
+
 class TestOneRoundingOracle:
     """group_quantize + fake_quant against the gather/quantize/scatter reference, byte for byte."""
 
@@ -429,8 +431,8 @@ class TestOneRoundingOracle:
             t = tape.parameter(x)
             scales = fixed
             if emas[0] is not None:  # the scales as the model resolves them from its calibration
-                calib = Calibration(momentum=MOMENTUM)
-                calib.ema = {"hi": tuple(emas[0]), "lo": tuple(emas[1])}
+                calib = Calibration()
+                calib.ema = observed_maxima(emas)
                 scales = [
                     calib.group_scale(group, x, rows, bits, training)
                     for group, rows, bits in (("hi", plan.hi, 8), ("lo", plan.lo, 4))
@@ -445,7 +447,7 @@ class TestOneRoundingOracle:
                 assert rows.tobytes() == codes.tobytes()
                 assert spec.scale == scale
             if emas[0] is not None:
-                assert calib.ema == {"hi": tuple(ref_emas[0]), "lo": tuple(ref_emas[1])}
+                assert calib.ema == observed_maxima(ref_emas)
             assert t.grad.dtype == want_grad.dtype and t.grad.tobytes() == want_grad.tobytes()
             blocked += int(np.count_nonzero(want_grad == 0))
         assert blocked > 100  # the mask did block gradients, so it was compared where it matters

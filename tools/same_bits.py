@@ -8,10 +8,12 @@ directory. Prints ``name sha256`` for each of the 15 artifacts, then a
 
     PYTHONPATH=src python3 tools/same_bits.py
 
-A last ``content`` line hashes the artifacts again, with each 64-hex config
-hash masked and each checkpoint's config echo and ``extra.config_hash`` left
-out. A change to the config alone (a field added, renamed or removed) moves
-``combined`` but keeps ``content`` whenever it keeps the numbers.
+Then it hashes the artifacts again, with each 64-hex config hash masked and
+each checkpoint's config echo left out: one ``content name sha256`` line per
+artifact, and a last ``content`` line, the sha256 of those. A change to the
+config alone (a field added, renamed or removed) moves ``combined`` but keeps
+``content`` whenever it keeps the numbers; a change that moves ``content``
+shows in the line of the artifact it moved.
 """
 
 import contextlib
@@ -37,13 +39,18 @@ def run(*argv: str) -> None:
 
 
 def content(path: Path) -> bytes:
-    """The artifact's bytes without the config: hashes masked, a checkpoint's echo left out."""
+    """The artifact's bytes without the config: hashes masked, a checkpoint's echo left out.
+
+    Checkpoints written before their header lost ``extra`` (the role and the
+    config hash, both implied by the rest) have it left out too.
+    """
     raw = path.read_bytes()
     if path.suffix != ".ckpt":
         return CONFIG_HASH.sub(b"<config_hash>", raw)
     end = 12 + int.from_bytes(raw[8:12], "little")  # magic, version, header length, JSON header, tensors
     header = json.loads(raw[12:end])
-    del header["config"], header["extra"]["config_hash"]
+    del header["config"]
+    header.pop("extra", None)
     return raw[:8] + json.dumps(header, sort_keys=True).encode() + raw[end:]
 
 
@@ -67,6 +74,7 @@ def main() -> None:
         masked = "".join(f"{p.relative_to(root)} {hashlib.sha256(content(p)).hexdigest()}\n" for p in paths)
     print(text, end="")
     print(f"combined {hashlib.sha256(text.encode()).hexdigest()}")
+    print("".join(f"content {line}\n" for line in masked.splitlines()), end="")
     print(f"content {hashlib.sha256(masked.encode()).hexdigest()}")
 
 
