@@ -32,6 +32,7 @@ from .kernels import (
 )
 from .losses import qk_stats
 from .model import (
+    ACT_SITES,
     Calibration,
     MicroTransformerConfig,
     forward_tape,
@@ -133,6 +134,14 @@ def _load_model_checkpoint(path) -> tuple[Checkpoint, RunConfig, Calibration | N
         calib = None if ckpt.calibration is None else Calibration.from_state_dict(ckpt.calibration)
     except ValueError as e:
         raise CheckpointError(f"calibration: {e}") from e
+    if calib is not None:
+        # a key may be missing (a group never observed), but each one present must be a quantizer of this model
+        keys = {f"l{l}.{site}.{g}" for l in range(rc.model.layers) for site in ACT_SITES for g in ("hi", "lo")}
+        stray = next((k for k in calib.ema if k not in keys), None)
+        if stray is not None:
+            raise CheckpointError(
+                f"calibration key {stray!r} is not l{{layer}}.{{site}}.{{hi|lo}} of a layer and site the model has"
+            )
     return ckpt, rc, calib
 
 
@@ -471,8 +480,8 @@ def cmd_inspect(args) -> int:
     t_len = tokens.size
     map_rows = []
     for l in range(cfg.layers):
-        t_mean = teacher_res.attn_probs[l].mean(axis=0)
-        s_mean = student_res.attn_probs[l].mean(axis=0)
+        t_mean = teacher_res.attn_nodes[l].array.mean(axis=0)
+        s_mean = student_res.attn_nodes[l].array.mean(axis=0)
         for r in range(t_len):
             for c in range(t_len):
                 map_rows.append([l, r, c, f"{t_mean[r, c]:.6g}", f"{s_mean[r, c]:.6g}", chash])
@@ -484,7 +493,7 @@ def cmd_inspect(args) -> int:
 
     score_rows = []
     for l in range(cfg.layers):
-        scores = token_importance(student_res.attn_probs[l])
+        scores = token_importance(student_res.attn_nodes[l].array)
         score_rows += [[l, t, f"{scores[t]:.6g}", chash] for t in range(t_len)]
     _write_csv(
         out_dir / "first_col_scores.csv",

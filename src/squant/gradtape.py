@@ -214,7 +214,11 @@ def gelu(x: Tensor) -> Tensor:
     t *= _GELU_C
     np.tanh(t, out=t)
     y = 0.5 * a
-    y *= 1.0 + t
+    if x.constant:  # a constant records no backward, so t may become 1.0 + t in place
+        t += 1.0
+        y *= t
+    else:
+        y *= 1.0 + t
 
     def vjp(g):
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * a * a)
@@ -279,21 +283,25 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
 
 @lru_cache(maxsize=64)
 def _causal_mask(rows: int, cols: int) -> np.ndarray:
-    """Read-only [rows, cols] mask, true where j <= i; built once per shape."""
-    mask = np.tril(np.ones((rows, cols), dtype=bool))
+    """Read-only [rows, cols] mask of the entries a causal softmax drops, true where j > i; built once per shape."""
+    mask = np.triu(np.ones((rows, cols), dtype=bool), k=1)
     mask.flags.writeable = False
     return mask
 
 
 def softmax_forward(x: np.ndarray, causal: bool = False) -> np.ndarray:
-    """Numerically stabilized row softmax; causal masks j > i to exact zero."""
+    """Numerically stabilized row softmax; causal masks j > i to exact zero. x is left as it is."""
+    return _softmax_in_place(np.array(x), causal)
+
+
+def _softmax_in_place(e: np.ndarray, causal: bool) -> np.ndarray:
+    """``softmax_forward`` of e, written over e."""
     if causal:
-        mask = _causal_mask(*x.shape[-2:])
-        shifted = np.where(mask, x, -np.inf)
-        e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))  # exp(-inf) is exactly 0
-    else:
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+        np.copyto(e, -np.inf, where=_causal_mask(*e.shape[-2:]))  # exp(-inf) is exactly 0
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def attention(q: Tensor, k: Tensor, heads: int, scale: float) -> Tensor:
@@ -302,8 +310,8 @@ def attention(q: Tensor, k: Tensor, heads: int, scale: float) -> Tensor:
     The bits of ``softmax_rows(mul_scalar(matmul(split_heads(q),
     transpose(split_heads(k))), scale), causal=True)`` (``chain_attention``
     in ``tests/reference.py``): the same C-ordered operands go to the same
-    BLAS calls, and each gradient is cast to the tape dtype where that
-    chain's tape would cast it.
+    BLAS calls, each later step writes over the scores in place, and each
+    gradient is cast to the tape dtype where that chain's tape would cast it.
     """
     tape = _same_tape(q, k)
     if q.shape != k.shape:
@@ -311,7 +319,9 @@ def attention(q: Tensor, k: Tensor, heads: int, scale: float) -> Tensor:
     qh, kh = (_heads(n.array, heads) for n in (q, k))
     kht = _t(kh).copy()
     c = tape.dtype.type(scale)
-    y = softmax_forward((qh @ kht) * c, causal=True).astype(tape.dtype, copy=False)
+    y = qh @ kht
+    y *= c
+    _softmax_in_place(y, causal=True)
     t, d = q.shape
 
     def vjp(g):

@@ -14,7 +14,13 @@ Three multiply paths over int8 operands, each bit-exact to the int32 sum:
 
 Every kernel returns int32 sums and takes no scale: the caller dequantizes
 each token's column by alpha_w * alpha_token, in one place
-(``model._linear_int``).
+(``model._linear_int``). Both kernels compute their product token-major,
+codes [N, K] times the weight's transposed view, and return the [M, N] sums
+as a view of those C-ordered [N, M] sums, so the caller reads one token's
+sums as one contiguous row and the dispatch scatters whole rows. Exact
+integer sums do not depend on the order of the product. A uniform plan, such
+as layer 0's all-8 plan whenever rho > 0, is one kernel call whose result
+``gemm_mixed`` returns as it is.
 
 Both kernels run as float BLAS products of the integer codes. That is exact
 for the reason behind the Ozaki scheme (Ozaki, Ogita, Oishi & Rump, Numer.
@@ -27,9 +33,9 @@ adds them, is an integer below the float format's 2^p, so nothing rounds.
 - The packed kernel keeps one multiply per row pair. It reads each unit's
   lanes re-spaced to ``hi * 2^24 + lo`` in float64 and runs one product per
   K-chunk of at most 8191 rows, so the low-lane sum stays below
-  8191 * 1024 < 2^23 and the whole sum below 2^53. Each chunk's sums split
-  like one product does: ``lo`` sign-extends the low 24 bits and
-  ``hi = (S - lo) >> 24``.
+  8191 * 1024 < 2^23 and the whole sum below 2^53. Each chunk's sums S
+  split in float64, exactly: ``hi = floor((S + 2^23) / 2^24)`` and
+  ``lo = S - hi * 2^24``, the low 24 bits sign-extended.
 
 ``pack_int4`` builds, next to the int32 units, the two forms these products
 read: the float64 lanes for the packed kernel and the int8 codes (pad row
@@ -151,6 +157,18 @@ def _split_lanes(v: np.ndarray, bits: int):
     return lo, (v - lo) >> bits
 
 
+def _split_products(s: np.ndarray) -> np.ndarray:
+    """Split float64 sums s = hi * 2^24 + lo: s becomes lo (low 24 bits, sign-extended) in place; returns hi.
+
+    hi = floor((s + 2^23) / 2^24) and lo = s - hi * 2^24, each step exact on integers below 2^53.
+    """
+    hi = s + float(1 << 23)
+    hi *= 1.0 / (1 << 24)
+    np.floor(hi, out=hi)
+    s -= hi * float(1 << 24)
+    return hi
+
+
 def _exact_product(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
     """BLAS ``a @ b`` in ``dtype`` on integer-valued operands.
 
@@ -170,7 +188,7 @@ def unpack_int4(wp: PackedInt4Matrix) -> np.ndarray:
 
 
 def gemm_i8(w: np.ndarray, x: np.ndarray, cost: CostCounter) -> np.ndarray:
-    """Byte-level kernel: int32 out = int8 w [M,K] @ int8 x [K,N]."""
+    """Byte-level kernel: int32 out = int8 w [M,K] @ int8 x [K,N], a view of the token-major [N, M] sums."""
     w = _check_int8(w, "w")
     x = _check_int8(x, "x")
     m, k = w.shape
@@ -179,10 +197,10 @@ def gemm_i8(w: np.ndarray, x: np.ndarray, cost: CostCounter) -> np.ndarray:
     _check_depth(k, 8)
     n = x.shape[1]
     dtype = np.float32 if k <= _F32_EXACT_DEPTH else np.float64
-    out = _exact_product(w, x, dtype).astype(np.int32)
+    out = _exact_product(x.T, w.T, dtype).astype(np.int32)
     cost.mul_count += m * k * n
     cost.add_count += m * k * n
-    return out
+    return out.T
 
 
 def gemm_i4_packed(wp: PackedInt4Matrix, x: np.ndarray, cost: CostCounter) -> np.ndarray:
@@ -191,8 +209,8 @@ def gemm_i4_packed(wp: PackedInt4Matrix, x: np.ndarray, cost: CostCounter) -> np
     Each unit u = w_hi * 2^16 + w_lo is read re-spaced as its lanes,
     u24 = w_hi * 2^24 + w_lo, and one float64 product per K-chunk gives
     S = sum(u24 * a) for both rows at once. The split lo = sign_extend_24(S)
-    (= sum w_lo * a) and hi = (S - lo) >> 24 (= sum w_hi * a) is exact under
-    the chunk bound.
+    (= sum w_lo * a) and hi = (S - lo) / 2^24 (= sum w_hi * a) is exact under
+    the chunk bound. Returns [M, N], a view of the token-major [N, M] sums.
     """
     x = _check_int8(x, "x")
     k, n = x.shape
@@ -200,18 +218,18 @@ def gemm_i4_packed(wp: PackedInt4Matrix, x: np.ndarray, cost: CostCounter) -> np
         raise ValueError(f"inner dims differ: packed {wp.logical_rows}x{wp.cols} x {x.shape}")
     _check_depth(k, 4)
     m = wp.logical_rows
-    low = high = 0  # int64 sums over the K-chunks
+    low = high = None  # float64 [N, pairs] sums over the K-chunks, integers below 2^31
     for start in range(0, k, _PACKED_CHUNK):
         chunk = slice(start, start + _PACKED_CHUNK)
-        sums = _exact_product(wp.lanes[:, chunk], x[chunk], np.float64).astype(np.int64)
-        lo_sum, hi_sum = _split_lanes(sums, 24)
-        low, high = low + lo_sum, high + hi_sum
-    out = np.empty((2 * wp.pair_rows, n), dtype=np.int32)
-    out[0::2] = low
-    out[1::2] = high
+        lo_sum = _exact_product(x[chunk].T, wp.lanes[:, chunk].T, np.float64)
+        hi_sum = _split_products(lo_sum)
+        low, high = (lo_sum, hi_sum) if low is None else (low + lo_sum, high + hi_sum)
+    out = np.empty((n, 2 * wp.pair_rows), dtype=np.int32)
+    out[:, 0::2] = low
+    out[:, 1::2] = high
     cost.mul_count += wp.pair_rows * k * n
     cost.add_count += 3 * wp.pair_rows * k * n
-    return out[:m]
+    return out[:, :m].T
 
 
 def gemm_mixed(wp: PackedInt4Matrix, x: np.ndarray, bits: np.ndarray, cost: CostCounter) -> np.ndarray:
@@ -221,7 +239,8 @@ def gemm_mixed(wp: PackedInt4Matrix, x: np.ndarray, bits: np.ndarray, cost: Cost
     token's activation bits. 8-bit token columns take the byte kernel on the
     matrix's int8 codes, 4-bit columns the packed kernel (values must fit 4
     bits). Returns the int32 [M, N] sums in token order; dequantizing them is
-    the caller's step.
+    the caller's step. A uniform plan is one kernel call, whose result is
+    returned as it is.
     """
     x = _check_int8(x, "x")
     bits = np.asarray(bits)
@@ -230,17 +249,24 @@ def gemm_mixed(wp: PackedInt4Matrix, x: np.ndarray, bits: np.ndarray, cost: Cost
     hi, lo = np.flatnonzero(bits == 8), np.flatnonzero(bits == 4)
     if hi.size + lo.size != bits.size:
         raise ValueError("token bits must be 4 or 8")
+    if lo.size == bits.size:
+        _check_4bit(x)
+        return gemm_i4_packed(wp, x, cost)
+    if hi.size == bits.size:
+        return gemm_i8(wp.codes, x, cost)
     # token-major: each group is a gather of token rows and a scatter of output rows
     tokens = x.T
     x_lo = tokens[lo].T
-    if x_lo.size and (x_lo.min() < -8 or x_lo.max() > 7):
-        raise ValueError("4-bit tokens hold values outside [-8, 7]")
+    _check_4bit(x_lo)
     out = np.empty((x.shape[1], wp.logical_rows), dtype=np.int32)
-    if hi.size:
-        out[hi] = gemm_i8(wp.codes, tokens[hi].T, cost).T
-    if lo.size:
-        out[lo] = gemm_i4_packed(wp, x_lo, cost).T
+    out[hi] = gemm_i8(wp.codes, tokens[hi].T, cost).T
+    out[lo] = gemm_i4_packed(wp, x_lo, cost).T
     return out.T
+
+
+def _check_4bit(x: np.ndarray) -> None:
+    if x.size and (x.min() < -8 or x.max() > 7):
+        raise ValueError("4-bit tokens hold values outside [-8, 7]")
 
 
 def scalar_reference_gemm(w: np.ndarray, x: np.ndarray) -> np.ndarray:

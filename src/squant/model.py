@@ -194,11 +194,15 @@ class Calibration:
 class ForwardResult:
     logits: gt.Tensor
     attn_nodes: list  # per-layer [H,T,T] attention probability nodes
-    attn_probs: np.ndarray  # [L,H,T,T] detached
     q_nodes: list  # per-layer [T,d] post-projection q (quantized when enabled)
     k_nodes: list
     plans: list  # per-layer TokenBitPlan, or None when not quantized
     scales_used: dict = field(default_factory=dict)
+
+    @property
+    def attn_probs(self) -> np.ndarray:
+        """[L,H,T,T] detached maps, stacked from ``attn_nodes`` on each read."""
+        return np.stack([n.array for n in self.attn_nodes])
 
 
 def params_to_tape(tape: gt.Tape, params: dict, trainable: bool = True) -> dict:
@@ -312,7 +316,6 @@ def _forward(
     return ForwardResult(
         logits=logits,
         attn_nodes=attn_nodes,
-        attn_probs=np.stack(maps_so_far),
         q_nodes=q_nodes,
         k_nodes=k_nodes,
         plans=plans,
@@ -419,9 +422,9 @@ def _linear_int(gq, proj: IntProjection, cost) -> np.ndarray:
         acc = gemm_i8(proj.codes, x, cost)
     else:
         acc = gemm_mixed(proj.packed, x, gq.plan.bits, cost)
-    out = acc.astype(np.float32)
-    out *= np.float32(proj.scale) * gq.scale.T.astype(np.float32)
-    return out.T
+    out = acc.T.astype(np.float32)  # [tokens, out_dim]
+    out *= np.float32(proj.scale) * gq.scale.astype(np.float32)
+    return out
 
 
 def forward_int(

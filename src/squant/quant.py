@@ -7,15 +7,26 @@ packing belongs to the kernels module.
 Every quantizer is a per-row ``(scale, qmin, qmax)``: scalars for a weight's
 ``QuantSpec``, [N, 1] columns for an activation site's
 ``token_bits.GroupQuant``, where row t takes its token's group scale and
-planned range. ``round_clip`` rounds once: round(x / scale) in one float64
-buffer gives the int8 codes (clipped) and the straight-through mask (the
-in-range test before the clip). ``fake_quant`` is the one straight-through
-node for both kinds; with ``surrogate=True`` it clips instead of rounding,
-for finite-difference checks of the backward. The mask is built only for an
-input a backward pass can reach. ``linear`` is a whole projection,
-x @ fake_quant(w) + b, as one node; without a quantizer it is the float
-projection. ``calibrate_scale`` is the max-abs scale rule;
-``model.Calibration`` applies the same rule to its running activation maxima.
+planned range. ``round_clip`` rounds once, in one float64 buffer r = x / scale
+that every pass writes in place, in this order:
+
+- With the straight-through mask, the in-range test first, on r itself:
+  the rounded value lies in [qmin, qmax] exactly where
+  qmin - 0.5 < r < qmax + 0.5.
+- The clip to [qmin, qmax], with ``np.minimum``/``np.maximum``. Clipping
+  before rounding is exact: rounding is monotone and leaves integers fixed,
+  so it commutes with a clip to integer bounds.
+- The rounding, floor(|r| + 0.5) with r's sign, on the clipped magnitudes:
+  they are at most 128, so the truncating cast to uint8 floors them, and the
+  sign goes back in int8. No pass makes a float64 temporary.
+
+``fake_quant`` is the one straight-through node for both kinds; with
+``surrogate=True`` it clips instead of rounding, for finite-difference checks
+of the backward. The mask is built only for an input a backward pass can
+reach. ``linear`` is a whole projection, x @ fake_quant(w) + b, as one node;
+without a quantizer it is the float projection. ``calibrate_scale`` is the
+max-abs scale rule; ``model.Calibration`` applies the same rule to its
+running activation maxima.
 """
 
 from __future__ import annotations
@@ -37,11 +48,20 @@ __all__ = [
 ]
 
 
-def _round_magnitude(r: np.ndarray, sign) -> np.ndarray:
-    """Round the magnitudes in ``r`` half up, in place, and give them the signs of ``sign``."""
+def _round_magnitude(r: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """Int8 codes of clipped r rounded half away from zero: floor(|r| + 0.5), negated where ``negative``.
+
+    Works in place on r, whose magnitudes are at most 128. They cast to uint8
+    and are read as int8, where 128 reads as -128, the one code it can be;
+    (c ^ -1) + 1 = -c then negates the negative entries' codes in place.
+    """
+    np.abs(r, out=r)
     r += 0.5
-    np.floor(r, out=r)
-    return np.copysign(r, sign, out=r)
+    codes = r.astype(np.uint8).view(np.int8)
+    flip = -negative.view(np.int8)  # -1 where negative, else 0
+    codes ^= flip
+    codes -= flip
+    return codes
 
 
 @dataclass(frozen=True)
@@ -98,9 +118,9 @@ def _max_abs_scale(m: float, bits: int) -> float:
     return 1.0 if m == 0.0 else m / float((1 << (bits - 1)) - 1)
 
 
-def _ste_mask(rounded: np.ndarray, qmin, qmax) -> np.ndarray:
-    """True where the unclipped rounded value is already in [qmin, qmax]."""
-    return (rounded >= qmin) & (rounded <= qmax)
+def _ste_mask(r: np.ndarray, qmin, qmax) -> np.ndarray:
+    """True where r rounds half away from zero into [qmin, qmax]: qmin - 0.5 < r < qmax + 0.5."""
+    return (r > np.subtract(qmin, 0.5)) & (r < np.add(qmax, 0.5))
 
 
 def round_clip(x: np.ndarray, q, with_mask: bool = False):
@@ -112,12 +132,12 @@ def round_clip(x: np.ndarray, q, with_mask: bool = False):
     ``with_mask`` the mask is True where the rounded value was in range
     before the clip.
     """
-    r = np.true_divide(x, q.scale, out=np.empty(x.shape), dtype=np.float64)
-    np.abs(r, out=r)
-    _round_magnitude(r, x)  # x / scale rounded in one buffer: x / scale has the sign of x
+    r = np.array(x, dtype=np.float64)  # a copy: the passes below write in place
+    r /= q.scale
     mask = _ste_mask(r, q.qmin, q.qmax) if with_mask else None
-    np.clip(r, q.qmin, q.qmax, out=r)
-    return r.astype(np.int8), mask
+    np.minimum(r, q.qmax, out=r)
+    np.maximum(r, q.qmin, out=r)
+    return _round_magnitude(r, r < 0), mask
 
 
 def quantize(x: np.ndarray, spec: QuantSpec) -> QuantizedTensor:
@@ -148,7 +168,9 @@ def _fake_quant_values(x: gt.Tensor, q, surrogate: bool):
         return _clip(x.array, q.qmin * q.scale, q.qmax * q.scale)
     dtype = x.tape.dtype
     codes, mask = round_clip(x.array, q, with_mask=not x.constant)
-    return codes.astype(dtype) * np.asarray(q.scale, dtype=dtype), mask  # dequantize, row by row
+    y = codes.astype(dtype)
+    y *= np.asarray(q.scale, dtype=dtype)  # dequantize, row by row
+    return y, mask
 
 
 def linear(

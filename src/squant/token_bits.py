@@ -54,7 +54,7 @@ class TokenBitPlan:
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=np.int64)
-        if not np.all(np.isin(self.bits, (4, 8))):
+        if not ((self.bits == 4) | (self.bits == 8)).all():
             raise ValueError("bit plan entries must be 4 or 8")
 
     @property

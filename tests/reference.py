@@ -11,7 +11,8 @@
   ``attention_alignment``, ``distribution_loss``).
 - The ``LossReport`` recombination (``reassembled``, ``from_dict``), the
   grouped token layout (``gather_tokens``, ``scatter_tokens``) and plain
-  ``round_half_away`` and ``dequantize``.
+  ``round_half_away``, ``round_clip`` (round, test, clip in that order) and
+  ``dequantize``.
 - The corpus walk with one ``choice`` call per token
   (``make_corpus_per_token``), which ``train.make_corpus`` draws in one batch.
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from squant import gradtape as gt
 from squant.losses import EPS, GaussianStats, LossReport
-from squant.quant import QuantizedTensor, _round_magnitude
+from squant.quant import QuantizedTensor
 from squant.seeding import substream
 from squant.token_bits import TokenBitPlan
 from squant.train import SUCCESSOR_PROBS
@@ -264,11 +265,20 @@ def scatter_tokens(hi: np.ndarray, lo: np.ndarray, plan: TokenBitPlan) -> np.nda
 
 
 def round_half_away(t: np.ndarray) -> np.ndarray:
-    """Round to nearest, ties away from zero (np.round ties to even), by the
-    magnitude rounding ``quant.round_clip`` uses."""
+    """Round to nearest, ties away from zero (np.round ties to even): floor(|t| + 0.5) with t's sign."""
     t = np.asarray(t)
     r = np.abs(t, out=np.empty(t.shape, np.result_type(t, 0.5)))
-    return _round_magnitude(r, t)
+    r += 0.5
+    np.floor(r, out=r)
+    return np.copysign(r, t, out=r)
+
+
+def round_clip(x: np.ndarray, q, with_mask: bool = False):
+    """``quant.round_clip`` as round, test, clip: x / scale in float64, rounded
+    by magnitude, the in-range mask of the rounded value, then ``np.clip``."""
+    r = round_half_away(np.true_divide(x, q.scale, dtype=np.float64))
+    mask = (r >= q.qmin) & (r <= q.qmax) if with_mask else None
+    return np.clip(r, q.qmin, q.qmax).astype(np.int8), mask
 
 
 def dequantize(q: QuantizedTensor, dtype=np.float32) -> np.ndarray:

@@ -340,6 +340,10 @@ BAD_CHECKPOINTS = {
     "running max null": lambda p: _checkpoint_with(p, calibration={"l0.attn_in.hi": None}),
     "running max a string": lambda p: _checkpoint_with(p, calibration={"l0.attn_in.hi": "0.75"}),
     "running max a bool": lambda p: _checkpoint_with(p, calibration={"l0.attn_in.hi": True}),
+    # each key present must name a quantizer of the model: a layer it has, one of ACT_SITES and a group
+    "bogus": lambda p: _checkpoint_with(p, calibration={"l0.attn_in.hi": 0.75, "bogus": 1.0}),
+    "l9.attn_in.hi": lambda p: _checkpoint_with(p, calibration={"l9.attn_in.hi": 0.75}),
+    "l0.attn_in.mid": lambda p: _checkpoint_with(p, calibration={"l0.attn_in.mid": 0.75}),
 }
 
 
@@ -359,6 +363,21 @@ class TestCheckpointExitContract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("checkpoint error: "), err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["bogus", "l9.attn_in.hi", "l0.attn_in.mid", "l0.attn_in.hi.x"])
+    def test_stray_calibration_key_is_named(self, tmp_path, capsys, key):
+        _checkpoint_with(tmp_path / "m.ckpt", calibration={"l0.mlp_in.lo": 0.5, key: 0.75})
+        capsys.readouterr()
+        assert cli_main(["eval", "--checkpoint", str(tmp_path / "m.ckpt"), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("checkpoint error: ") and repr(key) in err, err
+
+    @pytest.mark.parametrize("calibration", [{}, {"l0.attn_in.hi": 0.75}, {"l0.mlp_hidden.lo": 0.5}])
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_missing_calibration_keys_stay_legal(self, tmp_path, command, calibration):
+        # a group never observed (every 8-bit group at rho 0, say) has no key
+        _checkpoint_with(tmp_path / "m.ckpt", calibration=calibration)
+        assert cli_main([command, "--checkpoint", str(tmp_path / "m.ckpt"), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize(
         "model,run",

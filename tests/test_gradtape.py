@@ -379,6 +379,20 @@ class TestFusedOps:
         with pytest.raises(ValueError, match="read-only"):
             mask[0, 0] = False
 
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_forward_leaves_its_input_and_gives_the_fresh_array_bits(self, dtype, causal):
+        def fresh(x):  # every step in a new array
+            shifted = np.where(np.tril(np.ones(x.shape[-2:], dtype=bool)), x, -np.inf) if causal else x
+            e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
+            return e / e.sum(axis=-1, keepdims=True)
+
+        x = (substream(7, "gt-sm-input").normal(size=(2, 9, 9)) * 4.0).astype(dtype)
+        before = x.copy()
+        got = gt.softmax_forward(x, causal=causal)
+        assert x.tobytes() == before.tobytes()
+        assert got is not x and got.dtype == x.dtype and got.tobytes() == fresh(x).tobytes()
+
     def test_layernorm_all_three_inputs(self):
         rng = substream(7, "gt-ln")
         x = rng.normal(size=(4, 6))

@@ -307,6 +307,25 @@ class TestGemmMixed:
             gemm_i4_packed(pack_int4(w), x[:, bits == 4], want)
         assert cost == want
 
+    @pytest.mark.parametrize("bits", [8, 4])
+    @pytest.mark.parametrize("m,k,n", [(1, 1, 1), (6, 5, 4), (7, 9, 11), (16, 32, 33)])
+    def test_uniform_plan_is_one_call_with_the_split_path_counts(self, m, k, n, bits):
+        rng = substream(3, f"mix-uniform-{m}-{k}-{n}-{bits}")
+        plan = np.full(n, bits)
+        w, x = mixed_operands(rng, m, k, plan)
+        cost = assert_token_sums(w, x, plan)
+        # the counts of splitting the tokens in two groups of the same kernel
+        split = CostCounter()
+        kernel = gemm_i8 if bits == 8 else gemm_i4_packed
+        first = w if bits == 8 else pack_int4(w)
+        for cols in (slice(0, n // 2), slice(n // 2, n)):
+            kernel(first, x[:, cols], split)
+        assert cost == split
+        if bits == 4:
+            x[0, 0] = 8  # the range check holds on the one-call path too
+            with pytest.raises(ValueError, match="outside"):
+                gemm_mixed(pack_int4(w), x, plan, CostCounter())
+
     def test_mixed_cost_between_uniform_paths(self):
         m, k, n = 8, 6, 10
         rng = substream(3, "mix-cost")

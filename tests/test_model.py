@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -27,6 +28,7 @@ from squant.model import (
 )
 from squant.seeding import substream
 from squant.token_bits import assign_bits, group_quantize
+from squant.train import make_corpus
 
 import reference as ref
 
@@ -374,6 +376,46 @@ class TestIntegerPath:
         cfg = small_cfg()
         with pytest.raises(IndexError):
             forward_int(cfg, init_params(cfg), np.array([cfg.vocab]), calib=None)
+
+
+def forward_int_digest(seed: int) -> str:
+    """sha256 of ``forward_int``'s logits, plans and cost counts over 8 windows of each recipe.
+
+    Four recipes (4-bit weights at rho 0.5 and 0, 8-bit weights at rho 0.5,
+    and the width-128, seq-128 model of the benchmark), each uncalibrated and
+    with the calibration of one training pass.
+    """
+    digest = hashlib.sha256()
+    wide = dict(dim=128, heads=4, seq_len=128)
+    for recipe in (dict(rho=0.5), dict(rho=0.0), dict(weight_bits=8), wide):
+        cfg = MicroTransformerConfig(**recipe, seed=seed)
+        params = init_params(cfg)
+        windows = make_corpus(seed, cfg.vocab, 8 * cfg.seq_len).reshape(8, cfg.seq_len)
+        trained = Calibration()
+        tape = gt.Tape()
+        forward_tape(tape, params_to_tape(tape, params), windows[0], cfg, quantized=True, training=True, calib=trained)
+        for calib in (None, trained):
+            for window in windows:
+                cost = CostCounter()
+                logits, plans = forward_int(cfg, params, window, calib, cost)
+                digest.update(logits.tobytes())
+                for plan in plans:
+                    digest.update(plan.bits.tobytes())
+                digest.update(f"{cost.mul_count} {cost.add_count};".encode())
+    return digest.hexdigest()
+
+
+# pinned: a rewrite of the integer path's arithmetic (passes, temporaries, product order) must keep these bits
+FORWARD_INT_DIGESTS = {
+    0: "82a6c380b1179c9da55ea5cc9ec3d16129bb4d8f6482ed395ca1976703d001f5",
+    2: "5ed2b57486161e1467c217971188af17f0a1fb6a39b7be0407b4d5259892d26d",
+    11: "7b612ad7356b3484b106b21ef190b3d833c0a4f1d40a1a83d4949927891eee58",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FORWARD_INT_DIGESTS))
+def test_forward_int_logits_plans_and_counts_are_pinned(seed):
+    assert forward_int_digest(seed) == FORWARD_INT_DIGESTS[seed]
 
 
 class TestCompiledModel:

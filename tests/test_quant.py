@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squant import gradtape as gt
 from squant.quant import (
@@ -12,8 +14,10 @@ from squant.quant import (
     fake_quant,
     linear,
     quantize,
+    round_clip,
 )
 from squant.seeding import substream
+from squant.token_bits import TokenBitPlan, group_quantize
 
 import reference as ref
 
@@ -56,6 +60,58 @@ class TestRounding:
             assert np.shape(got) == np.shape(want) and got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
             assert case.tobytes() == before.tobytes()  # the input is not written to
+
+
+def _edge_values(scale: float):
+    """Values of x at quantizer scale ``scale``: exact ties (n + 0.5) * scale, signed zeros, and both ranges' edges and beyond."""
+    ties = st.integers(-140, 140).map(lambda n: (n + 0.5) * scale)
+    below_half = float(np.nextafter(0.5, 0.0))  # |r| + 0.5 rounds up to 1 here, in the reference too
+    edges = st.sampled_from(
+        [7.5, -8.5, 127.5, -128.5, 7.49, -8.49, 8.5, -9.5, 130.0, -131.0, 1e6, -1e6, below_half, -below_half]
+    )
+    return ties | st.sampled_from([0.0, -0.0]) | edges.map(lambda v: v * scale) | st.floats(-300.0, 300.0).map(
+        lambda v: v * scale
+    )
+
+
+class TestRoundClip:
+    """``quant.round_clip`` (test, clip, then round) against the reference's round, test, clip."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_codes_and_mask_equal_the_reference(self, data):
+        scale = data.draw(st.sampled_from([1.0, 0.5]) | st.floats(1e-3, 8.0))
+        n, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        x = np.array(data.draw(st.lists(_edge_values(scale), min_size=n * d, max_size=n * d)), dtype=dtype).reshape(n, d)
+        if data.draw(st.booleans()):
+            q = QuantSpec(bits=data.draw(st.sampled_from([4, 8])), scale=scale)  # scalar quantizer
+        else:  # [N, 1] columns, 4-bit and 8-bit rows mixed
+            plan = TokenBitPlan(data.draw(st.lists(st.sampled_from([4, 8]), min_size=n, max_size=n)))
+            q = group_quantize(x, plan, scale, data.draw(st.sampled_from([scale, 2.0 * scale])))
+        before = x.copy()
+        for with_mask in (False, True):
+            (codes, mask), (want, want_mask) = round_clip(x, q, with_mask), ref.round_clip(x, q, with_mask)
+            assert codes.dtype == np.int8 and codes.shape == x.shape and codes.tobytes() == want.tobytes()
+            if with_mask:
+                assert mask.dtype == bool and np.array_equal(mask, want_mask)
+            else:
+                assert mask is None and want_mask is None
+        assert x.tobytes() == before.tobytes()  # the input is not written to
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_every_tie_and_both_ends(self, bits, scale):
+        q = QuantSpec(bits=bits, scale=scale)
+        n = np.arange(q.qmin - 3, q.qmax + 3)
+        ends = np.array([q.qmax + 0.5, q.qmin - 0.5])
+        t = np.concatenate([n + 0.5, n - 0.5, [0.0, -0.0, 1e9, -1e9], np.nextafter(ends, 0.0), np.nextafter(ends, -ends)])
+        x = (t * scale).reshape(-1, 1)
+        codes, mask = round_clip(x, q, with_mask=True)
+        rounded = np.sign(t) * np.floor(np.abs(t) + 0.5)
+        np.testing.assert_array_equal(codes[:, 0], np.clip(rounded, q.qmin, q.qmax))
+        np.testing.assert_array_equal(round_clip(x, q)[0], codes)
+        np.testing.assert_array_equal(mask[:, 0], (rounded >= q.qmin) & (rounded <= q.qmax))
 
 
 class TestCalibration:
