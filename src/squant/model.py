@@ -29,19 +29,19 @@ once-rounded weight plus bias, or the float product on the float path), the
 integer path runs the kernels on the activation's int8 codes in token order,
 on a constant tape, and reports their instruction cost. The kernels return
 int32 sums; ``_linear_int`` is the one place that dequantizes them, each
-token's row times alpha_w * alpha_x for 4-bit and 8-bit weights alike,
-before the bias is added. A tape of constants records no nodes, so the
-teacher and integer forwards, and ``perplexity_eval``'s windows, which share
-one such tape per call, leave nothing behind for the collector.
+token's row times alpha_w * alpha_x, before the bias is added. A tape of
+constants records no nodes, so the teacher and integer forwards, and
+``perplexity_eval``'s windows, which share one such tape per call, leave
+nothing behind for the collector.
 
-The integer student follows compile once, run many: ``compile_int``
-quantizes every projection weight and lays it out for the kernels (int8
-codes, and for 4-bit weights the packed units with their float64 lanes) in an
-``IntModel``, whose arrays are read-only. ``forward_int`` runs an
-``IntModel`` as it is. Given float parameters it keeps, per (weight name,
-weight bits), the float32 values it last compiled and their compiled form,
-so a per-call caller pays one bitwise compare per projection weight, and
-only a first or changed weight is quantized and packed again.
+Every projection weight is 4-bit (``WEIGHT_BITS``) on both paths. The
+integer student follows compile once, run many: ``compile_int`` quantizes
+every projection weight and packs it for the kernels (int32 units, int8
+codes and float64 lanes) in an ``IntModel``, whose arrays are read-only.
+``forward_int`` runs an ``IntModel`` as it is. Given float parameters it
+keeps, per weight name, the float32 values it last compiled and their
+compiled form, so a per-call caller pays one bitwise compare per projection
+weight, and only a first or changed weight is quantized and packed again.
 """
 
 from __future__ import annotations
@@ -52,12 +52,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import gradtape as gt
-from .kernels import CostCounter, PackedInt4Matrix, gemm_i8, gemm_mixed, pack_int4
+from .kernels import CostCounter, PackedInt4Matrix, gemm_mixed, pack_int4
 from .quant import QuantSpec, _max_abs, _max_abs_scale, calibrate_scale, fake_quant, linear, quantize
-from .schema import check_fields, integer, is_number, number, one_of
-from .seeding import substream
+from .schema import check_fields, integer, is_number, number, rule
+from .seeding import SEED_RULE, is_seed, substream
 from .token_bits import _group_rows, group_quantize, plan_for_layer
 
+WEIGHT_BITS = 4  # every projection weight, fake-quantized or compiled for the kernels
 MOMENTUM = 0.95  # the share of itself a running max keeps at each training observation
 ACT_SITES = ("attn_in", "q_post", "k_post", "attn_out", "mlp_in", "mlp_hidden")
 
@@ -68,6 +69,7 @@ __all__ = [
     "IntModel",
     "IntProjection",
     "MicroTransformerConfig",
+    "WEIGHT_BITS",
     "compile_int",
     "forward_int",
     "forward_tape",
@@ -86,13 +88,12 @@ class MicroTransformerConfig:
     dim: int = integer(32, least=1)
     vocab: int = integer(64, least=4)  # the synthetic corpus draws 4 distinct successors per token
     seq_len: int = integer(32, least=1)
-    weight_bits: int = one_of(4, 8, default=4)
     rho: float = number(0.5, "[0, 1]")
     r_E: float = number(0.5, "[0, inf)")
     r_D: float = number(1.0, "[0, inf)")
     gamma: float = number(0.5, "[0, 1]")
     tau: float = number(2.0, "(0, inf)")
-    seed: int = integer(0, least=0)
+    seed: int = rule(SEED_RULE, is_seed, default=0)
     lr: float = number(0.05, "(0, inf)")
     steps: int = integer(1000, least=0)
 
@@ -155,7 +156,7 @@ def init_params(cfg: MicroTransformerConfig) -> dict:
 class Calibration:
     """The activation scales: one running max-abs per (layer, site, group) quantizer.
 
-    ``ema`` maps each observed key "l{l}.{site}.{hi|lo}" to its running max.
+    ``ema`` maps each observed ``key`` "l{l}.{site}.{hi|lo}" to its running max.
     A training pass folds each non-empty group's max-abs into its running max
     at ``MOMENTUM`` (the first observation enters the key with that max); any
     other pass reads the running max frozen. The scale is the max-abs rule of
@@ -164,6 +165,11 @@ class Calibration:
 
     def __init__(self):
         self.ema: dict[str, float] = {}
+
+    @staticmethod
+    def key(layer: int, site: str, group: str) -> str:
+        """The key of the quantizer of ``group`` ("hi" or "lo") at ``site`` of ``layer``."""
+        return f"l{layer}.{site}.{group}"
 
     def group_scale(self, key: str, x: np.ndarray, rows: np.ndarray, bits: int, training: bool) -> float:
         """The scale of the group of ``rows`` of site x at ``bits``; 1, and nothing observed, for an empty group."""
@@ -178,12 +184,16 @@ class Calibration:
         return dict(sorted(self.ema.items()))
 
     @classmethod
-    def from_state_dict(cls, d) -> "Calibration":
-        """Inverse of ``state_dict``; ValueError unless it maps keys to finite running maxima >= 0."""
+    def from_state_dict(cls, d, layers: int) -> "Calibration":
+        """Inverse of ``state_dict`` for a model of ``layers`` layers: ValueError unless ``d`` maps keys of
+        that model's quantizers (any subset: a group never observed has none) to finite running maxima >= 0."""
         if not isinstance(d, dict):
             raise ValueError(f"calibration state must map keys to running maxima, got {d!r}")
+        keys = {cls.key(l, site, group) for l in range(layers) for site in ACT_SITES for group in ("hi", "lo")}
         out = cls()
         for k, m in d.items():
+            if k not in keys:
+                raise ValueError(f"key {k!r} is not l{{layer}}.{{site}}.{{hi|lo}} of a layer and site the model has")
             if not is_number(m, "[0, inf)"):
                 raise ValueError(f"running max of {k!r} must be a finite number >= 0, got {m!r:.40}")
             out.ema[k] = float(m)
@@ -252,7 +262,7 @@ def _forward(
     def weight_scale(name):
         scale = overrides.get(name)
         if scale is None:
-            scale = calibrate_scale(tp[name].array, cfg.weight_bits)
+            scale = calibrate_scale(tp[name].array, WEIGHT_BITS)
         scales_used[name] = scale
         return scale
 
@@ -260,17 +270,17 @@ def _forward(
         """Fake-quant node of one activation site and the site's quantizer."""
         if not quantized:
             return node, None
-        key = f"l{layer}.{site}"
+        hi, lo = (Calibration.key(layer, site, group) for group in ("hi", "lo"))
         scales = []
-        for group, rows, bits in (("hi", plan.hi, 8), ("lo", plan.lo, 4)):
-            scale = overrides.get(f"{key}.{group}")
+        for key, rows, bits in ((hi, plan.hi, 8), (lo, plan.lo, 4)):
+            scale = overrides.get(key)
             if scale is None and calib is not None:
-                scale = calib.group_scale(f"{key}.{group}", node.array, rows, bits, training)
+                scale = calib.group_scale(key, node.array, rows, bits, training)
             scales.append(scale)
         gq = group_quantize(node.array, plan, *scales)
-        for group, rows, spec in (("hi", plan.hi, gq.spec_hi), ("lo", plan.lo, gq.spec_lo)):
+        for key, rows, spec in ((hi, plan.hi, gq.spec_hi), (lo, plan.lo, gq.spec_lo)):
             if rows.size:
-                scales_used[f"{key}.{group}"] = spec.scale
+                scales_used[key] = spec.scale
         if project is not None and site not in ("q_post", "k_post"):
             return None, gq  # the integer projections read the codes, never the dequantized node
         return fake_quant(node, gq, surrogate), gq
@@ -281,7 +291,7 @@ def _forward(
             out = project(gq, name)
             out += tp[bias].array
             return tape.constant(out)
-        spec = QuantSpec(bits=cfg.weight_bits, scale=weight_scale(name)) if quantized else None
+        spec = QuantSpec(bits=WEIGHT_BITS, scale=weight_scale(name)) if quantized else None
         return linear(xq, tp[name], tp[bias], spec, surrogate)
 
     pos_ids = np.arange(t_len)
@@ -335,8 +345,7 @@ class IntProjection:
     """One projection weight as the integer kernels read it."""
 
     scale: float  # max-abs weight scale
-    codes: np.ndarray  # int8 [out_dim, K], kernel layout
-    packed: PackedInt4Matrix | None  # 4-bit weights only; its codes are ``codes``
+    packed: PackedInt4Matrix  # the int8 codes [out_dim, K] in kernel layout, with their packed units and lanes
 
 
 @dataclass(frozen=True)
@@ -348,7 +357,6 @@ class IntModel:
     layernorms, biases).
     """
 
-    weight_bits: int
     params: dict
     projections: dict
 
@@ -356,7 +364,7 @@ class IntModel:
 def compile_int(cfg: MicroTransformerConfig, params: dict) -> IntModel:
     """Quantize and lay out every projection weight once, for any number of windows.
 
-    Each weight takes its max-abs scale at ``cfg.weight_bits``, as the
+    Each weight takes its max-abs scale at ``WEIGHT_BITS``, as the
     fake-quant path's weights do. A non-finite weight raises ValueError.
     """
     return _compile(cfg, params, _compile_projection)
@@ -367,23 +375,20 @@ def _compile(cfg, params, compile_projection) -> IntModel:
     for l in range(cfg.layers):
         for w in WEIGHT_NAMES:
             name = f"l{l}.{w}"
-            projections[name] = compile_projection(name, params[name], cfg.weight_bits)
+            projections[name] = compile_projection(name, params[name])
     rest = {name: arr for name, arr in params.items() if name not in projections}
-    return IntModel(cfg.weight_bits, rest, projections)
+    return IntModel(rest, projections)
 
 
-def _compile_projection(name: str, w: np.ndarray, bits: int) -> IntProjection:
+def _compile_projection(name: str, w: np.ndarray) -> IntProjection:
     w = np.asarray(w, dtype=np.float32)  # the values a tape would hold
-    scale = calibrate_scale(w, bits)
+    scale = calibrate_scale(w, WEIGHT_BITS)
     if not math.isfinite(scale):  # a NaN or Inf weight makes the max-abs scale non-finite
         raise ValueError(f"non-finite values in weight {name}")
-    codes = quantize(w, QuantSpec(bits=bits, scale=scale)).ints.T  # kernel layout: [out_dim, K]
-    if bits == 4:
-        packed = pack_int4(codes)
-        _freeze(packed.packed, packed.codes, packed.lanes)
-        return IntProjection(scale, packed.codes, packed)
-    _freeze(codes)
-    return IntProjection(scale, codes, None)
+    codes = quantize(w, QuantSpec(bits=WEIGHT_BITS, scale=scale)).ints.T  # kernel layout: [out_dim, K]
+    packed = pack_int4(codes)
+    _freeze(packed.packed, packed.codes, packed.lanes)
+    return IntProjection(scale, packed)
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -392,22 +397,22 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-# Per (weight name, weight bits): the float32 values last compiled and their
-# projection, replaced on a miss. One tuple per entry, so a reader never pairs
-# one call's snapshot with another call's projection.
-_COMPILED: dict[tuple[str, int], tuple[np.ndarray, IntProjection]] = {}
+# Per weight name: the float32 values last compiled and their projection,
+# replaced on a miss. One tuple per entry, so a reader never pairs one call's
+# snapshot with another call's projection.
+_COMPILED: dict[str, tuple[np.ndarray, IntProjection]] = {}
 
 
-def _compiled_projection(name: str, w: np.ndarray, bits: int) -> IntProjection:
+def _compiled_projection(name: str, w: np.ndarray) -> IntProjection:
     """``_compile_projection``, reused while the weight's float32 bits are unchanged."""
     w = np.asarray(w, dtype=np.float32)
-    entry = _COMPILED.get((name, bits))
+    entry = _COMPILED.get(name)
     if entry is not None and np.array_equal(entry[0].view(np.uint32), w.view(np.uint32)):
         return entry[1]
-    proj = _compile_projection(name, w, bits)  # raises on a non-finite weight before anything is stored
+    proj = _compile_projection(name, w)  # raises on a non-finite weight before anything is stored
     snapshot = w.copy()  # the caller may edit its weight in place after this call
     _freeze(snapshot)
-    _COMPILED[(name, bits)] = (snapshot, proj)
+    _COMPILED[name] = (snapshot, proj)
     return proj
 
 
@@ -415,13 +420,9 @@ def _linear_int(gq, proj: IntProjection, cost) -> np.ndarray:
     """Integer-kernel product of a site's codes and a compiled weight, in token order.
 
     The integer path's one dequantization: each token's int32 sums times
-    alpha_w * alpha_x, for either weight width.
+    alpha_w * alpha_x.
     """
-    x = gq.codes.T  # kernel layout: [K, tokens]
-    if proj.packed is None:  # 8-bit weights have no packed path: one byte-kernel product over all tokens
-        acc = gemm_i8(proj.codes, x, cost)
-    else:
-        acc = gemm_mixed(proj.packed, x, gq.plan.bits, cost)
+    acc = gemm_mixed(proj.packed, gq.codes.T, gq.plan.bits, cost)  # codes in kernel layout: [K, tokens]
     out = acc.T.astype(np.float32)  # [tokens, out_dim]
     out *= np.float32(proj.scale) * gq.scale.astype(np.float32)
     return out
@@ -440,14 +441,12 @@ def forward_int(
     projections run on quantized operands through the kernel dispatch.
     ``params`` is an ``IntModel`` from ``compile_int``, or float parameters.
     Float projection weights are compared bit for bit with the ones the last
-    call compiled under the same name and width: an equal weight reuses that
+    call compiled under the same name: an equal weight reuses that
     compiled form, and only a first or changed weight is quantized and packed.
     Embeddings, layernorms and biases are always the caller's. Uses frozen
     calibration scales.
     """
     model = params if isinstance(params, IntModel) else _compile(cfg, params, _compiled_projection)
-    if model.weight_bits != cfg.weight_bits:
-        raise ValueError(f"model compiled for {model.weight_bits}-bit weights, config has {cfg.weight_bits}")
     tape = gt.Tape(dtype=np.float32)
     tp = params_to_tape(tape, model.params, trainable=False)
     cost = cost if cost is not None else CostCounter()

@@ -31,12 +31,6 @@ def number(default: float, interval: str):
     return rule(f"a finite number in {interval}", lambda v: is_number(v, interval), default=default)
 
 
-def one_of(*values, default):
-    """One of ``values``; a float or a digit string equal to an int value does not pass."""
-    text = "one of " + ", ".join(map(repr, values))
-    return rule(text, lambda v: (isinstance(v, str) or is_int(v)) and v in values, default=default)
-
-
 def typed(*types: type, **field_kwargs):
     text = " or ".join("None" if t is type(None) else t.__name__ for t in types)
     return rule(text, lambda v: isinstance(v, types), **field_kwargs)

@@ -123,8 +123,7 @@ def test_ste_gradient_matches_finite_differences():
     # probe that same network: FD through the rounded forward would see a
     # staircase with zero derivative almost everywhere
     cfg = MicroTransformerConfig(
-        layers=2, heads=2, dim=16, vocab=24, seq_len=12, seed=0,
-        weight_bits=4, rho=0.5,
+        layers=2, heads=2, dim=16, vocab=24, seq_len=12, seed=0, rho=0.5,
     )
     params = init_params(cfg)
     rng = substream(cfg.seed, "acceptance.fd")
@@ -275,7 +274,7 @@ PROTOCOL_CELLS = (("none", "uniform_a4"), ("both", "uniform_a4"), ("both", "adap
 def protocol_runs():
     """Five seeded teachers, each distilled into three W4 student cells: per seed, per cell, ppl and cost."""
     # seeds 0-4, 8000 teacher and 1000 QAT steps
-    rows = ablation_run(RunConfig(model=MicroTransformerConfig(weight_bits=4)), cells=PROTOCOL_CELLS)
+    rows = ablation_run(RunConfig(), cells=PROTOCOL_CELLS)
     return {
         seed: {
             (r["loss_cell"], r["quant_cell"]): {"ppl": r["ppl_by_seed"][i], "mul_per_token": r["mul_by_seed"][i]}
@@ -306,7 +305,7 @@ def test_adaptive_bits_cost_between_uniforms_and_ppl_no_worse_than_a4(protocol_r
     for seed, out in protocol_runs.items():
         a4 = out[("both", "uniform_a4")]
         adaptive = out[("both", "adaptive_0.5")]
-        cfg = MicroTransformerConfig(seed=seed, weight_bits=4, rho=1.0)
+        cfg = MicroTransformerConfig(seed=seed, rho=1.0)
         window = split_corpus(make_corpus(seed, cfg.vocab, 32768))[1][: cfg.seq_len]
         cost = CostCounter()
         forward_int(cfg, init_params(cfg), window, calib=None, cost=cost)

@@ -26,6 +26,7 @@ from squant.checkpoint import (
 )
 from squant.cli import RunConfigError, _load_model_checkpoint, _parse_shapes, load_run_config, main as cli_main
 from squant.model import (
+    ACT_SITES,
     Calibration,
     MicroTransformerConfig,
     forward_tape,
@@ -34,6 +35,8 @@ from squant.model import (
 )
 from squant.seeding import substream
 from squant.train import LOSS_CELLS, QUANT_CELLS, RunConfig
+
+TWO_LAYER_KEYS = [Calibration.key(l, site, group) for l in range(2) for site in ACT_SITES for group in ("hi", "lo")]
 
 
 class TestCheckpointRoundTrip:
@@ -71,29 +74,39 @@ class TestCheckpointRoundTrip:
     def test_calibration_floats_exact(self, tmp_path):
         calib = Calibration()
         rows = np.arange(1)
-        for i in range(6):
-            calib.group_scale(f"l0.site{i}", np.array([[0.1 + i / 7.0]]), rows, 8, training=True)
-            calib.group_scale(f"l0.site{i}", np.array([[0.3 + i / 11.0]]), rows, 8, training=True)
+        for i, site in enumerate(ACT_SITES):
+            calib.group_scale(f"l0.{site}.hi", np.array([[0.1 + i / 7.0]]), rows, 8, training=True)
+            calib.group_scale(f"l0.{site}.hi", np.array([[0.3 + i / 11.0]]), rows, 8, training=True)
         path = tmp_path / "m.ckpt"
         save_checkpoint(
             path, Checkpoint(config={}, params={}, calibration=calib.state_dict())
         )
-        loaded = Calibration.from_state_dict(load_checkpoint(path).calibration)
+        loaded = Calibration.from_state_dict(load_checkpoint(path).calibration, layers=1)
         assert len(loaded.ema) == 6 and loaded.ema == calib.ema  # float64 JSON round-trip must be lossless
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
-        ema=st.dictionaries(st.text(max_size=12), st.floats(min_value=0.0, max_value=1e300, allow_nan=False), max_size=8)
+        ema=st.dictionaries(
+            st.one_of(st.sampled_from(TWO_LAYER_KEYS), st.text(max_size=12)),
+            st.floats(min_value=0.0, max_value=1e300, allow_nan=False),
+            max_size=8,
+        )
     )
     def test_calibration_table_round_trips(self, tmp_path, ema):
         calib = Calibration()
         calib.ema = dict(ema)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, Checkpoint(config={}, params={}, calibration=calib.state_dict()))
-        loaded = Calibration.from_state_dict(load_checkpoint(path).calibration)
-        assert loaded.ema == ema
+        stored = load_checkpoint(path).calibration
+        assert stored == ema  # the checkpoint keeps any key
+        legal = {k: m for k, m in ema.items() if k in TWO_LAYER_KEYS}
+        if legal != ema:  # the model takes only keys of its own quantizers
+            with pytest.raises(ValueError, match="is not l"):
+                Calibration.from_state_dict(stored, layers=2)
+        loaded = Calibration.from_state_dict(legal, layers=2)
+        assert loaded.ema == legal
         # one running max per key, keys sorted
-        assert list(loaded.state_dict().items()) == sorted(ema.items())
+        assert list(loaded.state_dict().items()) == sorted(legal.items())
 
     def test_forward_logits_bit_exact(self, tmp_path):
         cfg = MicroTransformerConfig(seed=3)
@@ -310,6 +323,8 @@ BAD_CHECKPOINTS = {
     ),
     "unknown model key": lambda p: _checkpoint_with(p, config=_echo_with({"bogus": 1})),
     "retired model key act_bits": lambda p: _checkpoint_with(p, config=_echo_with({"act_bits": 8})),
+    # every checkpoint written before weights had one width echoes weight_bits: 4
+    "retired model key weight_bits": lambda p: _checkpoint_with(p, config=_echo_with({"weight_bits": 4})),
     "unknown run key": lambda p: _checkpoint_with(p, config=_echo_with(bogus=1)),
     "model key at run level": lambda p: _checkpoint_with(p, config=_echo_with(lr=0.1)),
     "invalid model value": lambda p: _checkpoint_with(p, config=_echo_with({"heads": 3})),
@@ -383,12 +398,13 @@ class TestCheckpointExitContract:
         "model,run",
         [
             ({"act_bits": 8}, {}),
+            ({"weight_bits": 4}, {}),
             ({"literal_distribution_sign": False}, {}),
             ({}, {"bench_shapes": [[8, 8, 8]]}),
             ({}, {"checkpoint": "m.ckpt"}),
             ({}, {"report_dir": "reports"}),
         ],
-        ids=["act_bits", "literal_distribution_sign", "bench_shapes", "checkpoint", "report_dir"],
+        ids=["act_bits", "weight_bits", "literal_distribution_sign", "bench_shapes", "checkpoint", "report_dir"],
     )
     @pytest.mark.parametrize("command", ["eval", "inspect"])
     def test_retired_echo_key_is_named(self, tmp_path, capsys, command, model, run):
@@ -499,6 +515,13 @@ class TestVerifyKernelsCommand:
 
     def test_zero_cases_usage_error(self):
         assert cli_main(["verify-kernels", "--cases", "0"]) == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_rule_exits_two_with_one_line(self, capsys, seed):
+        # a 64-bit mask would run -1 as seed 2**64 - 1 and 2**64 as seed 0
+        assert cli_main(["verify-kernels", "--cases", "1", "--seed", str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1 and "seed" in captured.err, captured.err
 
 
 class TestGemmBenchCommand:
@@ -876,5 +899,5 @@ def test_same_bits_script_hashes_the_fifteen_tiny_artifacts():
     assert lines[31] == f"content {hashlib.sha256(masked.encode()).hexdigest()}"
     # a change that moves an artifact on purpose updates these pins and says why in CHANGES.md;
     # a change to the config alone moves combined and keeps content
-    assert lines[15] == "combined 0d5099d102b2c0bfaa1605ed0ec28cd9575744da70a12a2cc9d461ca0433b48f"
+    assert lines[15] == "combined 278b0f52d55d1f1c34f3ef97b21b25a88aa0cd87f546fd7204ed31c2d2ee9d6c"
     assert lines[31] == "content 2f3e6e502ec29a2ef8b8154fd37eaf08387d4118a6ebb5873585db70dab73806"

@@ -113,17 +113,6 @@ class TestStudentForward:
         student = forward_tape(tape, tp, toks, cfg, quantized=False)
         np.testing.assert_array_equal(student.logits.data, teacher.logits.data)
 
-    def test_w8a8_close_to_teacher(self):
-        cfg = small_cfg(weight_bits=8, rho=1.0)
-        params = init_params(cfg)
-        toks = tokens_for(cfg)
-        teacher = forward_teacher(cfg, params, toks)
-        tape = gt.Tape(dtype=np.float32)
-        tp = params_to_tape(tape, params)
-        student = forward_tape(tape, tp, toks, cfg, quantized=True)
-        diff = np.abs(student.logits.data - teacher.logits.data).max()
-        assert diff < 0.1
-
     @pytest.mark.parametrize("rho", [0.0, 0.05, 0.25, 0.5, 0.75, 1.0])
     def test_plans_follow_rho(self, rho):
         cfg = small_cfg(rho=rho)
@@ -163,7 +152,7 @@ class TestStudentForward:
         assert got == expected
 
     def test_scale_and_plan_overrides_pin_the_grid(self):
-        cfg = small_cfg(weight_bits=8, rho=1.0)
+        cfg = small_cfg(rho=1.0)
         params = init_params(cfg)
         toks = tokens_for(cfg)
         tape = gt.Tape(dtype=np.float32)
@@ -246,12 +235,11 @@ class TestCalibration:
 
 class TestIntegerPath:
     @pytest.mark.parametrize("rho", [1.0, 0.0, 0.5])
-    @pytest.mark.parametrize("weight_bits", [4, 8])
-    def test_dual_path_agreement(self, weight_bits, rho):
+    def test_dual_path_agreement(self, rho):
         # seed pinned away from rounding ties: the fake path accumulates in
         # float32 while the int path is exact, so an activation sitting on a
         # quantizer half-way point can round differently and jump by one bin
-        cfg = small_cfg(weight_bits=weight_bits, rho=rho, seed=0)
+        cfg = small_cfg(rho=rho, seed=0)
         params = init_params(cfg)
         toks = tokens_for(cfg)
         tape = gt.Tape(dtype=np.float32)
@@ -263,7 +251,7 @@ class TestIntegerPath:
             np.testing.assert_array_equal(pa.bits, pb.bits)
 
     def test_cost_counted_per_projection(self):
-        cfg = small_cfg(weight_bits=4, rho=0.0)
+        cfg = small_cfg(rho=0.0)
         params = init_params(cfg)
         cost = CostCounter()
         forward_int(cfg, params, tokens_for(cfg), calib=None, cost=cost)
@@ -277,9 +265,9 @@ class TestIntegerPath:
         toks = tokens_for(small_cfg())
         counts = {}
         for name, cfg in (
-            ("a4", small_cfg(weight_bits=4, rho=0.0)),
-            ("mixed", small_cfg(weight_bits=4, rho=0.5)),
-            ("a8", small_cfg(weight_bits=4, rho=1.0)),
+            ("a4", small_cfg(rho=0.0)),
+            ("mixed", small_cfg(rho=0.5)),
+            ("a8", small_cfg(rho=1.0)),
         ):
             cost = CostCounter()
             forward_int(cfg, params, toks, calib=None, cost=cost)
@@ -352,26 +340,6 @@ class TestIntegerPath:
         assert plans[1].hi is plans[1].hi and plans[1].lo is plans[1].lo
         np.testing.assert_array_equal(np.sort(np.concatenate([plans[1].hi, plans[1].lo])), np.arange(cfg.seq_len))
 
-    def test_eight_bit_weights_take_one_byte_kernel_call(self, monkeypatch):
-        import squant.model
-
-        calls = []
-        original = squant.model.gemm_i8
-
-        def counting(w, x, cost):
-            calls.append(x.shape[1])
-            return original(w, x, cost)
-
-        monkeypatch.setattr(squant.model, "gemm_i8", counting)
-        cfg = small_cfg(weight_bits=8, rho=0.5)
-        cost = CostCounter()
-        _, plans = forward_int(cfg, init_params(cfg), tokens_for(cfg), calib=None, cost=cost)
-        assert 0 < plans[1].k < cfg.seq_len  # layer 1 holds both groups
-        assert calls == [cfg.seq_len] * (len(WEIGHT_NAMES) * cfg.layers)  # one call per projection, all tokens
-        t, d = cfg.seq_len, cfg.dim
-        mkn = cfg.layers * (4 * d * d * t + 2 * (4 * d) * d * t)  # M*K*N summed over the six projections
-        assert (cost.mul_count, cost.add_count) == (mkn, mkn)
-
     def test_int_path_token_validation(self):
         cfg = small_cfg()
         with pytest.raises(IndexError):
@@ -381,13 +349,13 @@ class TestIntegerPath:
 def forward_int_digest(seed: int) -> str:
     """sha256 of ``forward_int``'s logits, plans and cost counts over 8 windows of each recipe.
 
-    Four recipes (4-bit weights at rho 0.5 and 0, 8-bit weights at rho 0.5,
-    and the width-128, seq-128 model of the benchmark), each uncalibrated and
-    with the calibration of one training pass.
+    Three recipes (rho 0.5 and 0, and the width-128, seq-128 model of the
+    benchmark), each uncalibrated and with the calibration of one training
+    pass.
     """
     digest = hashlib.sha256()
     wide = dict(dim=128, heads=4, seq_len=128)
-    for recipe in (dict(rho=0.5), dict(rho=0.0), dict(weight_bits=8), wide):
+    for recipe in (dict(rho=0.5), dict(rho=0.0), wide):
         cfg = MicroTransformerConfig(**recipe, seed=seed)
         params = init_params(cfg)
         windows = make_corpus(seed, cfg.vocab, 8 * cfg.seq_len).reshape(8, cfg.seq_len)
@@ -407,9 +375,9 @@ def forward_int_digest(seed: int) -> str:
 
 # pinned: a rewrite of the integer path's arithmetic (passes, temporaries, product order) must keep these bits
 FORWARD_INT_DIGESTS = {
-    0: "82a6c380b1179c9da55ea5cc9ec3d16129bb4d8f6482ed395ca1976703d001f5",
-    2: "5ed2b57486161e1467c217971188af17f0a1fb6a39b7be0407b4d5259892d26d",
-    11: "7b612ad7356b3484b106b21ef190b3d833c0a4f1d40a1a83d4949927891eee58",
+    0: "e28843a85eabafbcddc9d942a490d8572cb5a749788fb625dc8d6840d33f5d3e",
+    2: "8d26a87293ac29467289e7282d311cda7a6d1be121ad2512444eed1c24f34833",
+    11: "989342f45725a6c61ab3360cad96ab01e5fd25ad05ba7fe798f11af46c5f2f9a",
 }
 
 
@@ -421,12 +389,9 @@ def test_forward_int_logits_plans_and_counts_are_pinned(seed):
 class TestCompiledModel:
     @pytest.mark.parametrize("dim", [32, 128])
     @pytest.mark.parametrize("rho", [0.0, 1.0, 0.5])
-    @pytest.mark.parametrize("weight_bits", [4, 8])
-    def test_compiled_run_bit_identical_to_float_params(self, weight_bits, rho, dim):
+    def test_compiled_run_bit_identical_to_float_params(self, rho, dim):
         for seed in range(4):
-            cfg = MicroTransformerConfig(
-                dim=dim, heads=4, seq_len=dim, seed=seed, weight_bits=weight_bits, rho=rho
-            )
+            cfg = MicroTransformerConfig(dim=dim, heads=4, seq_len=dim, seed=seed, rho=rho)
             params = init_params(cfg)
             compiled = compile_int(cfg, params)
             for length in (cfg.seq_len, 17):
@@ -464,7 +429,7 @@ class TestCompiledModel:
             for module in (squant.model, squant.kernels, squant.quant, squant.token_bits):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, wrapper)
-        cfg = small_cfg(weight_bits=4, rho=0.5)
+        cfg = small_cfg(rho=0.5)
         compiled = compile_int(cfg, init_params(cfg))
         projections = len(WEIGHT_NAMES) * cfg.layers
         assert calls == {"pack_int4": projections, "weight quantize": projections, "group_quantize": 0}
@@ -482,23 +447,15 @@ class TestCompiledModel:
             compile_int(cfg, params)
         with pytest.raises(ValueError, match="l1.mlp.w2"):  # written in place after a call, still refused
             forward_int(cfg, params, tokens_for(cfg), calib=None)
-        assert np.isfinite(fresh_memo[("l1.mlp.w2", cfg.weight_bits)][0]).all()  # nothing non-finite was kept
+        assert np.isfinite(fresh_memo["l1.mlp.w2"][0]).all()  # nothing non-finite was kept
 
-    @pytest.mark.parametrize("weight_bits", [4, 8])
-    def test_compiled_arrays_are_read_only(self, weight_bits):
-        cfg = small_cfg(weight_bits=weight_bits)
+    def test_compiled_arrays_are_read_only(self):
+        cfg = small_cfg()
         compiled = compile_int(cfg, init_params(cfg))
         for proj in compiled.projections.values():
-            arrays = [proj.codes] if weight_bits == 8 else [proj.codes, proj.packed.packed, proj.packed.codes, proj.packed.lanes]
-            for a in arrays:
+            for a in (proj.packed.packed, proj.packed.codes, proj.packed.lanes):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0, 0] = 1
-
-    def test_weight_bits_must_match_the_config(self):
-        cfg = small_cfg(weight_bits=4)
-        compiled = compile_int(cfg, init_params(cfg))
-        with pytest.raises(ValueError, match="4-bit"):
-            forward_int(small_cfg(weight_bits=8), compiled, tokens_for(cfg), calib=None)
 
 
 @pytest.fixture
@@ -546,7 +503,7 @@ class TestProjectionMemo:
 
     def test_second_call_compiles_nothing(self, fresh_memo, monkeypatch):
         calls = count_weight_compiles(monkeypatch)
-        cfg = small_cfg(weight_bits=4, rho=0.5)
+        cfg = small_cfg(rho=0.5)
         params, toks = init_params(cfg), tokens_for(cfg)
         projections = len(WEIGHT_NAMES) * cfg.layers
         first = int_run(cfg, params, toks)
@@ -557,7 +514,7 @@ class TestProjectionMemo:
         assert len(fresh_memo) == projections
 
     def test_equal_values_in_a_new_dict_hit(self, fresh_memo, monkeypatch):
-        cfg = small_cfg(weight_bits=4)
+        cfg = small_cfg()
         params, toks = init_params(cfg), tokens_for(cfg)
         first = int_run(cfg, params, toks)
         calls = count_weight_compiles(monkeypatch)
@@ -566,7 +523,7 @@ class TestProjectionMemo:
         assert calls == {"pack_int4": 0, "weight quantize": 0}
 
     def test_in_place_edit_recompiles_that_weight_only(self, fresh_memo, monkeypatch):
-        cfg = small_cfg(weight_bits=4, rho=0.5)
+        cfg = small_cfg(rho=0.5)
         params, toks = init_params(cfg), tokens_for(cfg)
         before = int_run(cfg, params, toks)
         calls = count_weight_compiles(monkeypatch)
@@ -590,7 +547,7 @@ class TestProjectionMemo:
             before = after
 
     def test_negative_zero_misses(self, fresh_memo, monkeypatch):
-        cfg = small_cfg(weight_bits=4)
+        cfg = small_cfg()
         params, toks = init_params(cfg), tokens_for(cfg)
         params["l0.mlp.w1"][1, 4] = 0.0
         zero = int_run(cfg, params, toks)
@@ -598,23 +555,10 @@ class TestProjectionMemo:
         params["l0.mlp.w1"][1, 4] = -0.0  # equal as a float, different bits
         assert int_run(cfg, params, toks) == zero
         assert calls == {"pack_int4": 1, "weight quantize": 1}
-        assert np.signbit(fresh_memo[("l0.mlp.w1", 4)][0][1, 4])
-
-    def test_weight_widths_do_not_collide(self, fresh_memo, monkeypatch):
-        cfg4, cfg8 = small_cfg(weight_bits=4), small_cfg(weight_bits=8)
-        params, toks = init_params(cfg4), tokens_for(cfg4)
-        runs = {bits: int_run(cfg, params, toks) for bits, cfg in ((4, cfg4), (8, cfg8))}
-        calls = count_weight_compiles(monkeypatch)
-        for bits, cfg in ((4, cfg4), (8, cfg8)):
-            assert int_run(cfg, params, toks) == runs[bits] == fresh_compile_run(cfg, params, toks)
-        projections = len(WEIGHT_NAMES) * cfg4.layers
-        # the fresh compiles quantize every weight and pack the 4-bit ones; the memoized calls add nothing
-        assert calls == {"pack_int4": projections, "weight quantize": 2 * projections}
-        assert {bits for _, bits in fresh_memo} == {4, 8} and len(fresh_memo) == 2 * projections
+        assert np.signbit(fresh_memo["l0.mlp.w1"][0][1, 4])
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
-        weight_bits=st.sampled_from([4, 8]),
         steps=st.lists(
             st.tuples(
                 st.sampled_from(["edit", "reset"]),
@@ -626,8 +570,8 @@ class TestProjectionMemo:
             max_size=6,
         ),
     )
-    def test_edits_and_resets_match_a_fresh_compile(self, fresh_memo, weight_bits, steps):
-        cfg = small_cfg(weight_bits=weight_bits, rho=0.5)
+    def test_edits_and_resets_match_a_fresh_compile(self, fresh_memo, steps):
+        cfg = small_cfg(rho=0.5)
         params, toks = init_params(cfg), tokens_for(cfg)
         original = copy.deepcopy(params)
         names = [f"l{l}.{w}" for l in range(cfg.layers) for w in WEIGHT_NAMES]
@@ -644,19 +588,19 @@ def grouped_linear(gq, proj, cost):
     """The grouped formulation of an integer projection, as a reference.
 
     Gather each group's codes, run the group's kernel (packed for 4-bit
-    tokens on 4-bit weights, byte otherwise), scale by alpha_w * alpha_group,
-    then scatter the rows back to token order.
+    tokens, byte for 8-bit ones), scale by alpha_w * alpha_group, then
+    scatter the rows back to token order.
     """
     parts = []
     for rows, spec in ((gq.plan.hi, gq.spec_hi), (gq.plan.lo, gq.spec_lo)):
         if not rows.size:
-            parts.append(np.empty((0, proj.codes.shape[0]), dtype=np.float32))
+            parts.append(np.empty((0, proj.packed.logical_rows), dtype=np.float32))
             continue
         codes = gq.codes[rows].T  # [K, group tokens]
-        if proj.packed is not None and spec.bits == 4:
+        if spec.bits == 4:
             acc = gemm_i4_packed(proj.packed, codes, cost)
         else:
-            acc = gemm_i8(proj.codes, codes, cost)
+            acc = gemm_i8(proj.packed.codes, codes, cost)
         parts.append((acc.astype(np.float32) * (np.float32(proj.scale) * np.float32(spec.scale))).T)
     return ref.scatter_tokens(*parts, gq.plan)
 
@@ -665,12 +609,11 @@ class TestTokenOrderOracle:
     """The token-order integer projection against the grouped formulation, byte for byte."""
 
     @pytest.mark.parametrize("rho", [0.0, 1.0, 0.5])
-    @pytest.mark.parametrize("weight_bits", [4, 8])
-    def test_forward_int_matches_grouped_projection(self, weight_bits, rho, monkeypatch):
+    def test_forward_int_matches_grouped_projection(self, rho, monkeypatch):
         import squant.model
 
         for seed in range(3):
-            cfg = small_cfg(weight_bits=weight_bits, rho=rho, seed=seed)
+            cfg = small_cfg(rho=rho, seed=seed)
             model = compile_int(cfg, init_params(cfg))
             for length in (cfg.seq_len, 7):
                 toks = tokens_for(cfg, length=length)
@@ -682,18 +625,17 @@ class TestTokenOrderOracle:
                     runs.append((logits.tobytes(), [p.bits.tobytes() for p in plans], cost))
                 assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("weight_bits", [4, 8])
-    def test_projection_matches_grouped_projection(self, weight_bits):
+    def test_projection_matches_grouped_projection(self):
         from squant.model import _compile_projection, _linear_int
 
-        rng = substream(9, f"oracle-linear-w{weight_bits}")
+        rng = substream(9, "oracle-linear-w4")
         for case in range(60):
             n, k, m = int(rng.integers(1, 20)), int(rng.integers(1, 24)), int(rng.integers(1, 24))
             rho = float(rng.choice([0.0, 1.0, rng.uniform()]))  # rho 0 and 1 leave one group empty
             plan = assign_bits(rng.uniform(size=n), rho)
             x = rng.normal(size=(n, k)) * rng.choice([0.1, 1.0, 30.0])
             gq = group_quantize(x, plan)
-            proj = _compile_projection("w", rng.normal(size=(k, m)), weight_bits)
+            proj = _compile_projection("w", rng.normal(size=(k, m)))
             got_cost, want_cost = CostCounter(), CostCounter()
             got = _linear_int(gq, proj, got_cost)
             want = grouped_linear(gq, proj, want_cost)

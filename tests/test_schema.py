@@ -3,10 +3,12 @@
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from squant.cli import main as cli_main
 from squant.model import MicroTransformerConfig
+from squant.seeding import substream
 from squant.train import RunConfig
 
 NAN, INF = float("nan"), float("inf")
@@ -19,13 +21,12 @@ FIELD_CASES = {
         "dim": (8, [0, None]),
         "vocab": (4, [3, 0]),
         "seq_len": (1, [0, 8.5]),
-        "weight_bits": (8, [2, 8.0, "8"]),
         "rho": (1, [1.5, -0.1, NAN]),
         "r_E": (0.0, [-0.5, "x"]),
         "r_D": (2, [INF, None, False]),
         "gamma": (0.0, [1.01, NAN]),
         "tau": (0.5, [0, -1.0, INF]),
-        "seed": (7, [-1, 1.5]),
+        "seed": (7, [-1, 1.5, 2**64]),
         "lr": (0.1, [0, NAN, "fast", 10**400]),
         "steps": (0, [-1, True]),
     },
@@ -78,10 +79,11 @@ def test_rejected_value_exits_two_through_the_cli(tmp_path, capsys, cls, name, v
     "flags,name",
     [
         (["train", "--seed", "-1"], "seed"),
+        (["train", "--seed", str(2**64)], "seed"),
         (["gemm-bench", "--seed", "-1"], "seed"),
         (["gemm-bench", "--shapes", "0x8x8"], "--shapes"),
     ],
-    ids=["train-seed", "gemm-bench-seed", "gemm-bench-shapes"],
+    ids=["train-seed", "train-seed-2**64", "gemm-bench-seed", "gemm-bench-shapes"],
 )
 def test_flags_meet_the_field_rules(tmp_path, capsys, flags, name):
     path = tmp_path / "cfg.json"
@@ -101,12 +103,13 @@ def test_flags_meet_the_field_rules(tmp_path, capsys, flags, name):
         ("bench_shapes", [[4, 4, 4]]),
         ("checkpoint", "m.ckpt"),
         ("report_dir", "reports"),
+        ("weight_bits", 4),
     ],
 )
 @pytest.mark.parametrize("command", ["train", "gemm-bench", "ablate"])
 def test_retired_key_exits_two_naming_it(tmp_path, capsys, command, key, value):
-    # rho alone plans the activation bits, the loss sign is fixed, --shapes sets the bench grid and --out the
-    # output directory; eval takes no config at all
+    # rho alone plans the activation bits, every projection weight is 4-bit, the loss sign is fixed, --shapes sets
+    # the bench grid and --out the output directory; eval takes no config at all
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({key: value}))
     capsys.readouterr()
@@ -114,3 +117,16 @@ def test_retired_key_exits_two_naming_it(tmp_path, capsys, command, key, value):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error: ") and key in err, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3, 1.5, True])
+def test_substream_refuses_a_seed_outside_the_rule(seed):
+    # a 64-bit mask would give 2**64 the streams of seed 0 and -1 those of 2**64 - 1; int() would give 1.5 seed 1's
+    with pytest.raises(ValueError, match="seed"):
+        substream(seed, "init.tok_emb")
+
+
+def test_the_largest_seed_builds_and_draws_its_own_streams():
+    assert MicroTransformerConfig(seed=2**64 - 1).seed == 2**64 - 1
+    top, zero = (substream(seed, "init.tok_emb").integers(0, 2**32, size=4) for seed in (2**64 - 1, 0))
+    assert not np.array_equal(top, zero)
