@@ -523,6 +523,11 @@ class TestVerifyKernelsCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1 and "seed" in captured.err, captured.err
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_an_end_of_the_rule_runs(self, capsys, seed):
+        assert cli_main(["verify-kernels", "--cases", "3", "--seed", str(seed)]) == 0
+        assert "3 cases" in capsys.readouterr().out
+
 
 class TestGemmBenchCommand:
     def test_no_time_output_bit_identical(self, tmp_path):
@@ -662,6 +667,18 @@ class TestTrainEvalCommands:
         result = json.loads((tmp_path / "eval.json").read_text())
         assert result["role"] == "teacher"
         assert result["ppl"] == summary["teacher_ppl"]
+
+    def test_the_largest_seed_trains_and_evals_its_own_student(self, tiny_run, tmp_path):
+        # a 64-bit mask ran 2**64 as seed 0; the top of the rule survives the echo and draws streams of its own
+        cfg_path, out = tiny_run
+        top = tmp_path / "top"
+        assert cli_main(["train", "--config", str(cfg_path), "--seed", str(2**64 - 1), "--out", str(top)]) == 0
+        student, seed0 = (load_checkpoint(run / "student.ckpt") for run in (top, out))
+        assert student.config["model"]["seed"] == 2**64 - 1
+        assert any(not np.array_equal(student.params[name], w) for name, w in seed0.params.items())
+        summary = json.loads((top / "summary.json").read_text())
+        assert cli_main(["eval", "--checkpoint", str(top / "student.ckpt"), "--out", str(tmp_path / "ev")]) == 0
+        assert json.loads((tmp_path / "ev" / "eval.json").read_text())["ppl"] == summary["student_ppl"]
 
     @pytest.mark.parametrize("command", ["train", "eval", "inspect", "ablate", "gemm-bench"])
     def test_out_defaults_to_reports(self, command):

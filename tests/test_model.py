@@ -3,7 +3,9 @@
 import copy
 import gc
 import hashlib
+import re
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,10 +13,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from squant import gradtape as gt
-from squant.kernels import CostCounter, gemm_i4_packed, gemm_i8
+from squant.kernels import CostCounter, gemm_i4_packed, gemm_i8, unpack_int4
 from squant.model import (
     ACT_SITES,
     MOMENTUM,
+    WEIGHT_BITS,
     Calibration,
     WEIGHT_NAMES,
     MicroTransformerConfig,
@@ -26,6 +29,7 @@ from squant.model import (
     params_to_tape,
     perplexity_eval,
 )
+from squant.quant import QuantSpec, calibrate_scale, quantize
 from squant.seeding import substream
 from squant.token_bits import assign_bits, group_quantize
 from squant.train import make_corpus
@@ -231,6 +235,34 @@ class TestCalibration:
         assert res.scales_used["l0.attn_in.hi"] == 0.25
         assert "l0.attn_in.hi" not in calib.ema  # the calibration is neither read nor folded
         assert "l0.mlp_in.hi" in calib.ema and "l1.attn_in.hi" in calib.ema
+
+
+    def test_a_training_pass_writes_every_key_from_state_dict_takes(self):
+        # one owner of the key format: the forward's keys are the ones a checkpoint may hold
+        cfg = small_cfg(rho=0.5)
+        tape = gt.Tape(dtype=np.float32)
+        calib = Calibration()
+        tp = params_to_tape(tape, init_params(cfg))
+        res = forward_tape(tape, tp, tokens_for(cfg), cfg, quantized=True, training=True, calib=calib)
+        assert 0 < res.plans[1].k < cfg.seq_len  # layer 1 observes both groups
+        groups = [[g for g, rows in (("hi", p.hi), ("lo", p.lo)) if rows.size] for p in res.plans]
+        observed = {Calibration.key(l, site, g) for l in range(cfg.layers) for site in ACT_SITES for g in groups[l]}
+        assert set(calib.ema) == observed
+        assert Calibration.from_state_dict(calib.state_dict(), cfg.layers).ema == calib.ema
+
+    @pytest.mark.parametrize("key", ["l1.attn_in.hi", "l0.attn.hi", "l0.attn_in.mid", "l0.attn_in", "l00.attn_in.hi"])
+    def test_from_state_dict_refuses_a_key_of_no_quantizer(self, key):
+        # a one-layer model has no layer 1, no site "attn", no group "mid", and writes its layer 0 as "l0"
+        legal = {"l0.attn_in.hi": 0.5}
+        assert Calibration.from_state_dict(legal, layers=1).ema == legal
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            Calibration.from_state_dict({**legal, key: 0.75}, layers=1)
+
+    def test_the_layer_count_bounds_the_keys(self):
+        d = {"l1.mlp_hidden.lo": 0.25}
+        assert Calibration.from_state_dict(d, layers=2).ema == d
+        with pytest.raises(ValueError, match="l1.mlp_hidden.lo"):
+            Calibration.from_state_dict(d, layers=1)
 
 
 class TestIntegerPath:
@@ -448,6 +480,22 @@ class TestCompiledModel:
         with pytest.raises(ValueError, match="l1.mlp.w2"):  # written in place after a call, still refused
             forward_int(cfg, params, tokens_for(cfg), calib=None)
         assert np.isfinite(fresh_memo["l1.mlp.w2"][0]).all()  # nothing non-finite was kept
+
+    def test_each_projection_holds_the_fake_paths_4_bit_weight(self):
+        # one weight width: the compiled codes and scale are the quantizer the tape path applies
+        cfg = small_cfg(rho=0.5)
+        params = init_params(cfg)
+        compiled = compile_int(cfg, params)
+        assert set(compiled.projections) == {f"l{l}.{w}" for l in range(cfg.layers) for w in WEIGHT_NAMES}
+        tape = gt.Tape(dtype=np.float32)
+        fake = forward_tape(tape, params_to_tape(tape, params), tokens_for(cfg), cfg, quantized=True)
+        for name, proj in compiled.projections.items():
+            assert [f.name for f in fields(proj)] == ["scale", "packed"]
+            assert proj.scale == fake.scales_used[name] == calibrate_scale(params[name], WEIGHT_BITS)
+            codes = quantize(params[name], QuantSpec(bits=WEIGHT_BITS, scale=proj.scale)).ints
+            np.testing.assert_array_equal(proj.packed.codes, codes.T)
+            assert -(2 ** (WEIGHT_BITS - 1)) <= codes.min() and codes.max() < 2 ** (WEIGHT_BITS - 1)
+            np.testing.assert_array_equal(unpack_int4(proj.packed), codes.T)
 
     def test_compiled_arrays_are_read_only(self):
         cfg = small_cfg()
