@@ -251,14 +251,12 @@ def _bench_kernel(kernel: str, w, x8, x4):
     elif kernel == "packed":
         wp = pack_int4(w)
         run = lambda c: gemm_i4_packed(wp, x8, c)
-    elif kernel == "mixed":
+    else:  # "mixed"
         wp = pack_int4(w)
         n = x8.shape[1]
         x = np.concatenate([x8[:, : n // 2], x4[:, n // 2 :]], axis=1)  # 8-bit tokens first, then 4-bit
         bits = np.repeat([8, 4], [n // 2, n - n // 2])
         run = lambda c: gemm_mixed(wp, x, bits, c)
-    else:
-        raise RunConfigError(f"unknown kernel {kernel!r}")
     run(cost)
     return run, cost
 
@@ -442,7 +440,7 @@ def cmd_inspect(args) -> int:
     out_dir = _out_dir(args)
 
     def head_stack(nodes):  # [L, H, T, dh]
-        return np.stack([gt._head_view(node.array, cfg.heads) for node in nodes])
+        return np.stack([gt.head_view(node.array, cfg.heads) for node in nodes])
 
     tq, tk = head_stack(teacher_res.q_nodes), head_stack(teacher_res.k_nodes)
     sq, sk = head_stack(student_res.q_nodes), head_stack(student_res.k_nodes)

@@ -3,12 +3,16 @@
 Deliberately small: it holds the ops a micro decoder-only transformer runs
 (matmul, transpose, layernorm, gelu, cross entropy, temperature-scaled KL,
 row gathers, add and scalar multiply) and no others. Matmul, transpose and
-the row softmax also take leading batch axes. Attention is two fused nodes
+the row softmax (``softmax_forward``) also take leading batch axes; only the
+tests' reference chains use those axes, and only they call
+``softmax_forward``. Attention is two fused nodes
 over all heads at once: ``attention`` gives the causal [H, T, T]
 probabilities of q and k, ``attend`` the [T, D] context of those
 probabilities and v. Each records one node with the bits of the
 split/transpose/matmul/scale/softmax/merge chain it replaces; that chain and
-its small ops live in ``tests/reference.py``. Values are float32 by
+its small ops live in ``tests/reference.py``. ``head_view``, ``head_split``
+and ``head_merge`` are the [T, D] <-> [H, T, D/H] head layout that the
+losses and the CLI read as well. Values are float32 by
 default; a tape can be built in float64 when tight finite-difference checks
 are wanted.
 
@@ -40,6 +44,9 @@ __all__ = [
     "cross_entropy",
     "gather_rows",
     "gelu",
+    "head_merge",
+    "head_split",
+    "head_view",
     "kl_divergence",
     "layernorm",
     "matmul",
@@ -316,7 +323,7 @@ def attention(q: Tensor, k: Tensor, heads: int, scale: float) -> Tensor:
     tape = _same_tape(q, k)
     if q.shape != k.shape:
         raise ValueError(f"attention needs q and k of one shape, got {q.shape} and {k.shape}")
-    qh, kh = (_heads(n.array, heads) for n in (q, k))
+    qh, kh = (head_split(n.array, heads) for n in (q, k))
     kht = _t(kh).copy()
     c = tape.dtype.type(scale)
     y = qh @ kht
@@ -326,8 +333,8 @@ def attention(q: Tensor, k: Tensor, heads: int, scale: float) -> Tensor:
 
     def vjp(g):
         gs = _cast(tape, _cast(tape, (g - (g * y).sum(axis=-1, keepdims=True)) * y) * c)
-        dq = _merge(_cast(tape, gs @ _t(kht)), t, d)
-        dk = _merge(_t(_cast(tape, _t(qh) @ gs)), t, d)
+        dq = head_merge(_cast(tape, gs @ _t(kht)), t, d)
+        dk = head_merge(_t(_cast(tape, _t(qh) @ gs)), t, d)
         return dq, dk
 
     return Tensor(tape, y, (q, k), vjp, name="attention")
@@ -343,17 +350,17 @@ def attend(probs: Tensor, v: Tensor) -> Tensor:
     if probs.array.ndim != 3 or v.array.ndim != 2 or probs.shape[1:] != (v.shape[0],) * 2:
         raise ValueError(f"attend needs [H, T, T] probabilities and [T, D] values, got {probs.shape} and {v.shape}")
     h = probs.shape[0]
-    vh = _heads(v.array, h)
+    vh = head_split(v.array, h)
     t, d = v.shape
 
     def vjp(g):
-        gh = _heads(g, h)
-        return _cast(tape, gh @ _t(vh)), _merge(_cast(tape, _t(probs.array) @ gh), t, d)
+        gh = head_split(g, h)
+        return _cast(tape, gh @ _t(vh)), head_merge(_cast(tape, _t(probs.array) @ gh), t, d)
 
-    return Tensor(tape, _merge(probs.array @ vh, t, d), (probs, v), vjp, name="attend")
+    return Tensor(tape, head_merge(probs.array @ vh, t, d), (probs, v), vjp, name="attend")
 
 
-def _head_view(a: np.ndarray, heads: int) -> np.ndarray:
+def head_view(a: np.ndarray, heads: int) -> np.ndarray:
     """[T, D] -> [H, T, D/H] view, no copy: head h owns the column block [h*dh, (h+1)*dh)."""
     if a.ndim != 2 or a.shape[1] % heads:
         raise ValueError(f"width of {a.shape} not divisible by {heads} heads")
@@ -361,12 +368,12 @@ def _head_view(a: np.ndarray, heads: int) -> np.ndarray:
     return a.reshape(t, heads, d // heads).transpose(1, 0, 2)
 
 
-def _heads(a: np.ndarray, heads: int) -> np.ndarray:
+def head_split(a: np.ndarray, heads: int) -> np.ndarray:
     """The C-ordered [H, T, D/H] array of [T, D] values ``a``, the operand layout of every per-head product."""
-    return np.ascontiguousarray(_head_view(a, heads))
+    return np.ascontiguousarray(head_view(a, heads))
 
 
-def _merge(a: np.ndarray, t: int, d: int) -> np.ndarray:
+def head_merge(a: np.ndarray, t: int, d: int) -> np.ndarray:
     """[H, T, dh] -> C-ordered [T, H*dh]."""
     return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(t, d)
 

@@ -100,7 +100,7 @@ def entropy_ceiling(q_arrays: list, k_arrays: list, heads: int) -> np.ndarray:
     """
     rows = []
     for q, k in zip(q_arrays, k_arrays):
-        blocks = zip(gt._head_view(q, heads), gt._head_view(k, heads))
+        blocks = zip(gt.head_view(q, heads), gt.head_view(k, heads))
         rows.append([np.log1p(qb.var() * kb.var()) for qb, kb in blocks])
     return np.array(rows)
 
@@ -156,7 +156,7 @@ def entropy_loss_node(
             return np.asarray(a, dtype=dt)
 
         def rows(group):  # [L*H, N*dh]: each (layer, head) block in split_heads order
-            return np.concatenate([gt._head_view(n.array, heads) for n in group]).reshape(layers * heads, -1)
+            return np.concatenate([gt.head_view(n.array, heads) for n in group]).reshape(layers * heads, -1)
 
         centered, var = [], []
         for a in (rows(q_nodes), rows(k_nodes)):
@@ -181,7 +181,7 @@ def entropy_loss_node(
             grads = []
             for dvar, c in ((cast(g * var_k), centered[0]), (cast(g * var_q), centered[1])):
                 full = cast(dvar[:, None] * 2.0 * c / c.shape[1]).reshape(layers, heads, t, d // heads)
-                grads += [gt._merge(full[l], t, d) for l in range(layers)]
+                grads += [gt.head_merge(full[l], t, d) for l in range(layers)]
             return tuple(None if n.constant else grad for n, grad in zip(nodes, grads))
 
         node = tape.record(-np.log(inner), nodes, vjp, name="entropy")

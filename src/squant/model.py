@@ -12,11 +12,13 @@ Activation bit widths follow a per-token plan set by ``rho``, the share of
 layer l-1's attention map in the same pass, and layer 0, with no map yet,
 plans all-8 (all-4 at rho 0). So rho = 0 and rho = 1 are the uniform A4 and
 A8 runs, bit for bit.
-Each activation site is quantized once per pass by ``group_quantize``, in
-one per-row rounding, and stays in token order on both paths. Its two group
-scales come from a test's override, else from the ``Calibration`` (a
-running max-abs per group, folded on training passes and read frozen on
-the others), else from the max-abs of the group's rows.
+Each activation site's quantizer is one per-row ``quant.QuantSpec``, built
+by ``group_quantize``, and the site is rounded once per pass, in token
+order, on both paths: the tape path fake-quantizes it, the integer path
+hands the codes and the spec to every projection that reads the site. Its
+two group scales follow one rule, ``group_scale``: a test's override, else
+the ``Calibration`` (a running max-abs per group, folded on training passes
+and read frozen on the others), else the max-abs of the group's rows.
 
 Attention runs over all heads at once as two tape nodes per layer:
 ``gt.attention`` gives the causal [H, T, T] probabilities of q and k, and
@@ -53,10 +55,10 @@ import numpy as np
 
 from . import gradtape as gt
 from .kernels import CostCounter, PackedInt4Matrix, gemm_mixed, pack_int4
-from .quant import QuantSpec, _max_abs, _max_abs_scale, calibrate_scale, fake_quant, linear, quantize
+from .quant import QuantSpec, calibrate_scale, fake_quant, linear, max_abs, max_abs_scale, quantize, round_clip
 from .schema import check_fields, integer, is_number, number, rule
 from .seeding import SEED_RULE, is_seed, substream
-from .token_bits import _group_rows, group_quantize, plan_for_layer
+from .token_bits import group_quantize, plan_for_layer
 
 WEIGHT_BITS = 4  # every projection weight, fake-quantized or compiled for the kernels
 MOMENTUM = 0.95  # the share of itself a running max keeps at each training observation
@@ -74,6 +76,7 @@ __all__ = [
     "forward_int",
     "forward_tape",
     "forward_teacher",
+    "group_scale",
     "init_params",
     "param_specs",
     "params_to_tape",
@@ -157,10 +160,11 @@ class Calibration:
     """The activation scales: one running max-abs per (layer, site, group) quantizer.
 
     ``ema`` maps each observed ``key`` "l{l}.{site}.{hi|lo}" to its running max.
-    A training pass folds each non-empty group's max-abs into its running max
-    at ``MOMENTUM`` (the first observation enters the key with that max); any
-    other pass reads the running max frozen. The scale is the max-abs rule of
-    that running max, so a key never observed reads 0 and gives scale 1.
+    ``group_scale`` folds each non-empty group's max-abs into its running max
+    at ``MOMENTUM`` on a training pass (the first observation enters the key
+    with that max); any other pass reads the running max frozen. The scale is
+    the max-abs rule of that running max, so a key never observed reads 0 and
+    gives scale 1.
     """
 
     def __init__(self):
@@ -170,15 +174,6 @@ class Calibration:
     def key(layer: int, site: str, group: str) -> str:
         """The key of the quantizer of ``group`` ("hi" or "lo") at ``site`` of ``layer``."""
         return f"l{layer}.{site}.{group}"
-
-    def group_scale(self, key: str, x: np.ndarray, rows: np.ndarray, bits: int, training: bool) -> float:
-        """The scale of the group of ``rows`` of site x at ``bits``; 1, and nothing observed, for an empty group."""
-        if rows.size * x.shape[1] == 0:
-            return 1.0
-        if training:
-            m = _max_abs(_group_rows(x, rows))
-            self.ema[key] = MOMENTUM * self.ema[key] + (1.0 - MOMENTUM) * m if key in self.ema else m
-        return _max_abs_scale(self.ema.get(key, 0.0), bits)
 
     def state_dict(self) -> dict:
         return dict(sorted(self.ema.items()))
@@ -198,6 +193,35 @@ class Calibration:
                 raise ValueError(f"running max of {k!r} must be a finite number >= 0, got {m!r:.40}")
             out.ema[k] = float(m)
         return out
+
+
+def group_scale(
+    x: np.ndarray,
+    rows: np.ndarray,
+    bits: int,
+    override: float | None = None,
+    calib: Calibration | None = None,
+    key: str = "",
+    training: bool = False,
+) -> float:
+    """The scale of the group of ``rows`` of site x [N, D] at ``bits``: the one scale rule of an activation group.
+
+    A test's ``override`` comes first. Else the max-abs rule of ``calib``'s
+    running max of ``key``, into which a training pass first folds the
+    group's max-abs; else, without a calibration, the max-abs rule of the
+    group's own rows. An empty group gets scale 1 and observes nothing.
+    """
+    if override is not None:
+        return override
+    if rows.size * x.shape[1] == 0:
+        return 1.0
+    if calib is None or training:
+        m = max_abs(x if rows.size == x.shape[0] else x[rows])  # all of x is read without a gather
+    if calib is not None:
+        if training:
+            calib.ema[key] = MOMENTUM * calib.ema[key] + (1.0 - MOMENTUM) * m if key in calib.ema else m
+        m = calib.ema.get(key, 0.0)
+    return max_abs_scale(m, bits)
 
 
 @dataclass
@@ -249,8 +273,8 @@ def _forward(
     """The architecture, written once.
 
     Projections fake-quantize their operands and multiply on the tape or,
-    given ``project(gq, weight_name)``, enter the integer product of the
-    activation's codes and the named weight as a constant.
+    given ``project(codes, spec, weight_name)``, enter the integer product of
+    the activation's codes and the named weight as a constant.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     t_len = tokens.size
@@ -267,55 +291,51 @@ def _forward(
         return scale
 
     def fq_act(node, layer, site, plan):
-        """Fake-quant node of one activation site and the site's quantizer."""
+        """The fake-quant node of one activation site or, where the integer projections read it, (codes, spec)."""
         if not quantized:
-            return node, None
-        hi, lo = (Calibration.key(layer, site, group) for group in ("hi", "lo"))
+            return node
+        x = node.array
         scales = []
-        for key, rows, bits in ((hi, plan.hi, 8), (lo, plan.lo, 4)):
-            scale = overrides.get(key)
-            if scale is None and calib is not None:
-                scale = calib.group_scale(key, node.array, rows, bits, training)
-            scales.append(scale)
-        gq = group_quantize(node.array, plan, *scales)
-        for key, rows, spec in ((hi, plan.hi, gq.spec_hi), (lo, plan.lo, gq.spec_lo)):
+        for group, rows, bits in (("hi", plan.hi, 8), ("lo", plan.lo, 4)):
+            key = Calibration.key(layer, site, group)
+            scales.append(group_scale(x, rows, bits, overrides.get(key), calib, key, training))
             if rows.size:
-                scales_used[key] = spec.scale
+                scales_used[key] = scales[-1]
+        spec = group_quantize(x, plan, *scales)
         if project is not None and site not in ("q_post", "k_post"):
-            return None, gq  # the integer projections read the codes, never the dequantized node
-        return fake_quant(node, gq, surrogate), gq
+            return round_clip(x, spec)[0], spec  # rounded once for every projection that reads the site
+        return fake_quant(node, spec, surrogate)
 
     def projection(act, name, bias):
-        xq, gq = act
         if project is not None:
-            out = project(gq, name)
+            out = project(*act, name)
             out += tp[bias].array
             return tape.constant(out)
         spec = QuantSpec(bits=WEIGHT_BITS, scale=weight_scale(name)) if quantized else None
-        return linear(xq, tp[name], tp[bias], spec, surrogate)
+        return linear(act, tp[name], tp[bias], spec, surrogate)
 
     pos_ids = np.arange(t_len)
     x = gt.add(gt.gather_rows(tp["tok_emb"], tokens), gt.gather_rows(tp["pos_emb"], pos_ids))
     attn_nodes, q_nodes, k_nodes, plans = [], [], [], []
-    maps_so_far: list = []
     for l in range(cfg.layers):
         p = f"l{l}."
         h1 = gt.layernorm(x, tp[p + "ln1.g"], tp[p + "ln1.b"])
         plan = None
-        if quantized:
-            plan = plans_override[l] if plans_override is not None else plan_for_layer(l, maps_so_far, cfg.rho, t_len)
+        if quantized and plans_override is not None:
+            plan = plans_override[l]
+        elif quantized:
+            plan = plan_for_layer(attn_nodes[-1].array if attn_nodes else None, cfg.rho, t_len)
         plans.append(plan)
         qx = fq_act(h1, l, "attn_in", plan)
         q = projection(qx, p + "attn.wq", p + "attn.bq")
         k = projection(qx, p + "attn.wk", p + "attn.bk")
         v = projection(qx, p + "attn.wv", p + "attn.bv")
-        q, _ = fq_act(q, l, "q_post", plan)
-        k, _ = fq_act(k, l, "k_post", plan)
+        q = fq_act(q, l, "q_post", plan)
+        k = fq_act(k, l, "k_post", plan)
         q_nodes.append(q)
         k_nodes.append(k)
         probs = gt.attention(q, k, cfg.heads, 1.0 / math.sqrt(cfg.head_dim))
         attn_nodes.append(probs)
-        maps_so_far.append(probs.array)
         ctx = fq_act(gt.attend(probs, v), l, "attn_out", plan)
         x = gt.add(x, projection(ctx, p + "attn.wo", p + "attn.bo"))
         h2 = gt.layernorm(x, tp[p + "ln2.g"], tp[p + "ln2.b"])
@@ -385,7 +405,7 @@ def _compile_projection(name: str, w: np.ndarray) -> IntProjection:
     scale = calibrate_scale(w, WEIGHT_BITS)
     if not math.isfinite(scale):  # a NaN or Inf weight makes the max-abs scale non-finite
         raise ValueError(f"non-finite values in weight {name}")
-    codes = quantize(w, QuantSpec(bits=WEIGHT_BITS, scale=scale)).ints.T  # kernel layout: [out_dim, K]
+    codes = quantize(w, QuantSpec(bits=WEIGHT_BITS, scale=scale)).T  # kernel layout: [out_dim, K]
     packed = pack_int4(codes)
     _freeze(packed.packed, packed.codes, packed.lanes)
     return IntProjection(scale, packed)
@@ -416,15 +436,15 @@ def _compiled_projection(name: str, w: np.ndarray) -> IntProjection:
     return proj
 
 
-def _linear_int(gq, proj: IntProjection, cost) -> np.ndarray:
-    """Integer-kernel product of a site's codes and a compiled weight, in token order.
+def _linear_int(codes: np.ndarray, spec: QuantSpec, proj: IntProjection, cost) -> np.ndarray:
+    """Integer-kernel product of a site's codes under its per-row ``spec`` and a compiled weight, in token order.
 
     The integer path's one dequantization: each token's int32 sums times
     alpha_w * alpha_x.
     """
-    acc = gemm_mixed(proj.packed, gq.codes.T, gq.plan.bits, cost)  # codes in kernel layout: [K, tokens]
+    acc = gemm_mixed(proj.packed, codes.T, spec.bits[:, 0], cost)  # codes in kernel layout: [K, tokens]
     out = acc.T.astype(np.float32)  # [tokens, out_dim]
-    out *= np.float32(proj.scale) * gq.scale.astype(np.float32)
+    out *= np.float32(proj.scale) * spec.scale.astype(np.float32)
     return out
 
 
@@ -451,8 +471,8 @@ def forward_int(
     tp = params_to_tape(tape, model.params, trainable=False)
     cost = cost if cost is not None else CostCounter()
 
-    def project(gq, name):
-        return _linear_int(gq, model.projections[name], cost)
+    def project(codes, spec, name):
+        return _linear_int(codes, spec, model.projections[name], cost)
 
     res = _forward(tape, tp, tokens, cfg, quantized=True, calib=calib, project=project)
     return res.logits.array, res.plans

@@ -4,11 +4,13 @@ Signed integer range [-2^(b-1), 2^(b-1)-1], b in {4, 8}, rounding half away
 from zero. 4-bit values live sign-extended in int8 containers here; dense
 packing belongs to the kernels module.
 
-Every quantizer is a per-row ``(scale, qmin, qmax)``: scalars for a weight's
-``QuantSpec``, [N, 1] columns for an activation site's
-``token_bits.GroupQuant``, where row t takes its token's group scale and
-planned range. ``round_clip`` rounds once, in one float64 buffer r = x / scale
-that every pass writes in place, in this order:
+``QuantSpec`` is the one quantizer type: a per-row ``(bits, scale)`` with
+its range ``(qmin, qmax)`` derived from ``bits`` and both checked when it is
+built. A weight's spec holds scalars; an activation site's
+(``token_bits.group_quantize``) holds [N, 1] columns, where row t takes its
+token's planned width and its group's scale. ``round_clip`` rounds once, in
+one float64 buffer r = x / scale that every pass writes in place, in this
+order:
 
 - With the straight-through mask, the in-range test first, on r itself:
   the rounded value lies in [qmin, qmax] exactly where
@@ -20,18 +22,20 @@ that every pass writes in place, in this order:
   they are at most 128, so the truncating cast to uint8 floors them, and the
   sign goes back in int8. No pass makes a float64 temporary.
 
-``fake_quant`` is the one straight-through node for both kinds; with
-``surrogate=True`` it clips instead of rounding, for finite-difference checks
-of the backward. The mask is built only for an input a backward pass can
-reach. ``linear`` is a whole projection, x @ fake_quant(w) + b, as one node;
-without a quantizer it is the float projection. ``calibrate_scale`` is the
-max-abs scale rule; ``model.Calibration`` applies the same rule to its
-running activation maxima.
+``quantize`` returns those int8 codes. ``fake_quant`` is the one
+straight-through node for both kinds of spec; with ``surrogate=True`` it
+clips instead of rounding, a path only the tests' finite-difference checks
+take. The mask is built only for an input a backward pass can reach.
+``linear`` is a whole projection, x @ fake_quant(w) + b, as one node;
+without a quantizer it is the float projection. ``max_abs_scale`` is the
+max-abs scale rule: ``calibrate_scale`` applies it to a tensor's own
+max-abs, ``model.group_scale`` to an activation group's or to its running
+maximum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,10 +43,11 @@ from . import gradtape as gt
 
 __all__ = [
     "QuantSpec",
-    "QuantizedTensor",
     "calibrate_scale",
     "fake_quant",
     "linear",
+    "max_abs",
+    "max_abs_scale",
     "quantize",
     "round_clip",
 ]
@@ -64,58 +69,53 @@ def _round_magnitude(r: np.ndarray, negative: np.ndarray) -> np.ndarray:
     return codes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a per-row spec holds arrays: no == and no hash
 class QuantSpec:
-    """Bit width and scale of one tensor-wide quantizer."""
+    """One quantizer: each row's width ``bits`` (4 or 8) and ``scale`` (positive, finite).
 
-    bits: int
-    scale: float
+    Scalars for a weight; [N, 1] columns for an activation site. ``qmin`` and
+    ``qmax``, the b-bit range, are derived from ``bits`` once, here.
+    """
+
+    bits: int | np.ndarray
+    scale: float | np.ndarray
+    qmin: float | np.ndarray = field(init=False, repr=False)
+    qmax: float | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.bits not in (4, 8):
-            raise ValueError(f"bits must be 4 or 8, got {self.bits}")
-        if not (self.scale > 0 and np.isfinite(self.scale)):
+        qmax = _qmax(self.bits)
+        if not _all((self.scale > 0) & (self.scale < np.inf)):  # False for a NaN scale too
             raise ValueError(f"scale must be a positive finite float, got {self.scale}")
-
-    @property
-    def qmin(self) -> int:
-        return -(1 << (self.bits - 1))
-
-    @property
-    def qmax(self) -> int:
-        return (1 << (self.bits - 1)) - 1
+        object.__setattr__(self, "qmax", qmax)  # frozen: the range stays the one derived from bits
+        object.__setattr__(self, "qmin", -qmax - 1.0)
 
 
-@dataclass
-class QuantizedTensor:
-    """Sign-extended int8 values plus the scale that dequantizes them."""
-
-    ints: np.ndarray
-    scale: float
-    bits: int
-
-    def __post_init__(self):
-        self.ints = np.asarray(self.ints, dtype=np.int8)
-        lo, hi = -(1 << (self.bits - 1)), (1 << (self.bits - 1)) - 1
-        if self.ints.size and (self.ints.min() < lo or self.ints.max() > hi):
-            raise ValueError(f"int values outside [{lo}, {hi}] for bits={self.bits}")
+def _all(ok) -> bool:
+    """``ok.all()`` for an array, ``ok`` itself for a scalar (without numpy's per-call cost)."""
+    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
 
 
-def calibrate_scale(x: np.ndarray, bits: int) -> float:
-    """The max-abs scale of x at ``bits`` (the rule is ``_max_abs_scale``)."""
-    if bits not in (4, 8):
+def _qmax(bits):
+    """The top code 2^(b-1) - 1 of b-bit signed codes, as a float, elementwise; ValueError unless each b is 4 or 8."""
+    if not _all((bits == 4) | (bits == 8)):
         raise ValueError(f"bits must be 4 or 8, got {bits}")
-    return _max_abs_scale(_max_abs(np.asarray(x)), bits)
+    return (1 << (bits - 1)) - 1.0
 
 
-def _max_abs(x: np.ndarray) -> float:
+def max_abs(x: np.ndarray) -> float:
     """max |x| without an |x| array; 0 for an empty x."""
     return float(max(abs(x.max()), abs(x.min()))) if x.size else 0.0
 
 
-def _max_abs_scale(m: float, bits: int) -> float:
+def max_abs_scale(m: float, bits: int) -> float:
     """The max-abs rule: m / (2^(b-1)-1), or 1 when m is zero; a NaN or Inf m stays non-finite."""
-    return 1.0 if m == 0.0 else m / float((1 << (bits - 1)) - 1)
+    qmax = _qmax(bits)
+    return 1.0 if m == 0.0 else m / qmax
+
+
+def calibrate_scale(x: np.ndarray, bits: int) -> float:
+    """The max-abs scale of x at ``bits``."""
+    return max_abs_scale(max_abs(np.asarray(x)), bits)
 
 
 def _ste_mask(r: np.ndarray, qmin, qmax) -> np.ndarray:
@@ -123,11 +123,11 @@ def _ste_mask(r: np.ndarray, qmin, qmax) -> np.ndarray:
     return (r > np.subtract(qmin, 0.5)) & (r < np.add(qmax, 0.5))
 
 
-def round_clip(x: np.ndarray, q, with_mask: bool = False):
+def round_clip(x: np.ndarray, q: QuantSpec, with_mask: bool = False):
     """The one rounding of quantizer ``q``: (int8 codes, straight-through mask or None).
 
-    ``q`` is a ``QuantSpec`` or a ``GroupQuant``: its ``scale``, ``qmin`` and
-    ``qmax`` are scalars or [N, 1] columns, one entry per row of x. The codes
+    ``q``'s ``scale``, ``qmin`` and ``qmax`` are scalars or [N, 1] columns,
+    one entry per row of x. The codes
     are x / scale rounded half away from zero, clipped to [qmin, qmax]. With
     ``with_mask`` the mask is True where the rounded value was in range
     before the clip.
@@ -140,16 +140,16 @@ def round_clip(x: np.ndarray, q, with_mask: bool = False):
     return _round_magnitude(r, r < 0), mask
 
 
-def quantize(x: np.ndarray, spec: QuantSpec) -> QuantizedTensor:
-    codes, _ = round_clip(np.asarray(x), spec)
-    return QuantizedTensor(codes, spec.scale, spec.bits)
+def quantize(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
+    """The int8 codes of x under ``spec``."""
+    return round_clip(np.asarray(x), spec)[0]
 
 
-def fake_quant(x: gt.Tensor, q, surrogate: bool = False) -> gt.Tensor:
+def fake_quant(x: gt.Tensor, q: QuantSpec, surrogate: bool = False) -> gt.Tensor:
     """Quantize-dequantize on the forward; straight-through on the backward.
 
-    ``q`` is a weight's ``QuantSpec`` or an activation site's ``GroupQuant``
-    built from ``x.array``; each row is dequantized at its own scale. The
+    ``q`` is a weight's spec or an activation site's per-row spec of
+    ``x.array``; each row is dequantized at its own scale. The
     gradient passes where the mask is 1 (the rounded value was in range
     before the clip) and is +0.0 elsewhere. Codes and mask come from one
     rounding, and a constant input, which no backward pass reaches, gets no

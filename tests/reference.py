@@ -23,7 +23,6 @@ import numpy as np
 
 from squant import gradtape as gt
 from squant.losses import EPS, GaussianStats, LossReport
-from squant.quant import QuantizedTensor
 from squant.seeding import substream
 from squant.token_bits import TokenBitPlan
 from squant.train import SUCCESSOR_PROBS
@@ -115,9 +114,9 @@ def clamp_max(x: gt.Tensor, ceiling) -> gt.Tensor:
 
 def split_heads(x: gt.Tensor, heads: int) -> gt.Tensor:
     """[T, D] -> [H, T, D/H]: head h owns the column block [h*dh, (h+1)*dh)."""
-    a = gt._heads(x.array, heads)  # value and gradient in C order, as downstream BLAS products round by layout
+    a = gt.head_split(x.array, heads)  # value and gradient in C order, as downstream BLAS products round by layout
     t, d = x.shape
-    return x.tape.record(a, (x,), lambda g: (gt._merge(g, t, d),), name="split_heads")
+    return x.tape.record(a, (x,), lambda g: (gt.head_merge(g, t, d),), name="split_heads")
 
 
 def merge_heads(x: gt.Tensor) -> gt.Tensor:
@@ -125,7 +124,7 @@ def merge_heads(x: gt.Tensor) -> gt.Tensor:
     if x.array.ndim != 3:
         raise ValueError(f"merge_heads needs an [H, T, dh] tensor, got {x.shape}")
     h, t, dh = x.shape
-    return x.tape.record(gt._merge(x.array, t, h * dh), (x,), lambda g: (gt._heads(g, h),), name="merge_heads")
+    return x.tape.record(gt.head_merge(x.array, t, h * dh), (x,), lambda g: (gt.head_split(g, h),), name="merge_heads")
 
 
 def concat(parts) -> gt.Tensor:
@@ -281,8 +280,9 @@ def round_clip(x: np.ndarray, q, with_mask: bool = False):
     return np.clip(r, q.qmin, q.qmax).astype(np.int8), mask
 
 
-def dequantize(q: QuantizedTensor, dtype=np.float32) -> np.ndarray:
-    return q.ints.astype(dtype) * np.dtype(dtype).type(q.scale)
+def dequantize(codes: np.ndarray, scale: float, dtype=np.float32) -> np.ndarray:
+    """The values of int8 ``codes`` at one ``scale``, in ``dtype``."""
+    return codes.astype(dtype) * np.dtype(dtype).type(scale)
 
 
 # ---------------------------------------------------------------------------

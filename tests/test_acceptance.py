@@ -43,7 +43,7 @@ from squant.model import (
 )
 from squant.quant import QuantSpec, calibrate_scale, quantize
 from squant.seeding import substream
-from squant.token_bits import uniform_plan
+from squant.token_bits import TokenBitPlan
 from squant.train import (
     SEEDS,
     RunConfig,
@@ -107,13 +107,13 @@ def test_quantizer_round_trip_range_and_idempotence():
             x = np.zeros(size)  # all-zero tensors take the unit-scale path
         bits = 4 if i % 2 else 8
         spec = QuantSpec(bits=bits, scale=calibrate_scale(x, bits))
-        q = quantize(x, spec)
-        assert q.ints.min() >= spec.qmin and q.ints.max() <= spec.qmax
-        deq = ref.dequantize(q, np.float64)
+        codes = quantize(x, spec)
+        assert codes.min() >= spec.qmin and codes.max() <= spec.qmax
+        deq = ref.dequantize(codes, spec.scale, np.float64)
         err = float(np.abs(x - deq).max() / spec.scale)
         worst = max(worst, err)
         assert np.abs(x - deq).max() <= spec.scale / 2 + 1e-12
-        np.testing.assert_array_equal(quantize(deq, spec).ints, q.ints)
+        np.testing.assert_array_equal(quantize(deq, spec), codes)
     assert _verdict(True, "quantizer round-trip", f"worst error {worst:.4f} scale units over 10000 tensors")
 
 
@@ -190,7 +190,7 @@ def test_degenerate_plans_bit_identical_to_uniform():
     checks = []
     for rho, bits in ((1.0, 8), (0.0, 4)):
         cfg = MicroTransformerConfig(rho=rho)
-        uniform = [uniform_plan(toks.size, bits)] * cfg.layers
+        uniform = [TokenBitPlan(np.full(toks.size, bits))] * cfg.layers
         fakes = []
         for plans in (None, uniform):  # rho's own plans, then pinned uniform ones
             tape = gt.Tape(dtype=np.float32)

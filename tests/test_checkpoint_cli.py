@@ -30,6 +30,7 @@ from squant.model import (
     Calibration,
     MicroTransformerConfig,
     forward_tape,
+    group_scale,
     init_params,
     params_to_tape,
 )
@@ -75,8 +76,8 @@ class TestCheckpointRoundTrip:
         calib = Calibration()
         rows = np.arange(1)
         for i, site in enumerate(ACT_SITES):
-            calib.group_scale(f"l0.{site}.hi", np.array([[0.1 + i / 7.0]]), rows, 8, training=True)
-            calib.group_scale(f"l0.{site}.hi", np.array([[0.3 + i / 11.0]]), rows, 8, training=True)
+            group_scale(np.array([[0.1 + i / 7.0]]), rows, 8, calib=calib, key=f"l0.{site}.hi", training=True)
+            group_scale(np.array([[0.3 + i / 11.0]]), rows, 8, calib=calib, key=f"l0.{site}.hi", training=True)
         path = tmp_path / "m.ckpt"
         save_checkpoint(
             path, Checkpoint(config={}, params={}, calibration=calib.state_dict())

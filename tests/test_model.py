@@ -25,13 +25,14 @@ from squant.model import (
     forward_int,
     forward_tape,
     forward_teacher,
+    group_scale,
     init_params,
     params_to_tape,
     perplexity_eval,
 )
 from squant.quant import QuantSpec, calibrate_scale, quantize
 from squant.seeding import substream
-from squant.token_bits import assign_bits, group_quantize
+from squant.token_bits import TokenBitPlan, assign_bits, group_quantize
 from squant.train import make_corpus
 
 import reference as ref
@@ -184,43 +185,44 @@ class TestCalibration:
 
     def test_first_observation_sets_the_running_max(self):
         calib = Calibration()
-        scale = calib.group_scale("l0.attn_in.lo", self.X, np.array([1, 2]), 4, training=True)
+        scale = group_scale(self.X, np.array([1, 2]), 4, calib=calib, key="l0.attn_in.lo", training=True)
         assert calib.ema == {"l0.attn_in.lo": 14.0}
         assert scale == 2.0  # 14 / (2^3 - 1)
 
     def test_later_observations_fold_at_the_momentum(self):
         calib = Calibration()
-        calib.group_scale("k", self.X, np.array([0]), 4, training=True)
-        scale = calib.group_scale("k", self.X, np.array([1]), 4, training=True)
+        group_scale(self.X, np.array([0]), 4, calib=calib, key="k", training=True)
+        scale = group_scale(self.X, np.array([1]), 4, calib=calib, key="k", training=True)
         folded = MOMENTUM * 7.0 + (1.0 - MOMENTUM) * 14.0  # the float arithmetic of the fold, in this order
         assert calib.ema["k"] == folded
         assert scale == folded / 7.0
 
     def test_a_frozen_read_leaves_the_running_max(self):
         calib = Calibration()
-        calib.group_scale("k", self.X, np.array([1]), 8, training=True)
-        assert calib.group_scale("k", self.X, np.array([0, 2]), 8, training=False) == 14.0 / 127.0
+        group_scale(self.X, np.array([1]), 8, calib=calib, key="k", training=True)
+        assert group_scale(self.X, np.array([0, 2]), 8, calib=calib, key="k") == 14.0 / 127.0
         assert calib.ema["k"] == 14.0
 
     def test_an_empty_group_gives_scale_one_and_adds_no_key(self):
         calib = Calibration()
         empty = np.array([], dtype=np.int64)
         for training in (True, False):
-            assert calib.group_scale("k", self.X, empty, 8, training) == 1.0
-            assert calib.group_scale("d", np.zeros((3, 0)), np.arange(3), 4, training) == 1.0
+            assert group_scale(self.X, empty, 8, calib=calib, key="k", training=training) == 1.0
+            assert group_scale(np.zeros((3, 0)), np.arange(3), 4, calib=calib, key="d", training=training) == 1.0
+            assert group_scale(self.X, empty, 8) == 1.0  # without a calibration too
         assert calib.ema == {}
 
     def test_a_frozen_read_of_an_unobserved_key_gives_scale_one(self):
         calib = Calibration()
-        assert calib.group_scale("k", self.X, np.arange(3), 8, training=False) == 1.0
+        assert group_scale(self.X, np.arange(3), 8, calib=calib, key="k") == 1.0
         assert calib.ema == {}  # the key stays unseen: a later training pass enters it at its first max
 
     def test_a_zero_running_max_is_observed_and_folds(self):
         # a group of zeros enters its key at 0 (scale 1); the next observation folds into it
         calib = Calibration()
-        assert calib.group_scale("k", np.zeros((2, 2)), np.arange(2), 8, training=True) == 1.0
+        assert group_scale(np.zeros((2, 2)), np.arange(2), 8, calib=calib, key="k", training=True) == 1.0
         assert calib.ema == {"k": 0.0}
-        calib.group_scale("k", self.X, np.array([1]), 8, training=True)
+        group_scale(self.X, np.array([1]), 8, calib=calib, key="k", training=True)
         assert calib.ema == {"k": MOMENTUM * 0.0 + (1.0 - MOMENTUM) * 14.0}
 
     def test_a_given_scale_beats_the_calibration(self):
@@ -307,24 +309,28 @@ class TestIntegerPath:
         assert counts["a4"] < counts["mixed"] < counts["a8"]
 
     def test_one_group_quantize_per_site(self, monkeypatch):
-        # attn_in feeds q, k and v from one set of group codes
+        # attn_in feeds q, k and v from one quantizer and one rounding of its codes
         import squant.model
+        import squant.quant
         import squant.token_bits
 
-        calls = []
-        original = squant.token_bits.group_quantize
+        calls = {"group_quantize": 0, "round_clip": 0}
+        for owner, name in ((squant.token_bits, "group_quantize"), (squant.quant, "round_clip")):
+            original = getattr(owner, name)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        for module in (squant.model, squant.token_bits):
-            if getattr(module, "group_quantize", None) is original:
-                monkeypatch.setattr(module, "group_quantize", counting)
+            for module in (squant.model, squant.quant, squant.token_bits):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
         cfg = small_cfg(rho=0.5)
         calib = Calibration()
-        forward_int(cfg, init_params(cfg), tokens_for(cfg), calib=calib)
-        assert len(calls) == len(ACT_SITES) * cfg.layers
+        model = compile_int(cfg, init_params(cfg))
+        calls.update(dict.fromkeys(calls, 0))
+        forward_int(cfg, model, tokens_for(cfg), calib=calib)
+        assert calls == dict.fromkeys(calls, len(ACT_SITES) * cfg.layers)
         assert calib.ema == {}  # the integer path reads the calibration frozen: it observes nothing
 
     def test_no_mask_without_a_backward(self, monkeypatch):
@@ -492,7 +498,7 @@ class TestCompiledModel:
         for name, proj in compiled.projections.items():
             assert [f.name for f in fields(proj)] == ["scale", "packed"]
             assert proj.scale == fake.scales_used[name] == calibrate_scale(params[name], WEIGHT_BITS)
-            codes = quantize(params[name], QuantSpec(bits=WEIGHT_BITS, scale=proj.scale)).ints
+            codes = quantize(params[name], QuantSpec(bits=WEIGHT_BITS, scale=proj.scale))
             np.testing.assert_array_equal(proj.packed.codes, codes.T)
             assert -(2 ** (WEIGHT_BITS - 1)) <= codes.min() and codes.max() < 2 ** (WEIGHT_BITS - 1)
             np.testing.assert_array_equal(unpack_int4(proj.packed), codes.T)
@@ -632,25 +638,27 @@ class TestProjectionMemo:
             assert int_run(cfg, params, toks) == fresh_compile_run(cfg, params, toks)
 
 
-def grouped_linear(gq, proj, cost):
+def grouped_linear(codes, spec, proj, cost):
     """The grouped formulation of an integer projection, as a reference.
 
     Gather each group's codes, run the group's kernel (packed for 4-bit
     tokens, byte for 8-bit ones), scale by alpha_w * alpha_group, then
     scatter the rows back to token order.
     """
+    plan = TokenBitPlan(spec.bits[:, 0])
     parts = []
-    for rows, spec in ((gq.plan.hi, gq.spec_hi), (gq.plan.lo, gq.spec_lo)):
+    for rows, bits in ((plan.hi, 8), (plan.lo, 4)):
         if not rows.size:
             parts.append(np.empty((0, proj.packed.logical_rows), dtype=np.float32))
             continue
-        codes = gq.codes[rows].T  # [K, group tokens]
-        if spec.bits == 4:
-            acc = gemm_i4_packed(proj.packed, codes, cost)
+        group = codes[rows].T  # [K, group tokens]
+        if bits == 4:
+            acc = gemm_i4_packed(proj.packed, group, cost)
         else:
-            acc = gemm_i8(proj.packed.codes, codes, cost)
-        parts.append((acc.astype(np.float32) * (np.float32(proj.scale) * np.float32(spec.scale))).T)
-    return ref.scatter_tokens(*parts, gq.plan)
+            acc = gemm_i8(proj.packed.codes, group, cost)
+        scale = spec.scale[rows[0], 0]  # the group's one scale
+        parts.append((acc.astype(np.float32) * (np.float32(proj.scale) * np.float32(scale))).T)
+    return ref.scatter_tokens(*parts, plan)
 
 
 class TestTokenOrderOracle:
@@ -682,11 +690,12 @@ class TestTokenOrderOracle:
             rho = float(rng.choice([0.0, 1.0, rng.uniform()]))  # rho 0 and 1 leave one group empty
             plan = assign_bits(rng.uniform(size=n), rho)
             x = rng.normal(size=(n, k)) * rng.choice([0.1, 1.0, 30.0])
-            gq = group_quantize(x, plan)
+            spec = group_quantize(x, plan, group_scale(x, plan.hi, 8), group_scale(x, plan.lo, 4))
+            codes = quantize(x, spec)
             proj = _compile_projection("w", rng.normal(size=(k, m)))
             got_cost, want_cost = CostCounter(), CostCounter()
-            got = _linear_int(gq, proj, got_cost)
-            want = grouped_linear(gq, proj, want_cost)
+            got = _linear_int(codes, spec, proj, got_cost)
+            want = grouped_linear(codes, spec, proj, want_cost)
             assert got.dtype == want.dtype == np.float32 and got.shape == want.shape == (n, m)
             assert got.tobytes() == want.tobytes()
             assert got_cost == want_cost

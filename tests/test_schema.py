@@ -12,6 +12,9 @@ from squant.seeding import substream
 from squant.train import RunConfig
 
 NAN, INF = float("nan"), float("inf")
+# a recipe train and ablate both finish in seconds (512 tokens leave 448 training and 64 held-out), so a case whose
+# key or value the code wrongly accepts fails fast instead of running the default recipe
+TINY_RECIPE = {"steps": 1, "teacher_steps": 1, "corpus_length": 512}
 
 # field -> (one accepted value, rejected values)
 FIELD_CASES = {
@@ -67,7 +70,7 @@ def test_rejected_value_raises_naming_the_field(cls, name, value):
 @pytest.mark.parametrize("cls,name,value", REJECTED, ids=REJECTED_IDS)
 def test_rejected_value_exits_two_through_the_cli(tmp_path, capsys, cls, name, value):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({name: value}))
+    path.write_text(json.dumps({**TINY_RECIPE, name: value}))
     capsys.readouterr()
     assert cli_main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -111,7 +114,7 @@ def test_retired_key_exits_two_naming_it(tmp_path, capsys, command, key, value):
     # rho alone plans the activation bits, every projection weight is 4-bit, the loss sign is fixed, --shapes sets
     # the bench grid and --out the output directory; eval takes no config at all
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({key: value}))
+    path.write_text(json.dumps({**TINY_RECIPE, key: value}))
     capsys.readouterr()
     assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 
 from squant import gradtape as gt
-from squant.model import MOMENTUM, Calibration
-from squant.quant import QuantizedTensor, QuantSpec, calibrate_scale, fake_quant, quantize
-from squant.seeding import substream
-from squant.token_bits import (
-    TokenBitPlan,
-    assign_bits,
-    group_quantize,
-    plan_for_layer,
-    plan_source,
-    token_importance,
-    uniform_plan,
+from squant.model import (
+    MOMENTUM,
+    Calibration,
+    MicroTransformerConfig,
+    forward_tape,
+    group_scale,
+    init_params,
+    params_to_tape,
 )
+from squant.quant import QuantSpec, calibrate_scale, fake_quant, quantize, round_clip
+from squant.seeding import substream
+from squant.token_bits import TokenBitPlan, assign_bits, group_quantize, plan_for_layer, token_importance
 
 import reference as ref
 
@@ -33,10 +33,14 @@ def hi_tokens(scores, rho):
     return np.flatnonzero(assign_bits(np.asarray(scores), rho).bits == 8)
 
 
+def site_spec(x, plan, scale_hi=None, scale_lo=None):
+    """The quantizer of site x under ``plan``: each group at its given scale, else at its rows' max-abs scale."""
+    return group_quantize(x, plan, group_scale(x, plan.hi, 8, scale_hi), group_scale(x, plan.lo, 4, scale_lo))
+
+
 def fq_grouped(x, plan, scale_hi=None, scale_lo=None):
-    """One grouped fake-quant node over ``group_quantize``'s codes of x."""
-    gq = group_quantize(x.array, plan, scale_hi=scale_hi, scale_lo=scale_lo)
-    return fake_quant(x, gq)
+    """One grouped fake-quant node of x under ``site_spec``."""
+    return fake_quant(x, site_spec(x.array, plan, scale_hi, scale_lo))
 
 
 def random_causal_map(rng, layers, heads, n):
@@ -76,10 +80,10 @@ class TestImportance:
         m = random_causal_map(substream(5, "imp-plan"), 2, 2, 8)
         seen = []
         monkeypatch.setattr(squant.token_bits, "token_importance", lambda p: seen.append(p) or token_importance(p))
-        maps = [m[0], m[1]]
-        plan = plan_for_layer(1, maps, 0.5, 8)
-        assert len(seen) == 1 and seen[0] is maps[0]
-        np.testing.assert_array_equal(plan.bits, assign_bits(token_importance(maps[0]), 0.5).bits)
+        prev = m[0]
+        plan = plan_for_layer(prev, 0.5, 8)
+        assert len(seen) == 1 and seen[0] is prev
+        np.testing.assert_array_equal(plan.bits, assign_bits(token_importance(prev), 0.5).bits)
 
 
 class TestAssignBits:
@@ -167,8 +171,8 @@ class TestPlanSize:
 
     def test_uniform_plan_k(self):
         for n in (0, 1, 7):
-            assert uniform_plan(n, 8).k == n
-            assert uniform_plan(n, 4).k == 0
+            assert TokenBitPlan(np.full(n, 8)).k == n
+            assert TokenBitPlan(np.full(n, 4)).k == 0
 
     def test_k_follows_the_bits(self):
         assert TokenBitPlan(np.array([4, 8, 8, 4, 8])).k == 3
@@ -178,28 +182,33 @@ class TestPlanSize:
 
 class TestPlanSource:
     def test_layer_zero_has_no_map(self):
-        assert plan_source(0) is None
-        assert plan_source(3) == 2
+        # the forward plans layer 0 without a map and each later layer from the previous layer's map
+        cfg = MicroTransformerConfig(layers=3, heads=2, dim=8, vocab=16, seq_len=8, seed=5)
+        tape = gt.Tape(dtype=np.float32)
+        toks = substream(5, "ps-forward").integers(0, cfg.vocab, size=cfg.seq_len)
+        res = forward_tape(tape, params_to_tape(tape, init_params(cfg)), toks, cfg, quantized=True)
+        np.testing.assert_array_equal(res.plans[0].bits, plan_for_layer(None, cfg.rho, cfg.seq_len).bits)
+        for l in (1, 2):
+            np.testing.assert_array_equal(res.plans[l].bits, plan_for_layer(res.attn_probs[l - 1], cfg.rho, cfg.seq_len).bits)
 
     def test_layer_zero_uniform_eight(self):
-        plan = plan_for_layer(0, [], rho=0.5, n_tokens=6)
+        plan = plan_for_layer(None, rho=0.5, n_tokens=6)
         assert np.all(plan.bits == 8)
 
     def test_layer_zero_rho_zero_uniform_four(self):
-        plan = plan_for_layer(0, [], rho=0.0, n_tokens=6)
+        plan = plan_for_layer(None, rho=0.0, n_tokens=6)
         assert np.all(plan.bits == 4)
 
     def test_deeper_layers_use_previous_map(self):
         m = random_causal_map(substream(5, "ps-prev"), 2, 2, 8)
-        maps = [m[0], m[1]]
-        plan = plan_for_layer(1, maps, rho=0.5, n_tokens=8)
+        plan = plan_for_layer(m[0], rho=0.5, n_tokens=8)
         scores = m[0][:, :, 0].mean(axis=0)
         np.testing.assert_array_equal(plan.bits, assign_bits(scores, 0.5).bits)
 
     def test_identical_maps_identical_plans(self):
         m = random_causal_map(substream(5, "ps-same"), 1, 2, 8)
         maps = [m[0]] * 3
-        plans = [plan_for_layer(l, maps, 0.25, 8).bits for l in (1, 2, 3)]
+        plans = [plan_for_layer(maps[l - 1], 0.25, 8).bits for l in (1, 2, 3)]
         np.testing.assert_array_equal(plans[0], plans[1])
         np.testing.assert_array_equal(plans[1], plans[2])
 
@@ -224,25 +233,43 @@ class TestGrouping:
     def test_single_group_matches_plain_quantization(self):
         rng = substream(5, "grp-plain")
         x = rng.normal(size=(6, 4))
-        gq = group_quantize(x, uniform_plan(6, 8))
-        from squant.quant import calibrate_scale
-
+        plan = TokenBitPlan(np.full(6, 8))
         spec = QuantSpec(bits=8, scale=calibrate_scale(x, 8))
-        np.testing.assert_array_equal(gq.codes, quantize(x, spec).ints)
-        assert gq.plan.lo.size == 0
+        np.testing.assert_array_equal(quantize(x, site_spec(x, plan)), quantize(x, spec))
+        assert plan.lo.size == 0
+        # a per-row spec whose rows share one width and one scale is the scalar spec: codes, mask and fake_quant bytes
+        x = x.astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        for bits in (4, 8):
+            scalar = QuantSpec(bits, 0.6 * calibrate_scale(x, bits))  # below the max-abs scale: some entries clip
+            per_row = QuantSpec(np.full((6, 1), bits), np.full((6, 1), scalar.scale))
+            (codes, mask), (want_codes, want_mask) = round_clip(x, per_row, True), round_clip(x, scalar, True)
+            assert codes.tobytes() == want_codes.tobytes() and mask.tobytes() == want_mask.tobytes()
+            assert 0 < mask.sum() < mask.size
+            for surrogate in (False, True):
+                runs = []
+                for q in (per_row, scalar):
+                    tape = gt.Tape(dtype=np.float32)
+                    t = tape.parameter(x)
+                    y = fake_quant(t, q, surrogate)
+                    tape.backward(ref.sum_all(ref.mul(y, tape.constant(g))))
+                    runs.append((y.array.tobytes(), t.grad.tobytes()))
+                assert runs[0] == runs[1]
 
     def test_two_scales_one_per_group(self):
         rng = substream(5, "grp-scales")
         x = rng.normal(size=(8, 3))
         plan = assign_bits(rng.uniform(size=8), 0.5)
-        gq = group_quantize(x, plan)
+        spec = site_spec(x, plan)
         hi, lo = ref.gather_tokens(x, plan)
-        assert gq.spec_hi.scale == pytest.approx(np.abs(hi).max() / 127)
-        assert gq.spec_lo.scale == pytest.approx(np.abs(lo).max() / 7)
+        assert group_scale(x, plan.hi, 8) == pytest.approx(np.abs(hi).max() / 127)
+        assert group_scale(x, plan.lo, 4) == pytest.approx(np.abs(lo).max() / 7)
+        np.testing.assert_array_equal(spec.scale[plan.hi], group_scale(x, plan.hi, 8))
+        np.testing.assert_array_equal(spec.scale[plan.lo], group_scale(x, plan.lo, 4))
 
     def test_bad_rows_rejected(self):
         with pytest.raises(ValueError):
-            group_quantize(np.zeros((3, 2)), uniform_plan(4, 8))
+            group_quantize(np.zeros((3, 2)), TokenBitPlan(np.full(4, 8)), 1.0, 1.0)
 
 
 class TestFakeQuantGrouped:
@@ -252,11 +279,11 @@ class TestFakeQuantGrouped:
         plan = assign_bits(rng.uniform(size=8), 0.5)
         tape = gt.Tape(dtype=np.float64)
         y = fq_grouped(tape.parameter(x), plan)
-        gq = group_quantize(x, plan)
-        hi, lo = ref.gather_tokens(gq.codes, plan)
+        scale_hi, scale_lo = group_scale(x, plan.hi, 8), group_scale(x, plan.lo, 4)
+        hi, lo = ref.gather_tokens(quantize(x, group_quantize(x, plan, scale_hi, scale_lo)), plan)
         want = ref.scatter_tokens(
-            ref.dequantize(QuantizedTensor(hi, gq.spec_hi.scale, 8), np.float64),
-            ref.dequantize(QuantizedTensor(lo, gq.spec_lo.scale, 4), np.float64),
+            ref.dequantize(hi, scale_hi, np.float64),
+            ref.dequantize(lo, scale_lo, np.float64),
             plan,
         )
         np.testing.assert_array_equal(y.data, want)
@@ -264,11 +291,9 @@ class TestFakeQuantGrouped:
     def test_uniform_plan_equals_plain_fake_quant(self):
         rng = substream(5, "fqg-uni")
         x = rng.normal(size=(5, 3))
-        from squant.quant import calibrate_scale
-
         for bits in (4, 8):
             tape = gt.Tape(dtype=np.float64)
-            y = fq_grouped(tape.parameter(x), uniform_plan(5, bits))
+            y = fq_grouped(tape.parameter(x), TokenBitPlan(np.full(5, bits)))
             tape2 = gt.Tape(dtype=np.float64)
             spec = QuantSpec(bits=bits, scale=calibrate_scale(x, bits))
             want = fake_quant(tape2.parameter(x), spec)
@@ -312,9 +337,7 @@ class TestFakeQuantGrouped:
     def test_fixed_scales_bypass_calibration(self):
         x = np.ones((4, 2)) * 3.0
         tape = gt.Tape(dtype=np.float64)
-        y = fq_grouped(
-            tape.parameter(x), uniform_plan(4, 8), scale_hi=1.0
-        )
+        y = fq_grouped(tape.parameter(x), TokenBitPlan(np.full(4, 8)), scale_hi=1.0)
         np.testing.assert_array_equal(y.data, x)  # 3.0 / 1.0 rounds to 3 exactly
 
 
@@ -429,24 +452,24 @@ class TestOneRoundingOracle:
 
             tape = gt.Tape(dtype=dtype)
             t = tape.parameter(x)
-            scales = fixed
-            if emas[0] is not None:  # the scales as the model resolves them from its calibration
+            calib = None
+            if emas[0] is not None:  # the model's calibration, with the observed groups' running maxima
                 calib = Calibration()
                 calib.ema = observed_maxima(emas)
-                scales = [
-                    calib.group_scale(group, x, rows, bits, training)
-                    for group, rows, bits in (("hi", plan.hi, 8), ("lo", plan.lo, 4))
-                ]
-            gq = group_quantize(x, plan, *scales)
-            y = fake_quant(t, gq, surrogate=surrogate)
+            scales = [  # resolved as the model resolves them
+                group_scale(x, rows, bits, given, calib, group, training)
+                for group, rows, bits, given in (("hi", plan.hi, 8, fixed[0]), ("lo", plan.lo, 4, fixed[1]))
+            ]
+            spec = group_quantize(x, plan, *scales)
+            y = fake_quant(t, spec, surrogate=surrogate)
             tape.backward(ref.sum_all(ref.mul(y, tape.constant(g))))
 
             assert y.data.dtype == want_y.dtype and y.data.tobytes() == want_y.tobytes()
-            for rows, spec, (codes, scale) in zip(ref.gather_tokens(gq.codes, plan), (gq.spec_hi, gq.spec_lo), want_groups):
+            for rows, got_scale, (codes, scale) in zip(ref.gather_tokens(quantize(x, spec), plan), scales, want_groups):
                 assert rows.dtype == codes.dtype and rows.shape == codes.shape
                 assert rows.tobytes() == codes.tobytes()
-                assert spec.scale == scale
-            if emas[0] is not None:
+                assert got_scale == scale
+            if calib is not None:
                 assert calib.ema == observed_maxima(ref_emas)
             assert t.grad.dtype == want_grad.dtype and t.grad.tobytes() == want_grad.tobytes()
             blocked += int(np.count_nonzero(want_grad == 0))
@@ -478,4 +501,4 @@ class TestOneRoundingOracle:
                 want_grad = g * ref_ste_mask(w, scale, bits) + 0.0
                 assert y.data.tobytes() == want_y.tobytes()
                 assert t.grad.tobytes() == want_grad.tobytes()
-                assert quantize(w, spec).ints.tobytes() == ref_quantize(w, scale, bits).tobytes()
+                assert quantize(w, spec).tobytes() == ref_quantize(w, scale, bits).tobytes()
